@@ -1,12 +1,12 @@
-"""Benchmark harness: wall time vs input length, pattern count, strategy,
-worker count, and scan backend (compiled kernel vs reference engine)."""
+"""Benchmark harness: wall time vs input length, pattern count, strategy
+and worker count."""
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .compile import compile_pattern
 from .engine import run
@@ -21,7 +21,6 @@ class BenchRow:
     r: int
     strategy: str
     workers: int
-    backend: str
     seconds: float
 
 
@@ -32,7 +31,7 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(f"{row.scenario},{row.n},{row.r},{row.strategy},"
-                     f"{row.workers},{row.backend},{row.seconds:.6f}")
+                     f"{row.workers},{row.seconds:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -63,70 +62,51 @@ def _sink(_):
     pass
 
 
-def scaling_vs_n(ns: list[int], r: int, backend: str,
-                 repeats: int = 3) -> list[BenchRow]:
+def scaling_vs_n(ns: list[int], r: int, repeats: int = 3) -> list[BenchRow]:
     p = adversarial_machine(r)
     rows = []
     for n in ns:
         data = b"a" * n
-        run(p, data, _sink, backend=backend)  # warm-up (jit compile, caches)
-        secs = _time(lambda: run(p, data, _sink, backend=backend), repeats)
-        rows.append(BenchRow("scaling_n", n, r, "single", 1, backend, secs))
+        run(p, data, _sink)  # warm-up
+        secs = _time(lambda: run(p, data, _sink), repeats)
+        rows.append(BenchRow("scaling_n", n, r, "single", 1, secs))
     return rows
 
 
-def scaling_vs_r(rs: list[int], n: int, backend: str,
-                 repeats: int = 3) -> list[BenchRow]:
+def scaling_vs_r(rs: list[int], n: int, repeats: int = 3) -> list[BenchRow]:
     data = b"a" * n
     rows = []
     for r in rs:
         p = adversarial_machine(r)
-        run(p, data, _sink, backend=backend)
-        secs = _time(lambda: run(p, data, _sink, backend=backend), repeats)
-        rows.append(BenchRow("scaling_r", n, r, "single", 1, backend, secs))
+        run(p, data, _sink)
+        secs = _time(lambda: run(p, data, _sink), repeats)
+        rows.append(BenchRow("scaling_r", n, r, "single", 1, secs))
     return rows
 
 
 def strategy_scaling(p: Pfsm, data: bytes, strategies: list[str],
-                     workers_list: list[int], backend: str,
-                     executor: str = "threads",
+                     workers_list: list[int],
                      repeats: int = 3) -> list[BenchRow]:
     rows = []
     r = len(p.directory)
     for strategy in strategies:
         for workers in workers_list:
             if strategy == "single":
-                fn = lambda: run(p, data, _sink, backend=backend)
+                fn = lambda: run(p, data, _sink)
                 workers = 1
             else:
                 plan = (regex_plan(p, workers) if strategy == "regex"
                         else data_plan(strategy, len(data), workers))
-                fn = lambda plan=plan: run_partitioned(
-                    p, data, plan, executor=executor, backend=backend)
+                fn = lambda plan=plan: run_partitioned(p, data, plan)
             fn()
             rows.append(BenchRow("strategy", len(data), r, strategy, workers,
-                                 backend, _time(fn, repeats)))
+                                 _time(fn, repeats)))
             if strategy == "single":
                 break
     return rows
 
 
-def backend_comparison(p: Pfsm, data: bytes, repeats: int = 3) -> list[BenchRow]:
-    """Compiled kernel vs reference engine on the same scan."""
-    from . import kernels
-    backends = ["python"]
-    if kernels.NUMBA_ENABLED:
-        backends.append("kernel")
-    rows = []
-    for backend in backends:
-        run(p, data, _sink, backend=backend)
-        secs = _time(lambda: run(p, data, _sink, backend=backend), repeats)
-        rows.append(BenchRow("backend", len(data), len(p.directory),
-                             "single", 1, backend, secs))
-    return rows
-
-
 def fit_loglog_slope(xs: list[float], ts: list[float]) -> float:
     """Least-squares slope of log(t) against log(x)."""
-    return float(np.polyfit(np.log(np.asarray(xs, float)),
-                            np.log(np.asarray(ts, float)), 1)[0])
+    return statistics.linear_regression([math.log(x) for x in xs],
+                                        [math.log(t) for t in ts]).slope

@@ -14,8 +14,8 @@ import sys
 import click
 
 from .automaton import AutomatonFormatError
-from .bench import (adversarial_machine, backend_comparison, rows_to_csv,
-                    scaling_vs_n, scaling_vs_r, strategy_scaling)
+from .bench import (adversarial_machine, rows_to_csv, scaling_vs_n,
+                    scaling_vs_r, strategy_scaling)
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
 from .engine import (EngineStats, format_match_jsonl, format_match_tsv, run)
 from .oracle import all_matches
@@ -28,28 +28,28 @@ class MatchError(click.ClickException):
     exit_code = 1
 
 
-def _gather_patterns(exprs, patterns_file) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = [(e, e) for e in exprs]
+def _gather_patterns(exprs, patterns_file) -> list[tuple[str, str, str]]:
+    """(where, label, pattern) triples; `where` is `<arg>:k` for the k-th
+    -e pattern and `file:line` for a pattern file entry."""
+    entries = [(f"<arg>:{k}", e, e) for k, e in enumerate(exprs, start=1)]
     if patterns_file:
         try:
             with open(patterns_file, encoding="utf-8") as fh:
-                pairs.extend(read_pattern_file(fh))
+                for lineno, line in enumerate(fh, start=1):
+                    entries.extend((f"{patterns_file}:{lineno}", label, pattern)
+                                   for label, pattern in read_pattern_file([line]))
         except OSError as exc:
             raise MatchError(f"cannot read {patterns_file}: {exc}") from exc
-    return pairs
+    return entries
 
 
-def _compile_set(pairs, form, source_name="<arg>") -> Pfsm:
+def _compile_set(entries, form) -> Pfsm:
     compiled = []
-    for lineno, (label, pattern) in enumerate(pairs, start=1):
+    for where, label, pattern in entries:
         try:
             compiled.append((label, compile_pattern(pattern, form)))
-        except RegexSyntaxError as exc:
-            raise MatchError(
-                f"{source_name}:{lineno}: pattern {pattern!r}: {exc}") from exc
-        except StateCeilingExceeded as exc:
-            raise MatchError(
-                f"{source_name}:{lineno}: pattern {pattern!r}: {exc}") from exc
+        except (RegexSyntaxError, StateCeilingExceeded) as exc:
+            raise MatchError(f"{where}: pattern {pattern!r}: {exc}") from exc
     return build_pfsm(compiled)
 
 
@@ -64,10 +64,10 @@ def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
             raise MatchError(f"cannot read {automaton_file}: {exc}") from exc
         except AutomatonFormatError as exc:
             raise MatchError(f"{automaton_file}: {exc}") from exc
-    pairs = _gather_patterns(exprs, patterns_file)
-    if not pairs:
+    entries = _gather_patterns(exprs, patterns_file)
+    if not entries:
         raise click.UsageError("no patterns given (-e, --patterns, or --automaton)")
-    return _compile_set(pairs, form, patterns_file or "<arg>")
+    return _compile_set(entries, form)
 
 
 def _read_input(text, input_file) -> bytes:
@@ -122,11 +122,8 @@ def main():
 @click.option("--stats", is_flag=True, help="Append a scan-statistics summary.")
 @click.option("--dedupe/--no-dedupe", default=True,
               help="Suppress duplicate (label, start, end) reports.")
-@click.option("--executor", type=click.Choice(["serial", "threads"]),
-              default="serial", help="Worker scheduler for partitioned runs.")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
-              form, strategy, workers, segments_flag, fmt, stats, dedupe,
-              executor):
+              form, strategy, workers, segments_flag, fmt, stats, dedupe):
     """Scan input and print every match, sorted by (end, start, label)."""
     pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
     data = _read_input(text, input_file)
@@ -142,7 +139,7 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
         else:
             try:
                 plan = _make_plan(strategy, workers, segments_flag, len(data), pfsm)
-                matches = run_partitioned(pfsm, data, plan, executor=executor)
+                matches = run_partitioned(pfsm, data, plan)
             except PlanError as exc:
                 raise MatchError(str(exc)) from exc
 
@@ -165,13 +162,15 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
               help="Output file (default stdout).")
 def cmd_compile(expressions, patterns_file, form, output):
     """Compile patterns and write the machine interchange dump."""
-    pairs = _gather_patterns(expressions, patterns_file)
-    pfsm = _compile_set(pairs, form, patterns_file or "<arg>")
+    pfsm = _compile_set(_gather_patterns(expressions, patterns_file), form)
     from .union import dump_pfsm
     text = dump_pfsm(pfsm)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MatchError(f"cannot write {output}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 
@@ -183,16 +182,16 @@ def cmd_compile(expressions, patterns_file, form, output):
 @click.option("--input", "input_file", type=click.Path(), default=None)
 def cmd_oracle(expressions, patterns_file, text, input_file):
     """Brute-force reference matches (slow; for debugging and validation)."""
-    pairs = _gather_patterns(expressions, patterns_file)
-    if not pairs:
+    entries = _gather_patterns(expressions, patterns_file)
+    if not entries:
         raise click.UsageError("no patterns given")
     data = _read_input(text, input_file)
     asts = []
-    for lineno, (label, pattern) in enumerate(pairs, start=1):
+    for where, label, pattern in entries:
         try:
             asts.append((label, parse_regex(pattern)))
         except RegexSyntaxError as exc:
-            raise MatchError(f"line {lineno}: pattern {pattern!r}: {exc}") from exc
+            raise MatchError(f"{where}: pattern {pattern!r}: {exc}") from exc
     found = sorted(all_matches(asts, data), key=lambda m: (m[2], m[1], m[0]))
     for label, start, end in found:
         snippet = data[start:end + 1].decode("latin-1")
@@ -209,27 +208,23 @@ def cmd_oracle(expressions, patterns_file, text, input_file):
 @click.option("--strategies", default="single,regex,lazy,chained")
 @click.option("--workers", default="1,2,4")
 @click.option("--repeats", type=int, default=3)
-@click.option("--backend", type=click.Choice(["auto", "python", "kernel"]),
-              default="auto")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Write the CSV report to a file (default stdout).")
 def cmd_bench(sizes, rs, fixed_r, fixed_n, strategies, workers, repeats,
-              backend, csv_path):
-    """Timing sweeps: time vs n, time vs r, per strategy and worker count,
-    and compiled-kernel vs reference-engine comparison."""
+              csv_path):
+    """Timing sweeps: time vs n, time vs r, per strategy and worker count."""
     ns = [int(x) for x in sizes.split(",")]
     r_values = [int(x) for x in rs.split(",")]
     strategy_list = strategies.split(",")
     workers_list = [int(x) for x in workers.split(",")]
 
     rows = []
-    rows += scaling_vs_n(ns, fixed_r, backend, repeats)
-    rows += scaling_vs_r(r_values, fixed_n, backend, repeats)
+    rows += scaling_vs_n(ns, fixed_r, repeats)
+    rows += scaling_vs_r(r_values, fixed_n, repeats)
     p = adversarial_machine(fixed_r)
     data = b"a" * fixed_n
-    rows += strategy_scaling(p, data, strategy_list, workers_list, backend,
+    rows += strategy_scaling(p, data, strategy_list, workers_list,
                              repeats=repeats)
-    rows += backend_comparison(p, data, repeats)
 
     text = rows_to_csv(rows)
     if csv_path:

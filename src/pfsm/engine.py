@@ -25,10 +25,6 @@ from .union import Pfsm
 
 ACTIVESET_HEADER = "PFSM-ACT v1"
 
-# Tags are packed beside state ids into 64-bit keys on the kernel path;
-# the reference path enforces the same ceiling so behavior is identical.
-MAX_TAG = 2**31 - 1
-
 
 class GenerationMismatchError(ValueError):
     """Active set refers to a different structural generation of the machine."""
@@ -86,23 +82,18 @@ class Engine:
     the overall stream is sorted by (end, start, label).
     """
 
-    def __init__(self, pfsm: Pfsm, sink=None, *, dedupe: bool = True,
-                 prune_dead: bool = False):
+    def __init__(self, pfsm: Pfsm, sink=None, *, dedupe: bool = True):
         self.pfsm = pfsm
         self.sink = sink
         self.dedupe = dedupe
-        self.prune_dead = prune_dead
         a = pfsm.automaton
         self._start = sorted(epsilon_closure(a, {a.initial}))
         self.active: dict[int, set[int]] = {}
-        self._seen: set[Match] = set()
         n_states = [e.n_states for e in pfsm.directory.values()]
         self.stats = EngineStats(r=len(pfsm.directory),
                                  m_max=max(n_states, default=0))
 
     def feed(self, byte: int, pos: int, reinit: bool = True):
-        if pos > MAX_TAG:
-            raise ValueError(f"position {pos} exceeds the addressable tag range")
         a = self.pfsm.automaton
         active = self.active
         if reinit:
@@ -139,30 +130,21 @@ class Engine:
                     bucket |= tags
                     work.append(t)
 
-        # Match detection on the closed step-4 set.
+        # Match detection on the closed step-4 set. Every match of this
+        # cycle ends at `pos`, so duplicates can only come from distinct
+        # final states of one label within this cycle.
         emitted = []
         for s, tags in nxt.items():
             label = a.final_labels.get(s)
-            if label is None:
-                continue
-            for t in tags:
-                m = Match(label, t, pos)
-                if self.dedupe:
-                    if m in self._seen:
-                        continue
-                    self._seen.add(m)
-                emitted.append(m)
+            if label is not None:
+                emitted.extend(Match(label, t, pos) for t in tags)
+        if self.dedupe and len(emitted) > 1:
+            emitted = list(set(emitted))
         emitted.sort(key=lambda m: (m.start, m.label))
         if self.sink is not None:
             for m in emitted:
                 self.sink(m)
         self.stats.matches_emitted += len(emitted)
-
-        if self.prune_dead:
-            # Output-invariant: a state with no byte transitions can never
-            # move again, and its epsilon targets are already in the set.
-            nxt = {s: tags for s, tags in nxt.items()
-                   if a.byte_transitions.get(s)}
         self.active = nxt
         self.stats.per_cycle_pairs.append(
             max(pairs_after_init, sum(len(t) for t in nxt.values())))
@@ -201,47 +183,40 @@ class Engine:
         self.active = active
 
 
-def run(pfsm: Pfsm, data: bytes, sink=None, *, dedupe: bool = True,
-        backend: str = "auto") -> EngineStats:
+def run(pfsm: Pfsm, data: bytes, sink=None, *,
+        dedupe: bool = True) -> EngineStats:
     """Scan the whole input, reinitializing at every position."""
     stats, _ = run_segment(pfsm, data, (0, len(data) - 1) if data else None,
-                           None, sink, dedupe=dedupe, backend=backend)
+                           None, sink, dedupe=dedupe)
     return stats
 
 
 def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
                 carry_in: ActiveSet | None, sink=None, *, base: int = 0,
-                dedupe: bool = True,
-                backend: str = "auto") -> tuple[EngineStats, ActiveSet]:
+                dedupe: bool = True) -> tuple[EngineStats, ActiveSet]:
     """Scan `data` reinitializing only at positions inside `window`.
 
     Positions are absolute: data[0] sits at position `base`, and window
-    bounds and carried tags use the same coordinate system. Processing
-    stops early once the window is exhausted and no states remain active
-    (nothing further can be activated). Returns the stats and the carried
-    active set at the stop point.
+    bounds and carried tags use the same coordinate system, so every
+    carried tag must be a start position before the input: in [0, base).
+    Processing stops early once the window is exhausted and no states
+    remain active (nothing further can be activated). Returns the stats and
+    the carried active set at the stop point.
     """
     if window is not None:
         lo, hi = window
         if not (base <= lo <= hi < base + len(data)):
             raise ValueError(f"window {window} outside input bounds "
                              f"[{base}, {base + len(data)})")
-    if base + len(data) - 1 > MAX_TAG:
-        raise ValueError("input longer than the addressable tag range")
-
-    if backend == "auto":
-        from . import kernels
-        backend = "kernel" if kernels.NUMBA_ENABLED else "python"
-    if backend == "kernel":
-        from . import kernels
-        return kernels.run_segment_kernel(pfsm, data, window, carry_in, sink,
-                                          base=base, dedupe=dedupe)
-    if backend != "python":
-        raise ValueError(f"unknown backend {backend!r}")
 
     eng = Engine(pfsm, sink, dedupe=dedupe)
     if carry_in is not None:
         eng.restore(carry_in)
+        for s, tags in carry_in.tags.items():
+            for t in tags:
+                if not 0 <= t < base:
+                    raise ValueError(f"active state {s} carries tag {t} "
+                                     f"outside [0, {base})")
     for i, byte in enumerate(data):
         pos = base + i
         reinit = window is not None and window[0] <= pos <= window[1]
@@ -251,10 +226,10 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
     return eng.stats, eng.snapshot()
 
 
-def find_matches(pfsm: Pfsm, data: bytes, *, dedupe: bool = True,
-                 backend: str = "auto") -> list[Match]:
+def find_matches(pfsm: Pfsm, data: bytes, *,
+                 dedupe: bool = True) -> list[Match]:
     out: list[Match] = []
-    run(pfsm, data, out.append, dedupe=dedupe, backend=backend)
+    run(pfsm, data, out.append, dedupe=dedupe)
     return out
 
 
@@ -282,7 +257,12 @@ def load_active_set(text: str) -> ActiveSet:
             tokens = line.split()
             if tokens[0] != "active" or len(tokens) != 3:
                 raise ActiveSetFormatError(f"malformed line {line!r}")
-            tags[int(tokens[1])] = {int(t) for t in tokens[2].split(",")}
+            state = int(tokens[1])
+            state_tags = {int(t) for t in tokens[2].split(",")}
+            if min(state_tags) < 0:
+                raise ActiveSetFormatError(f"active state {state} carries "
+                                           f"negative tag {min(state_tags)}")
+            tags[state] = state_tags
     except (ValueError, IndexError) as exc:
         raise ActiveSetFormatError(str(exc)) from exc
     return ActiveSet(gen, tags)

@@ -4,15 +4,12 @@ Every strategy produces exactly the match set of a single-worker run.
 Workers share only the immutable machine generation (and, for data
 partitioning, the read-only input); the only inter-worker traffic is
 carried active sets (chained mode) and match batches to the collector.
-
-The default executor is a deterministic sequential scheduler; "threads"
-runs real worker threads (the kernel path releases the GIL).
+Workers run one after another, in worker order, so the output is
+deterministic.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 
 from .engine import ActiveSet, Match, find_matches, run_segment
@@ -74,9 +71,8 @@ def _check_assignment(p: Pfsm, plan: PartitionPlan) -> dict[int, list[int]]:
     return by_worker
 
 
-def run_regex_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan, *,
-                          executor: str = "serial",
-                          backend: str = "auto") -> list[Match]:
+def run_regex_partitioned(p: Pfsm, data: bytes,
+                          plan: PartitionPlan) -> list[Match]:
     """Each worker scans the full input with only its assigned patterns."""
     if plan.strategy != "regex":
         raise PlanError(f"plan strategy is {plan.strategy!r}, expected 'regex'")
@@ -85,141 +81,52 @@ def run_regex_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan, *,
     def scan(label_ids: list[int]) -> list[Match]:
         sub = build_pfsm([(p.label_text(lid), extract_pattern(p, lid))
                           for lid in sorted(label_ids)])
-        found = find_matches(sub, data, backend=backend)
+        found = find_matches(sub, data)
         # Sub-machine label ids are local; map back through the label text.
         return [Match(p.labels.id_of(sub.label_text(m.label)), m.start, m.end)
                 for m in found]
 
-    batches = _run_tasks([lambda ids=ids: scan(ids)
-                          for _, ids in sorted(by_worker.items())], executor)
-    return _merge(batches)
+    return _merge([scan(ids) for _, ids in sorted(by_worker.items())])
 
 
-def run_lazy_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan, *,
-                         executor: str = "serial",
-                         backend: str = "auto") -> list[Match]:
+def run_lazy_partitioned(p: Pfsm, data: bytes,
+                         plan: PartitionPlan) -> list[Match]:
     """Each worker starts matches only inside its segment but keeps
     consuming input until the end or until nothing is active."""
     if plan.strategy != "lazy":
         raise PlanError(f"plan strategy is {plan.strategy!r}, expected 'lazy'")
     if not data:
         return []
-    segs = segments(plan, len(data))
-
-    def scan(lo: int, hi: int) -> list[Match]:
-        out: list[Match] = []
-        run_segment(p, data[lo:], (lo, hi), None, out.append, base=lo,
-                    backend=backend)
-        return out
-
-    batches = _run_tasks([lambda lo=lo, hi=hi: scan(lo, hi)
-                          for lo, hi in segs], executor)
-    return _merge(batches)
+    out: list[Match] = []
+    for lo, hi in segments(plan, len(data)):
+        run_segment(p, data[lo:], (lo, hi), None, out.append, base=lo)
+    return _merge([out])
 
 
-def run_chained_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan, *,
-                            executor: str = "serial",
-                            backend: str = "auto") -> list[Match]:
+def run_chained_partitioned(p: Pfsm, data: bytes,
+                            plan: PartitionPlan) -> list[Match]:
     """Each worker matches within its segment; active states at the segment
     boundary are carried to the next worker until the chain drains."""
     if plan.strategy != "chained":
         raise PlanError(f"plan strategy is {plan.strategy!r}, expected 'chained'")
     if not data:
         return []
-    segs = segments(plan, len(data))
-    if executor == "threads":
-        return _chained_threads(p, data, segs, backend)
-
-    # Sequential chain: seeding a segment pass with the carried set is
-    # equivalent to running the reinitialization pass and the carried
-    # continuation passes separately and uniting their outputs.
+    # Seeding a segment pass with the carried set is equivalent to running
+    # the reinitialization pass and the carried continuation passes
+    # separately and uniting their outputs.
     out: list[Match] = []
     carry: ActiveSet | None = None
-    for lo, hi in segs:
+    for lo, hi in segments(plan, len(data)):
         _, carry = run_segment(p, data[lo:hi + 1], (lo, hi), carry,
-                               out.append, base=lo, backend=backend)
+                               out.append, base=lo)
     return _merge([out])
 
 
-def _chained_threads(p: Pfsm, data: bytes, segs, backend) -> list[Match]:
-    """Multi-round chained execution: every worker first scans its own
-    segment, then replays each carried set it receives, forwarding the
-    resulting carried sets until its predecessor signals completion."""
-    n_workers = len(segs)
-    inboxes = [queue.Queue() for _ in range(n_workers)]
-    batches: list[list[Match]] = [[] for _ in range(n_workers)]
-    errors: list[BaseException] = []
-
-    def send(k: int, item):
-        if k < n_workers:
-            inboxes[k].put(item)
-
-    def worker(k: int):
-        lo, hi = segs[k]
-        seg = data[lo:hi + 1]
-        out = batches[k]
-        try:
-            _, carry = run_segment(p, seg, (lo, hi), None, out.append,
-                                   base=lo, backend=backend)
-            if carry.tags:
-                send(k + 1, carry)
-            if k > 0:
-                while True:
-                    item = inboxes[k].get()
-                    if item is None:
-                        break
-                    _, carry = run_segment(p, seg, None, item, out.append,
-                                           base=lo, backend=backend)
-                    if carry.tags:
-                        send(k + 1, carry)
-        except BaseException as exc:  # surface worker failures to the caller
-            errors.append(exc)
-        finally:
-            send(k + 1, None)
-
-    threads = [threading.Thread(target=worker, args=(k,), daemon=True)
-               for k in range(n_workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return _merge(batches)
-
-
-def run_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan, *,
-                    executor: str = "serial",
-                    backend: str = "auto") -> list[Match]:
+def run_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan) -> list[Match]:
     runner = {"regex": run_regex_partitioned,
               "lazy": run_lazy_partitioned,
               "chained": run_chained_partitioned}[plan.strategy]
-    return runner(p, data, plan, executor=executor, backend=backend)
-
-
-def _run_tasks(tasks, executor: str) -> list[list[Match]]:
-    if executor == "serial":
-        return [task() for task in tasks]
-    if executor == "threads":
-        results: list = [None] * len(tasks)
-        errors: list[BaseException] = []
-
-        def call(i, task):
-            try:
-                results[i] = task()
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=call, args=(i, t), daemon=True)
-                   for i, t in enumerate(tasks)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        return results
-    raise ValueError(f"unknown executor {executor!r}")
+    return runner(p, data, plan)
 
 
 def _merge(batches: list[list[Match]]) -> list[Match]:

@@ -22,11 +22,8 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def _all_strategy_runs(p, data):
-    """Match sets from the single run (both backends) and every strategy."""
-    runs = {
-        "single/python": match_texts(find_matches(p, data, backend="python"), p),
-        "single/kernel": match_texts(find_matches(p, data, backend="kernel"), p),
-    }
+    """Match sets from the single run and every strategy."""
+    runs = {"single": match_texts(find_matches(p, data), p)}
     if data:
         runs["regex/2"] = match_texts(
             run_partitioned(p, data, regex_plan(p, 2)), p)
@@ -50,7 +47,7 @@ def test_criterion_1_fig2_golden():
             if got != FIG2_MATCHES:
                 report("criterion 1: Fig. 2 golden", False, f"{form} {name}")
     report("criterion 1: Fig. 2 golden", True,
-           "3 forms x 7 run modes, 10 matches each")
+           "3 forms x 6 run modes, 10 matches each")
 
 
 def test_criterion_2_fig3_trace():
@@ -100,7 +97,7 @@ def test_criterion_4_tag_budget():
     checked = 0
     for _ in range(300):
         p, _, data, form = gen_instance(rng, max_input=64, forms=("dfa", "nfa"))
-        stats = run(p, data, backend="python")
+        stats = run(p, data)
         per_tag = (len(p.directory) if form == "dfa"
                    else sum(e.n_states for e in p.directory.values()))
         for i, pairs in enumerate(stats.per_cycle_pairs):
@@ -170,11 +167,11 @@ def test_criterion_7_scaling():
     n in {1k, 2k, 4k, 8k}; slope of time vs r at most 1.3 on r in
     {1, 2, 4, 8}."""
     ns = [1000, 2000, 4000, 8000]
-    rows_n = scaling_vs_n(ns, r=4, backend="auto", repeats=3)
+    rows_n = scaling_vs_n(ns, r=4, repeats=3)
     slope_n = fit_loglog_slope(ns, [row.seconds for row in rows_n])
 
     rs = [1, 2, 4, 8]
-    rows_r = scaling_vs_r(rs, n=2000, backend="auto", repeats=3)
+    rows_r = scaling_vs_r(rs, n=2000, repeats=3)
     slope_r = fit_loglog_slope(rs, [row.seconds for row in rows_r])
 
     detail = f"slope_n={slope_n:.2f} (<=2.3), slope_r={slope_r:.2f} (<=1.3)"

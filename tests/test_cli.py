@@ -1,6 +1,10 @@
 """End-to-end command-line behavior via click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -105,6 +109,27 @@ def test_syntax_error_reports_line_and_exits_1(runner, tmp_path):
     assert "parenthesis" in result.output
 
 
+@pytest.mark.parametrize("command", ["match", "compile", "oracle"])
+def test_pattern_file_error_names_file_line(runner, tmp_path, command):
+    # Comments and blank lines count toward the line number, and -e
+    # patterns given before the file do not shift it.
+    patterns = tmp_path / "pats.txt"
+    patterns.write_text("# comment\n\nab\n(a\n")
+    args = [command, "-e", "a", "--patterns", str(patterns)]
+    if command != "compile":
+        args += ["--text", "ab"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert f"{patterns}:4: pattern '(a'" in result.output
+
+
+def test_compile_output_write_error_exits_1(runner, tmp_path):
+    target = tmp_path / "missing" / "x.aut"
+    result = runner.invoke(main, ["compile", *fig1_args(), "-o", str(target)])
+    assert result.exit_code == 1
+    assert f"cannot write {target}:" in result.output
+
+
 def test_compile_dump_load_match(runner, tmp_path):
     dump = tmp_path / "machine.aut"
     result = runner.invoke(main, ["compile", *fig1_args(), "--form", "dfa",
@@ -163,10 +188,8 @@ def test_bench_emits_csv(runner, tmp_path):
         "--strategies", "single,chained", "--csv", str(csv_path)])
     assert result.exit_code == 0, result.output
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "scenario,n,r,strategy,workers,backend,seconds"
+    assert lines[0] == "scenario,n,r,strategy,workers,seconds"
     assert any(line.startswith("scaling_n,64,2,") for line in lines)
-    assert any(",backend," not in line and line.startswith("backend,")
-               for line in lines)
 
 
 def test_match_dedupe_flag(runner):
@@ -178,3 +201,17 @@ def test_match_dedupe_flag(runner):
                                "--no-dedupe"])
     assert on.exit_code == off.exit_code == 0
     assert on.output == off.output
+
+
+def test_scan_does_not_import_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, pfsm, pfsm.cli\n"
+            "p = pfsm.build_pfsm([('ab', pfsm.compile_pattern('ab'))])\n"
+            "assert len(pfsm.find_matches(p, b'xab')) == 1\n"
+            "assert 'numpy' not in sys.modules\n")
+    got = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr

@@ -1,6 +1,5 @@
 """Scan semantics: golden matches, the two-cycle trace, segment runs,
-snapshot/restore, and randomized equivalence with the brute-force oracle
-on both backends."""
+snapshot/restore, and randomized equivalence with the brute-force oracle."""
 
 import random
 
@@ -15,17 +14,19 @@ from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
 from pfsm.oracle import all_matches
 from pfsm.union import remove_pattern
 
-BACKENDS = ["python", "kernel"]
+# The pure-Python Engine is the one scan path; this single-valued
+# parametrization keeps the "[python]" suffix in these tests' ids.
+python_engine = pytest.mark.parametrize("engine", ["python"])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@python_engine
 @pytest.mark.parametrize("build", [lambda: build_fig1("dfa"),
                                    lambda: build_fig1("nfa"),
                                    build_fig1_mixed],
                          ids=["dfa", "nfa", "mixed"])
-def test_fig2_golden(build, backend):
+def test_fig2_golden(build, engine):
     p = build()
-    got = find_matches(p, FIG1_INPUT, backend=backend)
+    got = find_matches(p, FIG1_INPUT)
     assert match_texts(got, p) == FIG2_MATCHES
     assert len(got) == 10
 
@@ -88,8 +89,8 @@ def test_online_emission_order():
     assert match_texts(seen, p) == FIG2_MATCHES
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_nfa_duplicate_final_states_dedupe(backend):
+@python_engine
+def test_nfa_duplicate_final_states_dedupe(engine):
     # Two distinct final states with the same label reached on one span:
     # one (label, start, end) report with dedupe, two raw events without.
     from pfsm.automaton import make_automaton
@@ -98,29 +99,21 @@ def test_nfa_duplicate_final_states_dedupe(backend):
                              {0: {ord("a"): {1, 2}}}, {}, {1, 2},
                              {1: 0, 2: 0})
     p = build_pfsm([("dup", machine)])
-    deduped = find_matches(p, b"xax", backend=backend)
+    deduped = find_matches(p, b"xax")
     assert [(m.start, m.end) for m in deduped] == [(1, 1)]
-    raw = find_matches(p, b"xax", dedupe=False, backend=backend)
+    raw = find_matches(p, b"xax", dedupe=False)
     assert len(raw) == 2
     assert {(m.start, m.end) for m in raw} == {(1, 1)}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_randomized_oracle_equivalence(backend):
+@python_engine
+def test_randomized_oracle_equivalence(engine):
     rng = random.Random(4242)
     for _ in range(120):
         p, labeled, data, _ = gen_instance(rng, max_input=48)
         got = {(m.label, m.start, m.end)
-               for m in find_matches(p, data, backend=backend)}
+               for m in find_matches(p, data)}
         assert got == all_matches(labeled, data), (labeled, data)
-
-
-def test_backends_agree_exactly():
-    rng = random.Random(77)
-    for _ in range(80):
-        p, _, data, _ = gen_instance(rng, max_input=48)
-        assert find_matches(p, data, backend="python") \
-            == find_matches(p, data, backend="kernel")
 
 
 def test_deterministic_output():
@@ -130,12 +123,12 @@ def test_deterministic_output():
         assert find_matches(p, FIG1_INPUT) == first
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tag_budget(backend):
+@python_engine
+def test_tag_budget(engine):
     rng = random.Random(13)
     for _ in range(60):
         p, _, data, form = gen_instance(rng, max_input=48, forms=("dfa", "nfa"))
-        stats = run(p, data, backend=backend)
+        stats = run(p, data)
         r = len(p.directory)
         total_m = sum(e.n_states for e in p.directory.values())
         per_tag = r if form == "dfa" else total_m
@@ -143,35 +136,33 @@ def test_tag_budget(backend):
             assert pairs <= per_tag * (i + 1) + 1, (form, i, pairs)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_segment_degenerate_window_equals_run(backend):
+@python_engine
+def test_run_segment_degenerate_window_equals_run(engine):
     rng = random.Random(3)
     for _ in range(30):
         p, _, data, _ = gen_instance(rng, max_input=32)
         if not data:
             continue
-        full = find_matches(p, data, backend=backend)
+        full = find_matches(p, data)
         seg_out = []
         stats, carry = run_segment(p, data, (0, len(data) - 1), None,
-                                   seg_out.append, backend=backend)
+                                   seg_out.append)
         assert seg_out == full
         assert carry.generation == p.generation
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_segment_chained_split(backend):
+@python_engine
+def test_run_segment_chained_split(engine):
     p = build_fig1("dfa")
     out1, out2 = [], []
-    _, carry = run_segment(p, b"aaca", (0, 3), None, out1.append,
-                           backend=backend)
-    run_segment(p, b"cab", (4, 6), carry, out2.append, base=4,
-                backend=backend)
+    _, carry = run_segment(p, b"aaca", (0, 3), None, out1.append)
+    run_segment(p, b"cab", (4, 6), carry, out2.append, base=4)
     assert all(m.start <= 3 and m.end <= 3 for m in out1)
     assert match_texts(out1, p) | match_texts(out2, p) == FIG2_MATCHES
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_segment_empty_window_continuations_only(backend):
+@python_engine
+def test_run_segment_empty_window_continuations_only(engine):
     # Seeding a no-reinit run with the carried set reports exactly the
     # continuations a full run would report past the boundary.
     p = build_fig1("dfa")
@@ -181,8 +172,20 @@ def test_run_segment_empty_window_continuations_only(backend):
     _, carry = run_segment(p, FIG1_INPUT[:boundary], (0, boundary - 1), None)
     out = []
     run_segment(p, FIG1_INPUT[boundary:], None, carry, out.append,
-                base=boundary, backend=backend)
+                base=boundary)
     assert out == full
+
+
+@pytest.mark.parametrize("tag, base", [(-5, 0), (10**6, 0), (4, 4)])
+def test_run_segment_rejects_carried_tag_outside_prefix(tag, base):
+    # A carried tag is the start of a partial match begun before data[0],
+    # so it must lie in [0, base); otherwise it would surface as a match
+    # with a negative start or with start > end.
+    p = build_fig1("dfa")
+    state = p.automaton.initial
+    carry = ActiveSet(p.generation, {state: {tag}})
+    with pytest.raises(ValueError, match=f"state {state} carries tag {tag} "):
+        run_segment(p, b"b", (base, base), carry, base=base)
 
 
 def test_window_bounds_checked():
@@ -228,7 +231,7 @@ def test_restore_rejects_other_generation():
     with pytest.raises(GenerationMismatchError):
         Engine(shrunk).restore(snap)
     with pytest.raises(GenerationMismatchError):
-        run_segment(shrunk, b"ab", None, snap, backend="kernel")
+        run_segment(shrunk, b"ab", None, snap)
 
 
 def test_active_set_wire_roundtrip():
@@ -248,6 +251,8 @@ def test_active_set_wire_rejects_garbage():
         load_active_set("nope\n")
     with pytest.raises(ActiveSetFormatError):
         load_active_set("PFSM-ACT v1\ngen 1\nactive x 1\n")
+    with pytest.raises(ActiveSetFormatError, match="state 2 .* tag -5"):
+        load_active_set("PFSM-ACT v1\ngen 1\nactive 2 3,-5\n")
 
 
 def test_match_output_formats():
@@ -257,15 +262,3 @@ def test_match_output_formats():
     assert format_match_jsonl(m, p, FIG1_INPUT) == \
         '{"label": "a*c", "start": 0, "end": 2, "match": "aac"}'
 
-
-def test_prune_dead_is_output_invariant():
-    rng = random.Random(55)
-    for _ in range(25):
-        p, _, data, _ = gen_instance(rng, max_input=32)
-        kept, pruned = [], []
-        eng_a = Engine(p, kept.append)
-        eng_b = Engine(p, pruned.append, prune_dead=True)
-        for i, byte in enumerate(data):
-            eng_a.feed(byte, i)
-            eng_b.feed(byte, i)
-        assert kept == pruned

@@ -1,5 +1,5 @@
 """Partitioned runs must reproduce the single-worker match set exactly,
-for every strategy, plan, and executor."""
+for every strategy and plan."""
 
 import random
 
@@ -13,7 +13,9 @@ from pfsm.parallel import (PartitionPlan, PlanError, data_plan, regex_plan,
                            run_chained_partitioned, run_lazy_partitioned,
                            run_partitioned, run_regex_partitioned, segments)
 
-EXECUTORS = ["serial", "threads"]
+# Workers run serially; this single-valued parametrization keeps the
+# "[serial]" suffix in these tests' ids.
+serial = pytest.mark.parametrize("executor", ["serial"])
 
 
 def test_data_plan_segments_cover_and_partition():
@@ -38,11 +40,10 @@ def test_malformed_plans_rejected():
         run_regex_partitioned(p, b"a", data_plan("lazy", 1, 1))
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@serial
 def test_fig2_regex_partitioned_one_pattern_per_worker(executor):
     p = build_fig1("dfa")
-    got = run_regex_partitioned(p, FIG1_INPUT, regex_plan(p, 3),
-                                executor=executor)
+    got = run_regex_partitioned(p, FIG1_INPUT, regex_plan(p, 3))
     assert match_texts(got, p) == FIG2_MATCHES
 
 
@@ -52,11 +53,11 @@ def test_regex_partitioned_single_worker_is_identity():
         == find_matches(p, FIG1_INPUT)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@serial
 def test_fig2_lazy_partitioned(executor):
     p = build_fig1("dfa")
     plan = PartitionPlan("lazy", 2, cuts=(4,))  # segments [0,3] and [4,6]
-    got = run_lazy_partitioned(p, FIG1_INPUT, plan, executor=executor)
+    got = run_lazy_partitioned(p, FIG1_INPUT, plan)
     assert match_texts(got, p) == FIG2_MATCHES
 
 
@@ -81,22 +82,22 @@ def test_lazy_single_segment_is_identity():
     assert got == find_matches(p, FIG1_INPUT)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@serial
 def test_fig2_chained_partitioned(executor):
     p = build_fig1("dfa")
     for cuts in [(4,), (2, 5)]:
         plan = PartitionPlan("chained", len(cuts) + 1, cuts=cuts)
-        got = run_chained_partitioned(p, FIG1_INPUT, plan, executor=executor)
+        got = run_chained_partitioned(p, FIG1_INPUT, plan)
         assert match_texts(got, p) == FIG2_MATCHES
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@serial
 def test_chained_frontier_hops_across_every_segment(executor):
     # A match spanning all four single-byte segments must ride a 3-hop
     # frontier chain into the last worker.
     p = build_pfsm([("aaaa", compile_pattern("aaaa", "dfa"))])
     plan = PartitionPlan("chained", 4, cuts=(1, 2, 3))
-    got = run_chained_partitioned(p, b"aaaa", plan, executor=executor)
+    got = run_chained_partitioned(p, b"aaaa", plan)
     assert match_texts(got, p) == {("aaaa", 0, 3)}
     assert got == find_matches(p, b"aaaa")
 
@@ -109,9 +110,9 @@ def test_chained_single_segment_is_identity():
 
 
 @pytest.mark.parametrize("strategy", ["regex", "lazy", "chained"])
-@pytest.mark.parametrize("executor", EXECUTORS)
+@serial
 def test_randomized_equivalence_with_single_run(strategy, executor):
-    rng = random.Random(hash((strategy, executor)) & 0xFFFF)
+    rng = random.Random(strategy)  # str seeds do not depend on PYTHONHASHSEED
     for _ in range(25):
         p, _, data, _ = gen_instance(rng, max_input=40)
         if not data:
@@ -119,7 +120,7 @@ def test_randomized_equivalence_with_single_run(strategy, executor):
         workers = rng.randint(2, 4)
         plan = (regex_plan(p, workers) if strategy == "regex"
                 else data_plan(strategy, len(data), workers))
-        got = run_partitioned(p, data, plan, executor=executor)
+        got = run_partitioned(p, data, plan)
         assert got == find_matches(p, data), (strategy, workers, data)
 
 
