@@ -1,7 +1,7 @@
 """Shared finite-state-machine representation and its primitive algorithms.
 
 One Automaton type covers NFAs, DFAs, and the multi-pattern union machine;
-a derived determinism flag records which discipline a given instance obeys.
+the derived `deterministic` property tells which discipline an instance obeys.
 State ids are small ints, dense for freshly built machines; the union
 machine may develop holes after live pattern removal (ids of surviving
 states never change).
@@ -9,7 +9,7 @@ states never change).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FORMAT_HEADER = "PFSM-AUT v1"
 
@@ -28,9 +28,9 @@ class Automaton:
     epsilon_transitions: dict[int, set[int]]
     finals: set[int]
     final_labels: dict[int, int]
-    deterministic: bool = field(default=False)
 
-    def compute_deterministic(self) -> bool:
+    @property
+    def deterministic(self) -> bool:
         """True iff no epsilon edges and at most one successor per (state, byte)."""
         if any(self.epsilon_transitions.get(s) for s in self.states):
             return False
@@ -40,16 +40,11 @@ class Automaton:
                     return False
         return True
 
-    def successors(self, state: int, byte: int) -> set[int]:
-        return self.byte_transitions.get(state, {}).get(byte, set())
-
 
 def make_automaton(states, initial, byte_transitions, epsilon_transitions,
                    finals, final_labels) -> Automaton:
-    a = Automaton(set(states), initial, byte_transitions, epsilon_transitions,
-                  set(finals), dict(final_labels))
-    a.deterministic = a.compute_deterministic()
-    return a
+    return Automaton(set(states), initial, byte_transitions, epsilon_transitions,
+                     set(finals), dict(final_labels))
 
 
 def epsilon_closure(a: Automaton, seeds: set[int]) -> set[int]:
@@ -101,8 +96,6 @@ def validate(a: Automaton) -> list[str]:
         for t in succ:
             if t not in a.states:
                 problems.append(f"dangling epsilon endpoint {t} (from {s})")
-    if a.deterministic != a.compute_deterministic():
-        problems.append("stale determinism flag")
     return problems
 
 

@@ -17,11 +17,11 @@ from .automaton import AutomatonFormatError
 from .bench import (adversarial_machine, rows_to_csv, scaling_vs_n,
                     scaling_vs_r, strategy_scaling)
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
-from .engine import (EngineStats, format_match_jsonl, format_match_tsv, run)
+from .engine import format_match_jsonl, format_match_tsv, run
 from .oracle import all_matches
 from .parallel import PartitionPlan, PlanError, data_plan, regex_plan, run_partitioned
 from .syntax import RegexSyntaxError, parse_regex
-from .union import Pfsm, build_pfsm, load_pfsm
+from .union import Pfsm, build_pfsm, dump_pfsm, load_pfsm
 
 
 class MatchError(click.ClickException):
@@ -115,21 +115,23 @@ def main():
               help="Per-pattern machine form.")
 @click.option("--strategy", type=click.Choice(["single", "regex", "lazy", "chained"]),
               default="single")
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=click.IntRange(min=1), default=1)
 @click.option("--segments", "segments_flag", default="auto",
               help="Comma-separated cut points, or 'auto' for even segments.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
-@click.option("--stats", is_flag=True, help="Append a scan-statistics summary.")
+@click.option("--stats", is_flag=True,
+              help="Append a scan-statistics summary (single strategy only).")
 @click.option("--dedupe/--no-dedupe", default=True,
               help="Suppress duplicate (label, start, end) reports.")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
               form, strategy, workers, segments_flag, fmt, stats, dedupe):
     """Scan input and print every match, sorted by (end, start, label)."""
+    if stats and strategy != "single":
+        raise click.UsageError("--stats needs --strategy single")
     pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
     data = _read_input(text, input_file)
     formatter = format_match_tsv if fmt == "tsv" else format_match_jsonl
 
-    scan_stats = None
     if strategy == "single":
         matches = []
         scan_stats = run(pfsm, data, matches.append, dedupe=dedupe)
@@ -146,11 +148,6 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
     for m in matches:
         click.echo(formatter(m, pfsm, data))
     if stats:
-        if scan_stats is None:
-            n_states = [e.n_states for e in pfsm.directory.values()]
-            scan_stats = EngineStats(n=len(data), r=len(pfsm.directory),
-                                     m_max=max(n_states, default=0),
-                                     matches_emitted=len(matches))
         click.echo(f"# stats: {scan_stats.summary()}")
 
 
@@ -163,8 +160,10 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
 def cmd_compile(expressions, patterns_file, form, output):
     """Compile patterns and write the machine interchange dump."""
     pfsm = _compile_set(_gather_patterns(expressions, patterns_file), form)
-    from .union import dump_pfsm
-    text = dump_pfsm(pfsm)
+    try:
+        text = dump_pfsm(pfsm)
+    except ValueError as exc:
+        raise MatchError(str(exc)) from exc
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
@@ -228,8 +227,11 @@ def cmd_bench(sizes, rs, fixed_r, fixed_n, strategies, workers, repeats,
 
     text = rows_to_csv(rows)
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MatchError(f"cannot write {csv_path}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 

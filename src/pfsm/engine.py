@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .automaton import epsilon_closure
+from .automaton import Automaton, epsilon_closure
 from .union import Pfsm
 
 ACTIVESET_HEADER = "PFSM-ACT v1"
@@ -49,9 +49,6 @@ class ActiveSet:
     def pair_count(self) -> int:
         return sum(len(t) for t in self.tags.values())
 
-    def copy(self) -> "ActiveSet":
-        return ActiveSet(self.generation, {s: set(t) for s, t in self.tags.items()})
-
     def __eq__(self, other):
         return (isinstance(other, ActiveSet)
                 and self.generation == other.generation
@@ -72,6 +69,23 @@ class EngineStats:
         return (f"n={self.n} r={self.r} m_max={self.m_max} "
                 f"s={self.alphabet_size} peak_active_pairs={peak} "
                 f"matches={self.matches_emitted}")
+
+
+def _close_tagged(a: Automaton, active: dict[int, set[int]]):
+    """Epsilon-close `active` in place: every state reachable by epsilon
+    edges from an active state gets that state's tags too."""
+    work = list(active)
+    while work:
+        s = work.pop()
+        tags = active[s]
+        for t in a.epsilon_transitions.get(s, ()):
+            bucket = active.get(t)
+            if bucket is None:
+                active[t] = set(tags)
+                work.append(t)
+            elif not tags <= bucket:
+                bucket |= tags
+                work.append(t)
 
 
 class Engine:
@@ -116,19 +130,7 @@ class Engine:
                     nxt[t] = set(tags)
                 else:
                     bucket |= tags
-        # Close the newly reached states, propagating tags.
-        work = list(nxt)
-        while work:
-            s = work.pop()
-            tags = nxt[s]
-            for t in a.epsilon_transitions.get(s, ()):
-                bucket = nxt.get(t)
-                if bucket is None:
-                    nxt[t] = set(tags)
-                    work.append(t)
-                elif not tags <= bucket:
-                    bucket |= tags
-                    work.append(t)
+        _close_tagged(a, nxt)
 
         # Match detection on the closed step-4 set. Every match of this
         # cycle ends at `pos`, so duplicates can only come from distinct
@@ -168,18 +170,7 @@ class Engine:
             if not tags:
                 raise ValueError(f"active state {s} carries no tags")
             active[s] = set(tags)
-        work = list(active)
-        while work:
-            s = work.pop()
-            tags = active[s]
-            for t in a.epsilon_transitions.get(s, ()):
-                bucket = active.get(t)
-                if bucket is None:
-                    active[t] = set(tags)
-                    work.append(t)
-                elif not tags <= bucket:
-                    bucket |= tags
-                    work.append(t)
+        _close_tagged(a, active)
         self.active = active
 
 
@@ -262,6 +253,8 @@ def load_active_set(text: str) -> ActiveSet:
             if min(state_tags) < 0:
                 raise ActiveSetFormatError(f"active state {state} carries "
                                            f"negative tag {min(state_tags)}")
+            if state in tags:
+                raise ActiveSetFormatError(f"active state {state} listed twice")
             tags[state] = state_tags
     except (ValueError, IndexError) as exc:
         raise ActiveSetFormatError(str(exc)) from exc

@@ -33,6 +33,8 @@ class PartitionPlan:
 
 def regex_plan(p: Pfsm, workers: int) -> PartitionPlan:
     """Round-robin assignment of the live labels."""
+    if workers < 1:
+        raise PlanError(f"need at least one worker, got {workers}")
     labels = p.live_labels()
     return PartitionPlan("regex", workers,
                          assignment=tuple((lid, i % workers)
@@ -43,6 +45,8 @@ def data_plan(strategy: str, n: int, workers: int) -> PartitionPlan:
     """Evenly cut [0, n) into `workers` contiguous segments."""
     if strategy not in ("lazy", "chained"):
         raise PlanError(f"not a data strategy: {strategy!r}")
+    if workers < 1:
+        raise PlanError(f"need at least one worker, got {workers}")
     workers = min(workers, n) if n else 1
     cuts = tuple(n * k // workers for k in range(1, workers))
     return PartitionPlan(strategy, workers, cuts=cuts)

@@ -6,6 +6,13 @@ each to that pattern's entry state. Every structural change bumps the
 generation counter and produces a new Pfsm value; state ids of surviving
 patterns never change, so a scanner holding an active set across an update
 can reconcile cheaply (or detect the mismatch and abort).
+
+Generations share structure. Once grafted, a state's byte table and
+epsilon set are never mutated, so an update copies only the top-level
+containers (state set, finals, final labels, the two transition dicts)
+and the ancillary state's epsilon set, the one set an update edits. Old
+generations therefore stay valid, and an update costs O(states) pointer
+copies rather than a copy of every edge.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ class PatternEntry:
     label: str
     entry: int
     owned: frozenset[int]
-    deterministic: bool
 
     @property
     def n_states(self) -> int:
@@ -56,78 +62,69 @@ class Pfsm:
         return sorted(self.directory)
 
 
-def _copy_automaton(a: Automaton) -> Automaton:
-    return Automaton(
-        set(a.states), a.initial,
-        {s: {b: set(t) for b, t in table.items()}
-         for s, table in a.byte_transitions.items()},
-        {s: set(t) for s, t in a.epsilon_transitions.items()},
-        set(a.finals), dict(a.final_labels), a.deterministic)
+def _graft(dst: Automaton, src: Automaton, states, base: int,
+           label_id: int) -> dict[int, int]:
+    """Copy `states` of src, with their edges, into dst, renumbered as
+    base, base+1, ... in sorted order; finals are relabeled label_id.
+    Every edge must stay inside `states`. Returns the renumbering."""
+    remap = {s: base + i for i, s in enumerate(sorted(states))}
+    for s, t in remap.items():
+        dst.states.add(t)
+        table = src.byte_transitions.get(s)
+        if table:
+            dst.byte_transitions[t] = {b: {remap[u] for u in succ}
+                                       for b, succ in table.items()}
+        succ = src.epsilon_transitions.get(s)
+        if succ:
+            dst.epsilon_transitions[t] = {remap[u] for u in succ}
+        if s in src.finals:
+            dst.finals.add(t)
+            dst.final_labels[t] = label_id
+    return remap
 
 
-def _graft(dst: Automaton, src: Automaton, offset: int, label_id: int) -> frozenset[int]:
-    """Copy src into dst with state ids shifted by offset; finals relabeled.
-    Returns the grafted state ids."""
-    for s in src.states:
-        dst.states.add(s + offset)
-    for s, table in src.byte_transitions.items():
-        shifted = dst.byte_transitions.setdefault(s + offset, {})
-        for byte, succ in table.items():
-            shifted.setdefault(byte, set()).update(t + offset for t in succ)
-    for s, succ in src.epsilon_transitions.items():
-        dst.epsilon_transitions.setdefault(s + offset, set()).update(
-            t + offset for t in succ)
-    for f in src.finals:
-        dst.finals.add(f + offset)
-        dst.final_labels[f + offset] = label_id
-    return frozenset(s + offset for s in src.states)
+def _append(union: Automaton, labels: LabelRegistry,
+            directory: dict[int, PatternEntry], base: int, label: str,
+            machine: Automaton) -> int:
+    """Graft machine into union at state id base, behind a new q0 edge.
+    Returns the next free state id."""
+    if label in labels and labels.id_of(label) in directory:
+        raise DuplicateLabelError(f"duplicate label {label!r}")
+    lid = labels.intern(label)
+    remap = _graft(union, machine, machine.states, base, lid)
+    entry = remap[machine.initial]
+    union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
+    directory[lid] = PatternEntry(lid, label, entry, frozenset(remap.values()))
+    return base + len(remap)
+
+
+def _next_generation(a: Automaton) -> Automaton:
+    """Copy of the top-level containers, sharing every per-state table
+    except the ancillary epsilon set, which an update edits."""
+    eps = dict(a.epsilon_transitions)
+    eps[a.initial] = set(eps.get(a.initial, ()))
+    return Automaton(set(a.states), a.initial, dict(a.byte_transitions), eps,
+                     set(a.finals), dict(a.final_labels))
 
 
 def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
-    """Assemble pattern machines into a union machine.
-
-    Each machine must have dense state ids 0..n-1 and a single initial
-    state (Automaton always has exactly one, so the real precondition is
-    density, which compile_nfa/nfa_to_dfa guarantee).
-    """
+    """Assemble labeled pattern machines into a union machine."""
+    union = Automaton({0}, 0, {}, {}, set(), {})
     labels = LabelRegistry()
-    ancillary = 0
-    union = Automaton({ancillary}, ancillary, {}, {}, set(), {}, False)
     directory: dict[int, PatternEntry] = {}
     next_id = 1
     for label, machine in patterns:
-        if label in labels and labels.id_of(label) in directory:
-            raise DuplicateLabelError(f"duplicate label {label!r}")
-        lid = labels.intern(label)
-        owned = _graft(union, machine, next_id, lid)
-        entry = machine.initial + next_id
-        union.epsilon_transitions.setdefault(ancillary, set()).add(entry)
-        directory[lid] = PatternEntry(lid, label, entry, owned,
-                                      machine.compute_deterministic())
-        next_id += len(machine.states)
-    union.deterministic = union.compute_deterministic()
+        next_id = _append(union, labels, directory, next_id, label, machine)
     return Pfsm(union, labels, directory, generation=0, next_state_id=next_id)
 
 
 def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
     """New generation with the pattern appended. Existing state ids unchanged."""
-    if label in p.labels and p.labels.id_of(label) in p.directory:
-        raise DuplicateLabelError(f"duplicate label {label!r}")
-    union = _copy_automaton(p.automaton)
+    union = _next_generation(p.automaton)
     labels = p.labels.copy()
-    lid = labels.intern(label)
-    base = p.next_state_id
-    # Grafting assumes dense source ids; renumber defensively.
-    machine = _densify(machine)
-    owned = _graft(union, machine, base, lid)
-    entry = machine.initial + base
-    union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
-    union.deterministic = union.compute_deterministic()
     directory = dict(p.directory)
-    directory[lid] = PatternEntry(lid, label, entry, owned,
-                                  machine.compute_deterministic())
-    return Pfsm(union, labels, directory, p.generation + 1,
-                base + len(machine.states))
+    next_id = _append(union, labels, directory, p.next_state_id, label, machine)
+    return Pfsm(union, labels, directory, p.generation + 1, next_id)
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
@@ -137,36 +134,18 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
         raise UnknownLabelError(label)
     lid = p.labels.id_of(label)
     entry = p.directory[lid]
-    union = _copy_automaton(p.automaton)
+    union = _next_generation(p.automaton)
     for s in entry.owned:
         union.states.discard(s)
         union.byte_transitions.pop(s, None)
         union.epsilon_transitions.pop(s, None)
         union.finals.discard(s)
         union.final_labels.pop(s, None)
-    q0_eps = union.epsilon_transitions.get(union.initial, set())
-    q0_eps.discard(entry.entry)
-    union.deterministic = union.compute_deterministic()
+    union.epsilon_transitions[union.initial].discard(entry.entry)
     directory = dict(p.directory)
     del directory[lid]
-    return Pfsm(union, p.labels.copy(), directory, p.generation + 1,
-                p.next_state_id)
-
-
-def _densify(a: Automaton) -> Automaton:
-    """Renumber states to dense ids 0..n-1 (order-preserving)."""
-    order = sorted(a.states)
-    if order == list(range(len(order))):
-        return a
-    remap = {s: i for i, s in enumerate(order)}
-    return make_automaton(
-        range(len(order)), remap[a.initial],
-        {remap[s]: {b: {remap[t] for t in succ} for b, succ in table.items()}
-         for s, table in a.byte_transitions.items()},
-        {remap[s]: {remap[t] for t in succ}
-         for s, succ in a.epsilon_transitions.items()},
-        {remap[f] for f in a.finals},
-        {remap[f]: lab for f, lab in a.final_labels.items()})
+    # Shared registry: it is append-only and add_pattern copies it first.
+    return Pfsm(union, p.labels, directory, p.generation + 1, p.next_state_id)
 
 
 def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
@@ -176,18 +155,9 @@ def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
         raise UnknownLabelError(p.labels.text(label_id)
                                 if label_id < len(p.labels) else label_id)
     entry = p.directory[label_id]
-    a = p.automaton
-    order = sorted(entry.owned)
-    remap = {s: i for i, s in enumerate(order)}
-    return make_automaton(
-        range(len(order)), remap[entry.entry],
-        {remap[s]: {b: {remap[t] for t in succ}
-                    for b, succ in a.byte_transitions.get(s, {}).items()}
-         for s in order if a.byte_transitions.get(s)},
-        {remap[s]: {remap[t] for t in a.epsilon_transitions[s]}
-         for s in order if a.epsilon_transitions.get(s)},
-        {remap[f] for f in a.finals if f in entry.owned},
-        {remap[f]: 0 for f in a.finals if f in entry.owned})
+    out = Automaton(set(), 0, {}, {}, set(), {})
+    out.initial = _graft(out, p.automaton, entry.owned, 0, 0)[entry.entry]
+    return out
 
 
 def validate_pfsm(p: Pfsm) -> list[str]:
@@ -216,6 +186,12 @@ def validate_pfsm(p: Pfsm) -> list[str]:
 
 
 def dump_pfsm_lines(p: Pfsm) -> list[str]:
+    """Raises ValueError for a label the loader would not read back
+    unchanged: the format splits lines on whitespace runs."""
+    for entry in p.directory.values():
+        if not entry.label or " ".join(entry.label.split()) != entry.label:
+            raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
+                             f"empty or has irregular whitespace")
     lines = dump_lines(p.automaton, p.labels.text)
     for lid in sorted(p.directory):
         entry = p.directory[lid]
@@ -226,11 +202,9 @@ def dump_pfsm_lines(p: Pfsm) -> list[str]:
 def load_pfsm_lines(lines) -> Pfsm:
     """Load a union machine from its interchange dump.
 
-    Also accepts a plain single-automaton dump without `pattern` lines when
-    the initial state has no byte transitions and only epsilon fan-out, in
-    which case each epsilon target is treated as a pattern entry (externally
-    produced machines). Otherwise the whole automaton is wrapped as a single
-    pattern.
+    Also accepts a plain single-automaton dump without `pattern` lines
+    (externally produced machines): the whole automaton is wrapped as a
+    single pattern.
     """
     a, final_texts, extra = parse_lines(lines)
     problems = validate(a)
@@ -252,7 +226,7 @@ def load_pfsm_lines(lines) -> Pfsm:
     # (or its sole final label text when unambiguous).
     texts = sorted(set(final_texts.values()))
     label = texts[0] if len(texts) == 1 else "m0"
-    return build_pfsm([(label, _densify(a))])
+    return build_pfsm([(label, a)])
 
 
 def _assemble_from_directory(a: Automaton, final_texts: dict[int, str],
@@ -266,8 +240,7 @@ def _assemble_from_directory(a: Automaton, final_texts: dict[int, str],
             raise AutomatonFormatError(f"duplicate pattern label {label!r}")
         lid = labels.intern(label)
         owned = _reachable(a, entry_state) - {q0}
-        sub_det = _subgraph_deterministic(a, owned)
-        directory[lid] = PatternEntry(lid, label, entry_state, frozenset(owned), sub_det)
+        directory[lid] = PatternEntry(lid, label, entry_state, frozenset(owned))
     # Re-key final labels onto registry ids.
     final_labels = {}
     for f, text in final_texts.items():
@@ -297,16 +270,6 @@ def _reachable(a: Automaton, start: int) -> set[int]:
                 seen.add(t)
                 stack.append(t)
     return seen
-
-
-def _subgraph_deterministic(a: Automaton, owned: set[int]) -> bool:
-    for s in owned:
-        if a.epsilon_transitions.get(s):
-            return False
-        for succ in a.byte_transitions.get(s, {}).values():
-            if len(succ) > 1:
-                return False
-    return True
 
 
 def dump_pfsm(p: Pfsm) -> str:

@@ -114,10 +114,13 @@ def test_validate_dangling_endpoint():
     assert any("dangling endpoint" in p for p in validate(a))
 
 
-def test_validate_stale_determinism_flag():
-    a = make_automaton(range(2), 0, {}, {0: {1}}, set(), {})
-    a.deterministic = True
-    assert any("stale determinism" in p for p in validate(a))
+def test_determinism_is_derived_not_stored():
+    a = make_automaton(range(2), 0, {0: {ord("a"): {1}}}, {}, set(), {})
+    assert a.deterministic
+    a.epsilon_transitions[0] = {1}
+    assert not a.deterministic
+    with pytest.raises(AttributeError):
+        a.deterministic = True
 
 
 def test_dump_parse_roundtrip():

@@ -62,6 +62,24 @@ def test_match_stats_flag(runner):
     assert "matches=3" in result.output
 
 
+def test_match_stats_needs_single_strategy(runner):
+    # Partitioned runs report no scan statistics, so --stats is refused
+    # rather than printing made-up zero counts.
+    result = runner.invoke(main, ["match", "-e", "a*b", "--text", "aaab",
+                                  "--strategy", "chained", "--workers", "2",
+                                  "--stats"])
+    assert result.exit_code == 2
+    assert "--stats" in result.output
+
+
+@pytest.mark.parametrize("strategy", ["regex", "chained"])
+def test_match_zero_workers_is_usage_error(runner, strategy):
+    result = runner.invoke(main, ["match", "-e", "a", "--text", "aa",
+                                  "--strategy", strategy, "--workers", "0"])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+
+
 @pytest.mark.parametrize("strategy, workers", [
     ("regex", 3), ("lazy", 2), ("chained", 2), ("chained", 3),
 ])
@@ -130,6 +148,21 @@ def test_compile_output_write_error_exits_1(runner, tmp_path):
     assert f"cannot write {target}:" in result.output
 
 
+@pytest.mark.parametrize("line", ["\tab", "a  b", " ab"])
+def test_compile_refuses_label_the_dump_cannot_hold(runner, tmp_path, line):
+    # A label that would not parse back unchanged is refused; no file is
+    # left behind.
+    patterns = tmp_path / "pats.txt"
+    patterns.write_text(line + "\n")
+    target = tmp_path / "x.aut"
+    result = runner.invoke(main, ["compile", "--patterns", str(patterns),
+                                  "-o", str(target)])
+    assert result.exit_code == 1
+    label = line.split("\t")[0]
+    assert f"label {label!r}" in result.output
+    assert not target.exists()
+
+
 def test_compile_dump_load_match(runner, tmp_path):
     dump = tmp_path / "machine.aut"
     result = runner.invoke(main, ["compile", *fig1_args(), "--form", "dfa",
@@ -190,6 +223,16 @@ def test_bench_emits_csv(runner, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "scenario,n,r,strategy,workers,seconds"
     assert any(line.startswith("scaling_n,64,2,") for line in lines)
+
+
+def test_bench_csv_write_error_exits_1(runner, tmp_path):
+    target = tmp_path / "missing" / "bench.csv"
+    result = runner.invoke(main, [
+        "bench", "--sizes", "16", "--rs", "1", "--fixed-r", "1",
+        "--fixed-n", "16", "--workers", "1", "--repeats", "1",
+        "--strategies", "single", "--csv", str(target)])
+    assert result.exit_code == 1
+    assert f"cannot write {target}:" in result.output
 
 
 def test_match_dedupe_flag(runner):

@@ -253,6 +253,8 @@ def test_active_set_wire_rejects_garbage():
         load_active_set("PFSM-ACT v1\ngen 1\nactive x 1\n")
     with pytest.raises(ActiveSetFormatError, match="state 2 .* tag -5"):
         load_active_set("PFSM-ACT v1\ngen 1\nactive 2 3,-5\n")
+    with pytest.raises(ActiveSetFormatError, match="state 3 listed twice"):
+        load_active_set("PFSM-ACT v1\ngen 1\nactive 3 0\nactive 3 1\n")
 
 
 def test_match_output_formats():

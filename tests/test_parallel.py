@@ -34,6 +34,10 @@ def test_malformed_plans_rejected():
     with pytest.raises(PlanError):
         data_plan("regex", 10, 2)
     p = build_fig1("dfa")
+    with pytest.raises(PlanError, match="at least one worker"):
+        data_plan("chained", 10, 0)
+    with pytest.raises(PlanError, match="at least one worker"):
+        regex_plan(p, 0)
     with pytest.raises(PlanError, match="unassigned"):
         run_regex_partitioned(p, b"a", PartitionPlan("regex", 2, assignment=()))
     with pytest.raises(PlanError, match="expected 'regex'"):

@@ -1,6 +1,7 @@
 """Union machine assembly, live add/remove, and whole-machine dump/load."""
 
 import random
+import re
 
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, FIG1_PATTERNS, build_fig1,
@@ -98,6 +99,38 @@ def test_remove_unknown_label():
     p = build_fig1("dfa")
     with pytest.raises(UnknownLabelError):
         remove_pattern(p, "nope")
+
+
+def test_updates_leave_earlier_generations_intact():
+    p = build_fig1("dfa")
+    text, matches = dump_pfsm(p), find_matches(p, FIG1_INPUT)
+    machine = compile_pattern("(a|c)b", "nfa")
+    q = add_pattern(p, "extra", machine)
+    r = remove_pattern(q, "ac")
+    s = remove_pattern(r, "extra")
+    assert dump_pfsm(p) == text
+    assert find_matches(p, FIG1_INPUT) == matches
+    assert validate_pfsm(q) == validate_pfsm(r) == validate_pfsm(s) == []
+    # The union owns its copy of the grafted pattern: editing the source
+    # machine afterwards changes nothing.
+    before = find_matches(q, b"xcbab")
+    assert any(q.label_text(m.label) == "extra" for m in before)
+    for table in machine.byte_transitions.values():
+        table.clear()
+    machine.epsilon_transitions.clear()
+    assert find_matches(q, b"xcbab") == before
+
+
+@pytest.mark.parametrize("label", ["", " x", "x ", "a  b", "a\tb", "a\nb"])
+def test_dump_refuses_label_that_would_not_load_back(label):
+    p = build_pfsm([(label, compile_pattern("ab", "dfa"))])
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        dump_pfsm(p)
+
+
+def test_dump_keeps_label_with_single_spaces():
+    p = build_pfsm([("a b c", compile_pattern("ab", "dfa"))])
+    assert load_pfsm(dump_pfsm(p)).label_text(0) == "a b c"
 
 
 def test_add_remove_roundtrips_match_behavior():
