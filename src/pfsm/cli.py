@@ -1,8 +1,8 @@
 """Command-line front-end.
 
 Subcommands: match (scan input with patterns or a compiled machine),
-compile (write the machine interchange dump), bench (timing harness),
-oracle (brute-force reference matcher, for debugging).
+compile (write the machine interchange dump), oracle (brute-force
+reference matcher, for debugging).
 
 Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 """
@@ -14,8 +14,6 @@ import sys
 import click
 
 from .automaton import AutomatonFormatError
-from .bench import (adversarial_machine, rows_to_csv, scaling_vs_n,
-                    scaling_vs_r, strategy_scaling)
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
 from .engine import format_match_jsonl, format_match_tsv, run
 from .oracle import all_matches
@@ -84,17 +82,24 @@ def _read_input(text, input_file) -> bytes:
     return text.encode("utf-8")
 
 
-def _make_plan(strategy, workers, segments_flag, n, pfsm) -> PartitionPlan:
+def _parse_segments(strategy, segments_flag) -> tuple[int, ...] | None:
+    """Explicit cut points, or None for even segments."""
+    if segments_flag == "auto":
+        return None
+    if strategy not in ("lazy", "chained"):
+        raise click.UsageError("--segments needs --strategy lazy or chained")
+    try:
+        return tuple(int(c) for c in segments_flag.split(","))
+    except ValueError as exc:
+        raise click.UsageError(f"bad --segments {segments_flag!r}") from exc
+
+
+def _make_plan(strategy, workers, cuts, n, pfsm) -> PartitionPlan:
     if strategy == "regex":
         return regex_plan(pfsm, workers)
-    plan = data_plan(strategy, n, workers)
-    if segments_flag and segments_flag != "auto":
-        try:
-            cuts = tuple(int(c) for c in segments_flag.split(","))
-        except ValueError as exc:
-            raise click.UsageError(f"bad --segments {segments_flag!r}") from exc
-        plan = PartitionPlan(strategy, len(cuts) + 1, cuts=cuts)
-    return plan
+    if cuts is not None:
+        return PartitionPlan(strategy, len(cuts) + 1, cuts=cuts)
+    return data_plan(strategy, n, workers)
 
 
 @click.group()
@@ -117,30 +122,30 @@ def main():
               default="single")
 @click.option("--workers", type=click.IntRange(min=1), default=1)
 @click.option("--segments", "segments_flag", default="auto",
-              help="Comma-separated cut points, or 'auto' for even segments.")
+              help="Comma-separated cut points, or 'auto' for even segments "
+                   "(lazy and chained only).")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
 @click.option("--stats", is_flag=True,
               help="Append a scan-statistics summary (single strategy only).")
-@click.option("--dedupe/--no-dedupe", default=True,
-              help="Suppress duplicate (label, start, end) reports.")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
-              form, strategy, workers, segments_flag, fmt, stats, dedupe):
+              form, strategy, workers, segments_flag, fmt, stats):
     """Scan input and print every match, sorted by (end, start, label)."""
     if stats and strategy != "single":
         raise click.UsageError("--stats needs --strategy single")
+    cuts = _parse_segments(strategy, segments_flag)
     pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
     data = _read_input(text, input_file)
     formatter = format_match_tsv if fmt == "tsv" else format_match_jsonl
 
     if strategy == "single":
         matches = []
-        scan_stats = run(pfsm, data, matches.append, dedupe=dedupe)
+        scan_stats = run(pfsm, data, matches.append)
     else:
         if not data:
             matches = []
         else:
             try:
-                plan = _make_plan(strategy, workers, segments_flag, len(data), pfsm)
+                plan = _make_plan(strategy, workers, cuts, len(data), pfsm)
                 matches = run_partitioned(pfsm, data, plan)
             except PlanError as exc:
                 raise MatchError(str(exc)) from exc
@@ -195,45 +200,6 @@ def cmd_oracle(expressions, patterns_file, text, input_file):
     for label, start, end in found:
         snippet = data[start:end + 1].decode("latin-1")
         click.echo(f"{label}\t{start}\t{end}\t{snippet}")
-
-
-@main.command("bench")
-@click.option("--sizes", default="1000,2000,4000",
-              help="Comma-separated input lengths for the n-scaling sweep.")
-@click.option("--rs", default="1,2,4,8",
-              help="Comma-separated pattern counts for the r-scaling sweep.")
-@click.option("--fixed-r", type=int, default=4, help="r for the n sweep.")
-@click.option("--fixed-n", type=int, default=2000, help="n for the r sweep.")
-@click.option("--strategies", default="single,regex,lazy,chained")
-@click.option("--workers", default="1,2,4")
-@click.option("--repeats", type=int, default=3)
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Write the CSV report to a file (default stdout).")
-def cmd_bench(sizes, rs, fixed_r, fixed_n, strategies, workers, repeats,
-              csv_path):
-    """Timing sweeps: time vs n, time vs r, per strategy and worker count."""
-    ns = [int(x) for x in sizes.split(",")]
-    r_values = [int(x) for x in rs.split(",")]
-    strategy_list = strategies.split(",")
-    workers_list = [int(x) for x in workers.split(",")]
-
-    rows = []
-    rows += scaling_vs_n(ns, fixed_r, repeats)
-    rows += scaling_vs_r(r_values, fixed_n, repeats)
-    p = adversarial_machine(fixed_r)
-    data = b"a" * fixed_n
-    rows += strategy_scaling(p, data, strategy_list, workers_list,
-                             repeats=repeats)
-
-    text = rows_to_csv(rows)
-    if csv_path:
-        try:
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise MatchError(f"cannot write {csv_path}: {exc}") from exc
-    else:
-        click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

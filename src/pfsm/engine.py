@@ -96,10 +96,9 @@ class Engine:
     the overall stream is sorted by (end, start, label).
     """
 
-    def __init__(self, pfsm: Pfsm, sink=None, *, dedupe: bool = True):
+    def __init__(self, pfsm: Pfsm, sink=None):
         self.pfsm = pfsm
         self.sink = sink
-        self.dedupe = dedupe
         a = pfsm.automaton
         self._start = sorted(epsilon_closure(a, {a.initial}))
         self.active: dict[int, set[int]] = {}
@@ -133,16 +132,16 @@ class Engine:
         _close_tagged(a, nxt)
 
         # Match detection on the closed step-4 set. Every match of this
-        # cycle ends at `pos`, so duplicates can only come from distinct
-        # final states of one label within this cycle.
-        emitted = []
+        # cycle ends at `pos`; merging the tags of all final states of a
+        # label reports each (label, start) once.
+        final_tags: dict[int, set[int]] = {}
         for s, tags in nxt.items():
             label = a.final_labels.get(s)
             if label is not None:
-                emitted.extend(Match(label, t, pos) for t in tags)
-        if self.dedupe and len(emitted) > 1:
-            emitted = list(set(emitted))
-        emitted.sort(key=lambda m: (m.start, m.label))
+                final_tags.setdefault(label, set()).update(tags)
+        emitted = sorted((Match(label, t, pos)
+                          for label, tags in final_tags.items() for t in tags),
+                         key=lambda m: (m.start, m.label))
         if self.sink is not None:
             for m in emitted:
                 self.sink(m)
@@ -167,6 +166,10 @@ class Engine:
         for s, tags in carried.tags.items():
             if s not in a.states:
                 raise GenerationMismatchError(f"active state {s} not in machine")
+            if s == a.initial:
+                # No edge enters q0, so a scan never leaves it active.
+                raise ValueError(f"active state {s} is the ancillary "
+                                 f"initial state")
             if not tags:
                 raise ValueError(f"active state {s} carries no tags")
             active[s] = set(tags)
@@ -174,17 +177,16 @@ class Engine:
         self.active = active
 
 
-def run(pfsm: Pfsm, data: bytes, sink=None, *,
-        dedupe: bool = True) -> EngineStats:
+def run(pfsm: Pfsm, data: bytes, sink=None) -> EngineStats:
     """Scan the whole input, reinitializing at every position."""
     stats, _ = run_segment(pfsm, data, (0, len(data) - 1) if data else None,
-                           None, sink, dedupe=dedupe)
+                           None, sink)
     return stats
 
 
 def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
-                carry_in: ActiveSet | None, sink=None, *, base: int = 0,
-                dedupe: bool = True) -> tuple[EngineStats, ActiveSet]:
+                carry_in: ActiveSet | None, sink=None, *,
+                base: int = 0) -> tuple[EngineStats, ActiveSet]:
     """Scan `data` reinitializing only at positions inside `window`.
 
     Positions are absolute: data[0] sits at position `base`, and window
@@ -200,7 +202,7 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
             raise ValueError(f"window {window} outside input bounds "
                              f"[{base}, {base + len(data)})")
 
-    eng = Engine(pfsm, sink, dedupe=dedupe)
+    eng = Engine(pfsm, sink)
     if carry_in is not None:
         eng.restore(carry_in)
         for s, tags in carry_in.tags.items():
@@ -217,10 +219,9 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
     return eng.stats, eng.snapshot()
 
 
-def find_matches(pfsm: Pfsm, data: bytes, *,
-                 dedupe: bool = True) -> list[Match]:
+def find_matches(pfsm: Pfsm, data: bytes) -> list[Match]:
     out: list[Match] = []
-    run(pfsm, data, out.append, dedupe=dedupe)
+    run(pfsm, data, out.append)
     return out
 
 

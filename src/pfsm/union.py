@@ -171,6 +171,11 @@ def validate_pfsm(p: Pfsm) -> list[str]:
         seen |= entry.owned
         if entry.entry not in entry.owned:
             problems.append(f"pattern {entry.label!r} entry state not owned")
+        for s in sorted(entry.owned):
+            outside = _successors(a, s) - entry.owned
+            if outside:
+                problems.append(f"pattern {entry.label!r} state {s} has edges "
+                                f"leaving the pattern, to {sorted(outside)}")
         for f in entry.owned & a.finals:
             if a.final_labels.get(f) != lid:
                 problems.append(f"final {f} labeled {a.final_labels.get(f)}, owner is {lid}")
@@ -218,7 +223,11 @@ def load_pfsm_lines(lines) -> Pfsm:
             raise AutomatonFormatError(f"unknown directive {tokens[0]!r}")
         if len(tokens) < 3:
             raise AutomatonFormatError(f"malformed pattern line {line!r}")
-        declared.append((" ".join(tokens[1:-1]), int(tokens[-1])))
+        try:
+            declared.append((" ".join(tokens[1:-1]), int(tokens[-1])))
+        except ValueError:
+            raise AutomatonFormatError(f"malformed pattern line {line!r}: "
+                                       f"entry state is not an integer") from None
 
     if declared:
         return _assemble_from_directory(a, final_texts, declared)
@@ -257,15 +266,20 @@ def _assemble_from_directory(a: Automaton, final_texts: dict[int, str],
     return p
 
 
+def _successors(a: Automaton, s: int) -> set[int]:
+    """Targets of every byte and epsilon edge leaving s."""
+    succ = set(a.epsilon_transitions.get(s, ()))
+    for targets in a.byte_transitions.get(s, {}).values():
+        succ |= targets
+    return succ
+
+
 def _reachable(a: Automaton, start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
         s = stack.pop()
-        succ: set[int] = set(a.epsilon_transitions.get(s, ()))
-        for targets in a.byte_transitions.get(s, {}).values():
-            succ |= targets
-        for t in succ:
+        for t in _successors(a, s):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)

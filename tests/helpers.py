@@ -3,11 +3,14 @@ automaton-membership check built only from the primitive operations."""
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
+import time
 
-from pfsm import build_pfsm, epsilon_closure, step
+from pfsm import build_pfsm, epsilon_closure, run, step
 from pfsm.automaton import Automaton
-from pfsm.compile import compile_nfa, nfa_to_dfa
+from pfsm.compile import compile_nfa, compile_pattern, nfa_to_dfa
 from pfsm.syntax import (ByteClass, Literal, Node, Opt, Plus, Star,
                          alternation, concat)
 
@@ -18,6 +21,18 @@ FIG2_MATCHES = {
     ("a*c", 3, 4), ("ac", 3, 4), ("a*c", 4, 4),
     ("a(ca)*b", 1, 6), ("a(ca)*b", 3, 6), ("a(ca)*b", 5, 6),
 }
+
+# PFSM-AUT dumps the union loader must refuse, with a fragment of the
+# error: pattern x's final state 2 has an edge back into q0, and a
+# pattern line whose entry state is not an integer.
+BAD_PFSM_DUMPS = [
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
+     "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
+     "state 2 has edges leaving the pattern, to [0]"),
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\neps 0 1\n"
+     "pattern x abc\n",
+     "malformed pattern line 'pattern x abc'"),
+]
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:
@@ -104,3 +119,27 @@ def build_fig1_mixed():
 
 def match_texts(matches, pfsm) -> set[tuple[str, int, int]]:
     return {(pfsm.label_text(m.label), m.start, m.end) for m in matches}
+
+
+def adversarial_scan_seconds(r: int, n: int, repeats: int = 3) -> float:
+    """Best of `repeats` timed scans, after one warm-up scan, of the DFA
+    set a*b, a*c, ... (r patterns) over n bytes of 'a': every start
+    position stays live to the end, so the active set is as large as it
+    gets while no match is reported."""
+    p = build_pfsm([(pat, compile_pattern(pat, "dfa"))
+                    for pat in ("a*" + chr(ord("b") + i) for i in range(r))])
+    data = b"a" * n
+    sink = lambda _: None
+    run(p, data, sink)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run(p, data, sink)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def loglog_slope(xs: list[float], ts: list[float]) -> float:
+    """Least-squares slope of log(t) against log(x)."""
+    return statistics.linear_regression([math.log(x) for x in xs],
+                                        [math.log(t) for t in ts]).slope

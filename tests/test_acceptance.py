@@ -4,12 +4,12 @@ PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`."""
 import random
 
 import pytest
-from helpers import (FIG1_INPUT, FIG2_MATCHES, all_strings, build_fig1,
-                     build_fig1_mixed, gen_alphabet, gen_ast, gen_instance,
-                     match_texts, nfa_accepts)
+from helpers import (FIG1_INPUT, FIG2_MATCHES, adversarial_scan_seconds,
+                     all_strings, build_fig1, build_fig1_mixed, gen_alphabet,
+                     gen_ast, gen_instance, loglog_slope, match_texts,
+                     nfa_accepts)
 
 from pfsm import build_pfsm, add_pattern, remove_pattern, extract_pattern, step
-from pfsm.bench import fit_loglog_slope, scaling_vs_n, scaling_vs_r
 from pfsm.compile import compile_nfa, nfa_to_dfa
 from pfsm.engine import Engine, find_matches, run
 from pfsm.oracle import accepts, all_matches
@@ -167,12 +167,12 @@ def test_criterion_7_scaling():
     n in {1k, 2k, 4k, 8k}; slope of time vs r at most 1.3 on r in
     {1, 2, 4, 8}."""
     ns = [1000, 2000, 4000, 8000]
-    rows_n = scaling_vs_n(ns, r=4, repeats=3)
-    slope_n = fit_loglog_slope(ns, [row.seconds for row in rows_n])
+    slope_n = loglog_slope(ns, [adversarial_scan_seconds(4, n, repeats=3)
+                                for n in ns])
 
     rs = [1, 2, 4, 8]
-    rows_r = scaling_vs_r(rs, n=2000, repeats=3)
-    slope_r = fit_loglog_slope(rs, [row.seconds for row in rows_r])
+    slope_r = loglog_slope(rs, [adversarial_scan_seconds(r, 2000, repeats=3)
+                                for r in rs])
 
     detail = f"slope_n={slope_n:.2f} (<=2.3), slope_r={slope_r:.2f} (<=1.3)"
     report("criterion 7: scaling", slope_n <= 2.3 and slope_r <= 1.3, detail)

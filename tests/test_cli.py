@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from helpers import BAD_PFSM_DUMPS
 
 from pfsm.cli import main
 
@@ -32,6 +33,14 @@ def runner():
 
 def fig1_args():
     return ["-e", "a*c", "-e", "ac", "-e", "a(ca)*b"]
+
+
+def test_help_lists_the_three_commands(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    section = result.output.split("Commands:")[1]
+    listed = [line.split()[0] for line in section.splitlines() if line.strip()]
+    assert listed == ["compile", "match", "oracle"]
 
 
 def test_match_fig2_tsv(runner):
@@ -97,6 +106,16 @@ def test_match_explicit_segments(runner):
                                   "--strategy", "chained", "--segments", "2,5"])
     assert result.exit_code == 0
     assert result.output == FIG2_TSV
+
+
+@pytest.mark.parametrize("strategy, segments", [("single", "1"),
+                                                ("regex", "9,x")])
+def test_match_segments_needs_lazy_or_chained(runner, strategy, segments):
+    result = runner.invoke(main, ["match", "-e", "ab", "--text", "abab",
+                                  "--strategy", strategy,
+                                  "--segments", segments])
+    assert result.exit_code == 2
+    assert "--segments" in result.output
 
 
 def test_match_from_pattern_and_input_files(runner, tmp_path):
@@ -175,6 +194,17 @@ def test_compile_dump_load_match(runner, tmp_path):
     assert match.output == FIG2_TSV
 
 
+@pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS,
+                         ids=["edge-leaves-pattern", "non-integer-entry"])
+def test_match_rejects_malformed_automaton(runner, tmp_path, text, fragment):
+    dump = tmp_path / "bad.aut"
+    dump.write_text(text)
+    result = runner.invoke(main, ["match", "--automaton", str(dump),
+                                  "--text", "aba", "--strategy", "regex"])
+    assert result.exit_code == 1
+    assert f"{dump}: " in result.output and fragment in result.output
+
+
 def test_compile_roundtrip_is_byte_identical(runner, tmp_path):
     first = tmp_path / "a.aut"
     second = tmp_path / "b.aut"
@@ -211,39 +241,6 @@ def test_oracle_subcommand_matches_engine(runner):
     assert oracle_out.exit_code == 0
     assert sorted(oracle_out.output.splitlines()) \
         == sorted(engine_out.output.splitlines())
-
-
-def test_bench_emits_csv(runner, tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    result = runner.invoke(main, [
-        "bench", "--sizes", "64,128", "--rs", "1,2", "--fixed-r", "2",
-        "--fixed-n", "64", "--workers", "1,2", "--repeats", "1",
-        "--strategies", "single,chained", "--csv", str(csv_path)])
-    assert result.exit_code == 0, result.output
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "scenario,n,r,strategy,workers,seconds"
-    assert any(line.startswith("scaling_n,64,2,") for line in lines)
-
-
-def test_bench_csv_write_error_exits_1(runner, tmp_path):
-    target = tmp_path / "missing" / "bench.csv"
-    result = runner.invoke(main, [
-        "bench", "--sizes", "16", "--rs", "1", "--fixed-r", "1",
-        "--fixed-n", "16", "--workers", "1", "--repeats", "1",
-        "--strategies", "single", "--csv", str(target)])
-    assert result.exit_code == 1
-    assert f"cannot write {target}:" in result.output
-
-
-def test_match_dedupe_flag(runner):
-    # A pattern set with identical languages under distinct labels still
-    # reports per-label; --no-dedupe only affects duplicate final states,
-    # so output here is unchanged. Just exercise the flag path.
-    on = runner.invoke(main, ["match", "-e", "ab", "--text", "ab"])
-    off = runner.invoke(main, ["match", "-e", "ab", "--text", "ab",
-                               "--no-dedupe"])
-    assert on.exit_code == off.exit_code == 0
-    assert on.output == off.output
 
 
 def test_scan_does_not_import_numpy():

@@ -7,7 +7,7 @@ import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, build_fig1, build_fig1_mixed,
                      gen_instance, match_texts)
 
-from pfsm import step
+from pfsm import build_pfsm, compile_pattern, step
 from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
                          dump_active_set, find_matches, format_match_jsonl,
                          format_match_tsv, load_active_set, run, run_segment)
@@ -91,8 +91,8 @@ def test_online_emission_order():
 
 @python_engine
 def test_nfa_duplicate_final_states_dedupe(engine):
-    # Two distinct final states with the same label reached on one span:
-    # one (label, start, end) report with dedupe, two raw events without.
+    # Two distinct final states with the same label reached on one span
+    # give one (label, start, end) report.
     from pfsm.automaton import make_automaton
     from pfsm.union import build_pfsm
     machine = make_automaton(range(3), 0,
@@ -101,9 +101,6 @@ def test_nfa_duplicate_final_states_dedupe(engine):
     p = build_pfsm([("dup", machine)])
     deduped = find_matches(p, b"xax")
     assert [(m.start, m.end) for m in deduped] == [(1, 1)]
-    raw = find_matches(p, b"xax", dedupe=False)
-    assert len(raw) == 2
-    assert {(m.start, m.end) for m in raw} == {(1, 1)}
 
 
 @python_engine
@@ -182,10 +179,19 @@ def test_run_segment_rejects_carried_tag_outside_prefix(tag, base):
     # so it must lie in [0, base); otherwise it would surface as a match
     # with a negative start or with start > end.
     p = build_fig1("dfa")
-    state = p.automaton.initial
+    state = min(e.entry for e in p.directory.values())
     carry = ActiveSet(p.generation, {state: {tag}})
     with pytest.raises(ValueError, match=f"state {state} carries tag {tag} "):
         run_segment(p, b"b", (base, base), carry, base=base)
+
+
+def test_run_segment_rejects_carried_ancillary_state():
+    # No edge enters q0, so a carried set naming it cannot come from a
+    # scan; restoring it would report a 3-byte span for a 1-byte pattern.
+    p = build_pfsm([("x", compile_pattern("x"))])
+    carry = ActiveSet(p.generation, {p.initial: {3}})
+    with pytest.raises(ValueError, match="ancillary initial state"):
+        run_segment(p, b"x", None, carry, [].append, base=5)
 
 
 def test_window_bounds_checked():

@@ -4,12 +4,13 @@ import random
 import re
 
 import pytest
-from helpers import (FIG1_INPUT, FIG2_MATCHES, FIG1_PATTERNS, build_fig1,
-                     gen_instance, match_texts)
+from helpers import (BAD_PFSM_DUMPS, FIG1_INPUT, FIG2_MATCHES, FIG1_PATTERNS,
+                     build_fig1, gen_instance, match_texts)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
                   epsilon_closure)
+from pfsm.automaton import AutomatonFormatError
 from pfsm.compile import compile_pattern
 from pfsm.union import DuplicateLabelError, UnknownLabelError
 
@@ -218,6 +219,13 @@ def test_load_plain_automaton_without_directory():
     loaded = load_pfsm(text)
     assert match_texts(find_matches(loaded, b"aac"), loaded) \
         == match_texts(find_matches(single, b"aac"), single)
+
+
+@pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS,
+                         ids=["edge-leaves-pattern", "non-integer-entry"])
+def test_load_rejects_malformed_directory(text, fragment):
+    with pytest.raises(AutomatonFormatError, match=re.escape(fragment)):
+        load_pfsm(text)
 
 
 def test_loaded_machine_entry_closure():
