@@ -26,8 +26,13 @@ class Automaton:
     byte_transitions: dict[int, dict[int, set[int]]]
     # state -> successor set
     epsilon_transitions: dict[int, set[int]]
-    finals: set[int]
+    # final state -> label id; the only record of which states are final
     final_labels: dict[int, int]
+
+    @property
+    def finals(self):
+        """The final states: a read-only view of final_labels' keys."""
+        return self.final_labels.keys()
 
     @property
     def deterministic(self) -> bool:
@@ -39,12 +44,6 @@ class Automaton:
                 if len(succ) > 1:
                     return False
         return True
-
-
-def make_automaton(states, initial, byte_transitions, epsilon_transitions,
-                   finals, final_labels) -> Automaton:
-    return Automaton(set(states), initial, byte_transitions, epsilon_transitions,
-                     set(finals), dict(final_labels))
 
 
 def epsilon_closure(a: Automaton, seeds: set[int]) -> set[int]:
@@ -76,11 +75,6 @@ def validate(a: Automaton) -> list[str]:
     for f in a.finals:
         if f not in a.states:
             problems.append(f"final state {f} not in state set")
-        if f not in a.final_labels:
-            problems.append(f"unlabeled final {f}")
-    for f in a.final_labels:
-        if f not in a.finals:
-            problems.append(f"label on non-final state {f}")
     for s, table in a.byte_transitions.items():
         if s not in a.states:
             problems.append(f"transition source {s} not in state set")
@@ -110,7 +104,7 @@ def dump_lines(a: Automaton, label_text) -> list[str]:
         parts = [f"state {s}"]
         if s == a.initial:
             parts.append("initial")
-        if s in a.finals:
+        if s in a.final_labels:
             parts.append(f"final {label_text(a.final_labels[s])}")
         lines.append(" ".join(parts))
     for s in sorted(a.byte_transitions):
@@ -144,7 +138,6 @@ def parse_lines(lines) -> tuple[Automaton, dict[int, str], list[str]]:
     initial: int | None = None
     byte_transitions: dict[int, dict[int, set[int]]] = {}
     epsilon_transitions: dict[int, set[int]] = {}
-    finals: set[int] = set()
     final_texts: dict[int, str] = {}
     extra: list[str] = []
 
@@ -169,7 +162,6 @@ def parse_lines(lines) -> tuple[Automaton, dict[int, str], list[str]]:
                         raise AutomatonFormatError(f"line {lineno}: unknown marker {rest[0]!r}")
                     if len(rest) < 2:
                         raise AutomatonFormatError(f"line {lineno}: final without label")
-                    finals.add(sid)
                     final_texts[sid] = " ".join(rest[1:])
             elif kind == "trans":
                 frm, byte, to = int(tokens[1]), int(tokens[2], 16), int(tokens[3])
@@ -187,12 +179,10 @@ def parse_lines(lines) -> tuple[Automaton, dict[int, str], list[str]]:
     if initial is None:
         raise AutomatonFormatError("no initial state declared")
 
-    # Label ids are assigned by the caller; use a placeholder numbering here.
-    texts = sorted(set(final_texts.values()))
-    text_id = {t: i for i, t in enumerate(texts)}
-    final_labels = {s: text_id[t] for s, t in final_texts.items()}
-    a = make_automaton(states, initial, byte_transitions, epsilon_transitions,
-                       finals, final_labels)
+    # Label ids are assigned by the caller; until then every final holds
+    # the placeholder id 0 and final_texts holds its text.
+    a = Automaton(states, initial, byte_transitions, epsilon_transitions,
+                  dict.fromkeys(final_texts, 0))
     return a, final_texts, extra
 
 
@@ -223,9 +213,3 @@ class LabelRegistry:
 
     def __len__(self) -> int:
         return len(self._texts)
-
-    def copy(self) -> "LabelRegistry":
-        r = LabelRegistry()
-        r._texts = list(self._texts)
-        r._ids = dict(self._ids)
-        return r

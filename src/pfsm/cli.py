@@ -28,7 +28,8 @@ class MatchError(click.ClickException):
 
 def _gather_patterns(exprs, patterns_file) -> list[tuple[str, str, str]]:
     """(where, label, pattern) triples; `where` is `<arg>:k` for the k-th
-    -e pattern and `file:line` for a pattern file entry."""
+    -e pattern and `file:line` for a pattern file entry. A repeated label
+    is an error naming the repeat."""
     entries = [(f"<arg>:{k}", e, e) for k, e in enumerate(exprs, start=1)]
     if patterns_file:
         try:
@@ -36,8 +37,13 @@ def _gather_patterns(exprs, patterns_file) -> list[tuple[str, str, str]]:
                 for lineno, line in enumerate(fh, start=1):
                     entries.extend((f"{patterns_file}:{lineno}", label, pattern)
                                    for label, pattern in read_pattern_file([line]))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MatchError(f"cannot read {patterns_file}: {exc}") from exc
+    seen = set()
+    for where, label, _ in entries:
+        if label in seen:
+            raise MatchError(f"{where}: duplicate label {label!r}")
+        seen.add(label)
     return entries
 
 
@@ -58,7 +64,7 @@ def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
         try:
             with open(automaton_file, encoding="utf-8") as fh:
                 return load_pfsm(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MatchError(f"cannot read {automaton_file}: {exc}") from exc
         except AutomatonFormatError as exc:
             raise MatchError(f"{automaton_file}: {exc}") from exc
@@ -153,7 +159,11 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
     for m in matches:
         click.echo(formatter(m, pfsm, data))
     if stats:
-        click.echo(f"# stats: {scan_stats.summary()}")
+        m_max = max((e.n_states for e in pfsm.directory.values()), default=0)
+        peak = max(scan_stats.per_cycle_pairs, default=0)
+        click.echo(f"# stats: n={scan_stats.n} r={len(pfsm.directory)} "
+                   f"m_max={m_max} s=256 peak_active_pairs={peak} "
+                   f"matches={scan_stats.matches_emitted}")
 
 
 @main.command("compile")
@@ -196,7 +206,10 @@ def cmd_oracle(expressions, patterns_file, text, input_file):
             asts.append((label, parse_regex(pattern)))
         except RegexSyntaxError as exc:
             raise MatchError(f"{where}: pattern {pattern!r}: {exc}") from exc
-    found = sorted(all_matches(asts, data), key=lambda m: (m[2], m[1], m[0]))
+    # Ties break on the pattern's position in the list, as in `match`.
+    rank = {label: k for k, (label, _) in enumerate(asts)}
+    found = sorted(all_matches(asts, data),
+                   key=lambda m: (m[2], m[1], rank[m[0]]))
     for label, start, end in found:
         snippet = data[start:end + 1].decode("latin-1")
         click.echo(f"{label}\t{start}\t{end}\t{snippet}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 
-from .automaton import Automaton, epsilon_closure, make_automaton
+from .automaton import Automaton, epsilon_closure
 from .syntax import (Alt, ByteClass, Concat, Empty, Literal, Node, Opt, Plus,
                      Star, nullable, parse_regex)
 
@@ -107,8 +107,8 @@ def compile_nfa(ast: Node) -> Automaton:
     """Thompson construction: single initial state, single edge-free final state."""
     b = _Builder()
     entry, exit_ = b.fragment(ast)
-    return make_automaton(range(b.n), entry, b.byte_transitions, b.epsilon,
-                          {exit_}, {exit_: 0})
+    return Automaton(set(range(b.n)), entry, b.byte_transitions, b.epsilon,
+                     {exit_: 0})
 
 
 def nfa_to_dfa(nfa: Automaton, state_ceiling: int = DEFAULT_STATE_CEILING) -> Automaton:
@@ -122,16 +122,14 @@ def nfa_to_dfa(nfa: Automaton, state_ceiling: int = DEFAULT_STATE_CEILING) -> Au
     ids: dict[frozenset[int], int] = {start: 0}
     worklist = [start]
     byte_transitions: dict[int, dict[int, set[int]]] = {}
-    finals: set[int] = set()
     final_labels: dict[int, int] = {}
 
     def label_of(subset: frozenset[int]) -> int | None:
-        labs = sorted(nfa.final_labels[s] for s in subset if s in nfa.finals)
+        labs = sorted(nfa.final_labels[s] for s in subset if s in nfa.final_labels)
         return labs[0] if labs else None
 
     lab = label_of(start)
     if lab is not None:
-        finals.add(0)
         final_labels[0] = lab
 
     while worklist:
@@ -150,12 +148,11 @@ def nfa_to_dfa(nfa: Automaton, state_ceiling: int = DEFAULT_STATE_CEILING) -> Au
                 worklist.append(target)
                 lab = label_of(target)
                 if lab is not None:
-                    finals.add(ids[target])
                     final_labels[ids[target]] = lab
             byte_transitions.setdefault(sid, {}).setdefault(byte, set()).add(ids[target])
 
-    return make_automaton(range(len(ids)), 0, byte_transitions, {}, finals,
-                          final_labels)
+    return Automaton(set(range(len(ids))), 0, byte_transitions, {},
+                     final_labels)
 
 
 def compile_pattern(pattern: str | bytes, form: str = "auto",

@@ -49,26 +49,17 @@ class ActiveSet:
     def pair_count(self) -> int:
         return sum(len(t) for t in self.tags.values())
 
-    def __eq__(self, other):
-        return (isinstance(other, ActiveSet)
-                and self.generation == other.generation
-                and self.tags == other.tags)
-
 
 @dataclass
 class EngineStats:
-    n: int = 0
-    r: int = 0
-    m_max: int = 0
-    alphabet_size: int = 256
+    """What a scan measured: active (state, tag) pairs per cycle, matches."""
     per_cycle_pairs: list[int] = field(default_factory=list)
     matches_emitted: int = 0
 
-    def summary(self) -> str:
-        peak = max(self.per_cycle_pairs, default=0)
-        return (f"n={self.n} r={self.r} m_max={self.m_max} "
-                f"s={self.alphabet_size} peak_active_pairs={peak} "
-                f"matches={self.matches_emitted}")
+    @property
+    def n(self) -> int:
+        """Cycles run."""
+        return len(self.per_cycle_pairs)
 
 
 def _close_tagged(a: Automaton, active: dict[int, set[int]]):
@@ -102,9 +93,7 @@ class Engine:
         a = pfsm.automaton
         self._start = sorted(epsilon_closure(a, {a.initial}))
         self.active: dict[int, set[int]] = {}
-        n_states = [e.n_states for e in pfsm.directory.values()]
-        self.stats = EngineStats(r=len(pfsm.directory),
-                                 m_max=max(n_states, default=0))
+        self.stats = EngineStats()
 
     def feed(self, byte: int, pos: int, reinit: bool = True):
         a = self.pfsm.automaton
@@ -149,7 +138,6 @@ class Engine:
         self.active = nxt
         self.stats.per_cycle_pairs.append(
             max(pairs_after_init, sum(len(t) for t in nxt.values())))
-        self.stats.n += 1
 
     def snapshot(self) -> ActiveSet:
         return ActiveSet(self.pfsm.generation,

@@ -9,10 +9,11 @@ can reconcile cheaply (or detect the mismatch and abort).
 
 Generations share structure. Once grafted, a state's byte table and
 epsilon set are never mutated, so an update copies only the top-level
-containers (state set, finals, final labels, the two transition dicts)
-and the ancillary state's epsilon set, the one set an update edits. Old
+containers (state set, final labels, the two transition dicts) and the
+ancillary state's epsilon set, the one set an update edits. Old
 generations therefore stay valid, and an update costs O(states) pointer
-copies rather than a copy of every edge.
+copies rather than a copy of every edge. The generations of one build or
+load also share the label registry, which is append-only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automaton import (Automaton, AutomatonFormatError, LabelRegistry,
-                        dump_lines, make_automaton, parse_lines, validate)
+                        dump_lines, parse_lines, validate)
 
 
 class DuplicateLabelError(ValueError):
@@ -77,8 +78,7 @@ def _graft(dst: Automaton, src: Automaton, states, base: int,
         succ = src.epsilon_transitions.get(s)
         if succ:
             dst.epsilon_transitions[t] = {remap[u] for u in succ}
-        if s in src.finals:
-            dst.finals.add(t)
+        if s in src.final_labels:
             dst.final_labels[t] = label_id
     return remap
 
@@ -91,8 +91,12 @@ def _append(union: Automaton, labels: LabelRegistry,
     if label in labels and labels.id_of(label) in directory:
         raise DuplicateLabelError(f"duplicate label {label!r}")
     lid = labels.intern(label)
-    remap = _graft(union, machine, machine.states, base, lid)
-    entry = remap[machine.initial]
+    try:
+        remap = _graft(union, machine, machine.states, base, lid)
+        entry = remap[machine.initial]
+    except KeyError as exc:
+        raise ValueError(f"pattern {label!r}: state {exc.args[0]} is used "
+                         f"but not in the machine's state set") from None
     union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
     directory[lid] = PatternEntry(lid, label, entry, frozenset(remap.values()))
     return base + len(remap)
@@ -104,12 +108,12 @@ def _next_generation(a: Automaton) -> Automaton:
     eps = dict(a.epsilon_transitions)
     eps[a.initial] = set(eps.get(a.initial, ()))
     return Automaton(set(a.states), a.initial, dict(a.byte_transitions), eps,
-                     set(a.finals), dict(a.final_labels))
+                     dict(a.final_labels))
 
 
 def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
     """Assemble labeled pattern machines into a union machine."""
-    union = Automaton({0}, 0, {}, {}, set(), {})
+    union = Automaton({0}, 0, {}, {}, {})
     labels = LabelRegistry()
     directory: dict[int, PatternEntry] = {}
     next_id = 1
@@ -121,10 +125,9 @@ def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
 def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
     """New generation with the pattern appended. Existing state ids unchanged."""
     union = _next_generation(p.automaton)
-    labels = p.labels.copy()
     directory = dict(p.directory)
-    next_id = _append(union, labels, directory, p.next_state_id, label, machine)
-    return Pfsm(union, labels, directory, p.generation + 1, next_id)
+    next_id = _append(union, p.labels, directory, p.next_state_id, label, machine)
+    return Pfsm(union, p.labels, directory, p.generation + 1, next_id)
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
@@ -139,12 +142,10 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
         union.states.discard(s)
         union.byte_transitions.pop(s, None)
         union.epsilon_transitions.pop(s, None)
-        union.finals.discard(s)
         union.final_labels.pop(s, None)
     union.epsilon_transitions[union.initial].discard(entry.entry)
     directory = dict(p.directory)
     del directory[lid]
-    # Shared registry: it is append-only and add_pattern copies it first.
     return Pfsm(union, p.labels, directory, p.generation + 1, p.next_state_id)
 
 
@@ -153,9 +154,9 @@ def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
     Finals carry label 0 (single-pattern convention)."""
     if label_id not in p.directory:
         raise UnknownLabelError(p.labels.text(label_id)
-                                if label_id < len(p.labels) else label_id)
+                                if 0 <= label_id < len(p.labels) else label_id)
     entry = p.directory[label_id]
-    out = Automaton(set(), 0, {}, {}, set(), {})
+    out = Automaton(set(), 0, {}, {}, {})
     out.initial = _graft(out, p.automaton, entry.owned, 0, 0)[entry.entry]
     return out
 
@@ -190,9 +191,10 @@ def validate_pfsm(p: Pfsm) -> list[str]:
     return problems
 
 
-def dump_pfsm_lines(p: Pfsm) -> list[str]:
-    """Raises ValueError for a label the loader would not read back
-    unchanged: the format splits lines on whitespace runs."""
+def dump_pfsm(p: Pfsm) -> str:
+    """The machine's interchange dump. Raises ValueError for a label the
+    loader would not read back unchanged: the format splits lines on
+    whitespace runs."""
     for entry in p.directory.values():
         if not entry.label or " ".join(entry.label.split()) != entry.label:
             raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
@@ -201,17 +203,17 @@ def dump_pfsm_lines(p: Pfsm) -> list[str]:
     for lid in sorted(p.directory):
         entry = p.directory[lid]
         lines.append(f"pattern {entry.label} {entry.entry}")
-    return lines
+    return "\n".join(lines) + "\n"
 
 
-def load_pfsm_lines(lines) -> Pfsm:
+def load_pfsm(text: str) -> Pfsm:
     """Load a union machine from its interchange dump.
 
     Also accepts a plain single-automaton dump without `pattern` lines
     (externally produced machines): the whole automaton is wrapped as a
     single pattern.
     """
-    a, final_texts, extra = parse_lines(lines)
+    a, final_texts, extra = parse_lines(text.splitlines())
     problems = validate(a)
     if problems:
         raise AutomatonFormatError("; ".join(problems))
@@ -251,13 +253,10 @@ def _assemble_from_directory(a: Automaton, final_texts: dict[int, str],
         owned = _reachable(a, entry_state) - {q0}
         directory[lid] = PatternEntry(lid, label, entry_state, frozenset(owned))
     # Re-key final labels onto registry ids.
-    final_labels = {}
     for f, text in final_texts.items():
         if text not in labels:
             raise AutomatonFormatError(f"final {f} labeled {text!r} which has no pattern line")
-        final_labels[f] = labels.id_of(text)
-    a = make_automaton(a.states, a.initial, a.byte_transitions,
-                       a.epsilon_transitions, a.finals, final_labels)
+        a.final_labels[f] = labels.id_of(text)
     p = Pfsm(a, labels, directory, generation=0,
              next_state_id=max(a.states) + 1 if a.states else 1)
     problems = validate_pfsm(p)
@@ -284,11 +283,3 @@ def _reachable(a: Automaton, start: int) -> set[int]:
                 seen.add(t)
                 stack.append(t)
     return seen
-
-
-def dump_pfsm(p: Pfsm) -> str:
-    return "\n".join(dump_pfsm_lines(p)) + "\n"
-
-
-def load_pfsm(text: str) -> Pfsm:
-    return load_pfsm_lines(text.splitlines())

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfsm.automaton import (AutomatonFormatError, dump_lines, epsilon_closure,
-                            make_automaton, parse_lines, step, validate)
+from pfsm.automaton import (Automaton, AutomatonFormatError, dump_lines,
+                            epsilon_closure, parse_lines, step, validate)
 from pfsm.compile import compile_pattern
 
 
@@ -24,8 +24,8 @@ def small_automaton(rng: random.Random, n: int = 6):
         if rng.random() < 0.4:
             epsilon[s] = {rng.randrange(n) for _ in range(rng.randint(1, 2))}
     finals = {s for s in range(n) if rng.random() < 0.3}
-    return make_automaton(range(n), 0, byte_transitions, epsilon, finals,
-                          {f: 0 for f in finals})
+    return Automaton(set(range(n)), 0, byte_transitions, epsilon,
+                     {f: 0 for f in finals})
 
 
 def bfs_epsilon_reach(a, seeds):
@@ -44,7 +44,7 @@ def bfs_epsilon_reach(a, seeds):
 
 
 def test_closure_of_isolated_state():
-    a = make_automaton(range(2), 0, {}, {}, set(), {})
+    a = Automaton(set(range(2)), 0, {}, {}, {})
     assert epsilon_closure(a, {1}) == {1}
 
 
@@ -104,18 +104,13 @@ def test_validate_fresh_machine():
     assert validate(compile_pattern("a*c", "nfa")) == []
 
 
-def test_validate_unlabeled_final():
-    a = make_automaton(range(2), 0, {0: {ord("a"): {1}}}, {}, {1}, {})
-    assert any("unlabeled final" in p for p in validate(a))
-
-
 def test_validate_dangling_endpoint():
-    a = make_automaton(range(2), 0, {0: {ord("a"): {5}}}, {}, set(), {})
+    a = Automaton(set(range(2)), 0, {0: {ord("a"): {5}}}, {}, {})
     assert any("dangling endpoint" in p for p in validate(a))
 
 
 def test_determinism_is_derived_not_stored():
-    a = make_automaton(range(2), 0, {0: {ord("a"): {1}}}, {}, set(), {})
+    a = Automaton(set(range(2)), 0, {0: {ord("a"): {1}}}, {}, {})
     assert a.deterministic
     a.epsilon_transitions[0] = {1}
     assert not a.deterministic

@@ -160,6 +160,29 @@ def test_pattern_file_error_names_file_line(runner, tmp_path, command):
     assert f"{patterns}:4: pattern '(a'" in result.output
 
 
+@pytest.mark.parametrize("command", ["match", "compile", "oracle"])
+def test_repeated_label_names_the_repeat(runner, tmp_path, command):
+    text = [] if command == "compile" else ["--text", "a"]
+    result = runner.invoke(main, [command, "-e", "a", "-e", "a", *text])
+    assert result.exit_code == 1
+    assert "<arg>:2: duplicate label 'a'" in result.output
+    patterns = tmp_path / "pats.txt"
+    patterns.write_text("b\n# comment\nb\n")
+    result = runner.invoke(main, [command, "-e", "a", "--patterns",
+                                  str(patterns), *text])
+    assert result.exit_code == 1
+    assert f"{patterns}:3: duplicate label 'b'" in result.output
+
+
+@pytest.mark.parametrize("option", ["--patterns", "--automaton"])
+def test_non_utf8_file_cannot_be_read(runner, tmp_path, option):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9\n")
+    result = runner.invoke(main, ["match", option, str(path), "--text", "a"])
+    assert result.exit_code == 1
+    assert f"cannot read {path}: " in result.output
+
+
 def test_compile_output_write_error_exits_1(runner, tmp_path):
     target = tmp_path / "missing" / "x.aut"
     result = runner.invoke(main, ["compile", *fig1_args(), "-o", str(target)])
@@ -239,8 +262,21 @@ def test_oracle_subcommand_matches_engine(runner):
     engine_out = runner.invoke(main, ["match", *fig1_args(), "--text", "aacacab"])
     oracle_out = runner.invoke(main, ["oracle", *fig1_args(), "--text", "aacacab"])
     assert oracle_out.exit_code == 0
-    assert sorted(oracle_out.output.splitlines()) \
-        == sorted(engine_out.output.splitlines())
+    assert oracle_out.output == engine_out.output
+
+
+def test_oracle_breaks_ties_in_pattern_order(runner):
+    # Both patterns match (0, 0); `match` reports them in the order given.
+    args = ["-e", "a", "-e", ".", "--text", "a"]
+    engine_out = runner.invoke(main, ["match", *args])
+    oracle_out = runner.invoke(main, ["oracle", *args])
+    assert engine_out.output == "a\t0\t0\ta\n.\t0\t0\ta\n"
+    assert oracle_out.output == engine_out.output
+
+
+def test_every_export_resolves():
+    import pfsm
+    assert [name for name in pfsm.__all__ if not hasattr(pfsm, name)] == []
 
 
 def test_scan_does_not_import_numpy():

@@ -93,11 +93,10 @@ def test_online_emission_order():
 def test_nfa_duplicate_final_states_dedupe(engine):
     # Two distinct final states with the same label reached on one span
     # give one (label, start, end) report.
-    from pfsm.automaton import make_automaton
+    from pfsm.automaton import Automaton
     from pfsm.union import build_pfsm
-    machine = make_automaton(range(3), 0,
-                             {0: {ord("a"): {1, 2}}}, {}, {1, 2},
-                             {1: 0, 2: 0})
+    machine = Automaton(set(range(3)), 0, {0: {ord("a"): {1, 2}}}, {},
+                        {1: 0, 2: 0})
     p = build_pfsm([("dup", machine)])
     deduped = find_matches(p, b"xax")
     assert [(m.start, m.end) for m in deduped] == [(1, 1)]

@@ -10,7 +10,7 @@ from helpers import (BAD_PFSM_DUMPS, FIG1_INPUT, FIG2_MATCHES, FIG1_PATTERNS,
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
                   epsilon_closure)
-from pfsm.automaton import AutomatonFormatError
+from pfsm.automaton import Automaton, AutomatonFormatError
 from pfsm.compile import compile_pattern
 from pfsm.union import DuplicateLabelError, UnknownLabelError
 
@@ -57,6 +57,32 @@ def test_duplicate_label_rejected():
     p = build_pfsm([("x", m)])
     with pytest.raises(DuplicateLabelError):
         add_pattern(p, "x", m)
+
+
+@pytest.mark.parametrize("machine", [
+    Automaton({0, 1}, 0, {0: {ord("a"): {5}}}, {}, {1: 0}),
+    Automaton({0, 1}, 7, {0: {ord("a"): {1}}}, {}, {1: 0}),
+], ids=["edge-to-undeclared-state", "initial-outside-states"])
+def test_undeclared_state_names_the_pattern(machine):
+    with pytest.raises(ValueError, match="pattern 'bad': state [57] "):
+        build_pfsm([("bad", machine)])
+    p = build_fig1("dfa")
+    with pytest.raises(ValueError, match="pattern 'bad': state [57] "):
+        add_pattern(p, "bad", machine)
+    # The failed add leaves p as it was; the label can still be added.
+    assert match_texts(find_matches(p, FIG1_INPUT), p) == FIG2_MATCHES
+    fixed = add_pattern(p, "bad", compile_pattern("cab"))
+    assert ("bad", 4, 6) in match_texts(find_matches(fixed, FIG1_INPUT), fixed)
+
+
+def test_extract_unknown_id_names_the_id():
+    p = build_fig1("dfa")
+    with pytest.raises(UnknownLabelError) as exc:
+        extract_pattern(p, -1)
+    assert exc.value.args == (-1,)
+    with pytest.raises(UnknownLabelError) as exc:
+        extract_pattern(remove_pattern(p, "ac"), p.labels.id_of("ac"))
+    assert exc.value.args == ("ac",)
 
 
 def test_add_to_empty_equals_build():
@@ -120,6 +146,31 @@ def test_updates_leave_earlier_generations_intact():
         table.clear()
     machine.epsilon_transitions.clear()
     assert find_matches(q, b"xcbab") == before
+
+
+def test_updates_share_the_label_registry():
+    p = build_fig1("dfa")
+    q = add_pattern(p, "extra", compile_pattern("(a|c)b"))
+    r = remove_pattern(q, "ac")
+    assert q.labels is p.labels and r.labels is p.labels
+
+
+def test_branches_keep_their_own_labels_and_matches():
+    # Two branches of one parent add the same label with different
+    # machines: the shared registry gives it one id, each branch keeps
+    # its own machine, and a later add on one branch stays there.
+    p = build_fig1("dfa")
+    left = add_pattern(p, "new", compile_pattern("cab"))
+    right = add_pattern(remove_pattern(p, "ac"), "new", compile_pattern("ca"))
+    left = add_pattern(left, "left", compile_pattern("b"))
+    assert match_texts(find_matches(p, FIG1_INPUT), p) == FIG2_MATCHES
+    assert match_texts(find_matches(left, FIG1_INPUT), left) \
+        == FIG2_MATCHES | {("new", 4, 6), ("left", 6, 6)}
+    assert match_texts(find_matches(right, FIG1_INPUT), right) \
+        == {m for m in FIG2_MATCHES if m[0] != "ac"} | {("new", 2, 3),
+                                                         ("new", 4, 5)}
+    assert [right.label_text(lid) for lid in right.live_labels()] \
+        == ["a*c", "a(ca)*b", "new"]
 
 
 @pytest.mark.parametrize("label", ["", " x", "x ", "a  b", "a\tb", "a\nb"])
