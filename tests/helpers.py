@@ -8,7 +8,7 @@ import random
 import statistics
 import time
 
-from pfsm import build_pfsm, epsilon_closure, run, step
+from pfsm import Engine, build_pfsm, epsilon_closure, run, step
 from pfsm.automaton import Automaton
 from pfsm.compile import compile_nfa, compile_pattern, nfa_to_dfa
 from pfsm.syntax import (ByteClass, Literal, Node, Opt, Plus, Star,
@@ -121,14 +121,28 @@ def match_texts(matches, pfsm) -> set[tuple[str, int, int]]:
     return {(pfsm.label_text(m.label), m.start, m.end) for m in matches}
 
 
-def adversarial_scan_seconds(r: int, n: int, repeats: int = 3) -> float:
-    """Best of `repeats` timed scans, after one warm-up scan, of the DFA
-    set a*b, a*c, ... (r patterns) over n bytes of 'a': every start
-    position stays live to the end, so the active set is as large as it
-    gets while no match is reported."""
-    p = build_pfsm([(pat, compile_pattern(pat, "dfa"))
-                    for pat in ("a*" + chr(ord("b") + i) for i in range(r))])
-    data = b"a" * n
+def engine_segment(p, data: bytes, window, carry_in, base: int = 0):
+    """`run_segment` computed by the reference `Engine`, feeding one byte
+    per cycle: (matches in emission order, stats, snapshot)."""
+    out = []
+    eng = Engine(p, out.append)
+    if carry_in is not None:
+        eng.restore(carry_in)
+    for pos, byte in enumerate(data, base):
+        eng.feed(byte, pos, window is not None and window[0] <= pos <= window[1])
+        if not eng.active and (window is None or pos >= window[1]):
+            break
+    return out, eng.stats, eng.snapshot()
+
+
+def engine_matches(p, data: bytes):
+    """Every match of a whole-input scan by the reference `Engine`."""
+    window = (0, len(data) - 1) if data else None
+    return engine_segment(p, data, window, None)[0]
+
+
+def best_scan_seconds(p, data: bytes, repeats: int = 3) -> float:
+    """Best of `repeats` timed `run(p, data)` calls, after one warm-up."""
     sink = lambda _: None
     run(p, data, sink)
     best = float("inf")
@@ -137,6 +151,16 @@ def adversarial_scan_seconds(r: int, n: int, repeats: int = 3) -> float:
         run(p, data, sink)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def adversarial_scan_seconds(r: int, n: int, repeats: int = 3) -> float:
+    """Best of `repeats` timed scans, after one warm-up scan, of the DFA
+    set a*b, a*c, ... (r patterns) over n bytes of 'a': every start
+    position stays live to the end, so the active set is as large as it
+    gets while no match is reported."""
+    p = build_pfsm([(pat, compile_pattern(pat, "dfa"))
+                    for pat in ("a*" + chr(ord("b") + i) for i in range(r))])
+    return best_scan_seconds(p, b"a" * n, repeats)
 
 
 def loglog_slope(xs: list[float], ts: list[float]) -> float:

@@ -5,9 +5,9 @@ import random
 
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, adversarial_scan_seconds,
-                     all_strings, build_fig1, build_fig1_mixed, gen_alphabet,
-                     gen_ast, gen_instance, loglog_slope, match_texts,
-                     nfa_accepts)
+                     all_strings, build_fig1, build_fig1_mixed, engine_matches,
+                     gen_alphabet, gen_ast, gen_instance, loglog_slope,
+                     match_texts, nfa_accepts)
 
 from pfsm import build_pfsm, add_pattern, remove_pattern, extract_pattern, step
 from pfsm.compile import compile_nfa, nfa_to_dfa
@@ -23,7 +23,8 @@ def report(name: str, ok: bool, detail: str = ""):
 
 def _all_strategy_runs(p, data):
     """Match sets from the single run and every strategy."""
-    runs = {"single": match_texts(find_matches(p, data), p)}
+    runs = {"single": match_texts(find_matches(p, data), p),
+            "single/engine": match_texts(engine_matches(p, data), p)}
     if data:
         runs["regex/2"] = match_texts(
             run_partitioned(p, data, regex_plan(p, 2)), p)
@@ -47,7 +48,7 @@ def test_criterion_1_fig2_golden():
             if got != FIG2_MATCHES:
                 report("criterion 1: Fig. 2 golden", False, f"{form} {name}")
     report("criterion 1: Fig. 2 golden", True,
-           "3 forms x 6 run modes, 10 matches each")
+           "3 forms x 7 run modes, 10 matches each")
 
 
 def test_criterion_2_fig3_trace():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from helpers import BAD_PFSM_DUMPS
+from helpers import BAD_PFSM_DUMPS, FIG1_PATTERNS
 
 from pfsm.cli import main
 
@@ -64,11 +64,14 @@ def test_match_empty_input(runner):
 
 
 def test_match_stats_flag(runner):
-    result = runner.invoke(main, ["match", "-e", "a*c", "--text", "aac",
-                                  "--stats"])
+    # The whole line, so the scan's peak pair count is checked too.
+    args = ["match", "--text", "aacacab", "--stats"]
+    for pat in FIG1_PATTERNS:
+        args += ["-e", pat]
+    result = runner.invoke(main, args)
     assert result.exit_code == 0
-    assert "# stats:" in result.output
-    assert "matches=3" in result.output
+    assert result.output.splitlines()[-1] == (
+        "# stats: n=7 r=3 m_max=5 s=256 peak_active_pairs=9 matches=10")
 
 
 def test_match_stats_needs_single_strategy(runner):

@@ -4,8 +4,9 @@ snapshot/restore, and randomized equivalence with the brute-force oracle."""
 import random
 
 import pytest
-from helpers import (FIG1_INPUT, FIG2_MATCHES, build_fig1, build_fig1_mixed,
-                     gen_instance, match_texts)
+from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
+                     build_fig1_mixed, engine_segment, gen_instance,
+                     loglog_slope, match_texts)
 
 from pfsm import build_pfsm, compile_pattern, step
 from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
@@ -14,8 +15,9 @@ from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
 from pfsm.oracle import all_matches
 from pfsm.union import remove_pattern
 
-# The pure-Python Engine is the one scan path; this single-valued
-# parametrization keeps the "[python]" suffix in these tests' ids.
+# These tests scan through run/find_matches, the fast path that the
+# reference Engine is checked against below; this single-valued
+# parametrization keeps the "[python]" suffix in their ids.
 python_engine = pytest.mark.parametrize("engine", ["python"])
 
 
@@ -170,6 +172,74 @@ def test_run_segment_empty_window_continuations_only(engine):
     run_segment(p, FIG1_INPUT[boundary:], None, carry, out.append,
                 base=boundary)
     assert out == full
+
+
+def _random_window(rng, base, n):
+    if n == 0 or rng.random() < 0.25:
+        return None
+    lo = rng.randrange(base, base + n)
+    return lo, rng.randrange(lo, base + n)
+
+
+def _random_carry(rng, p, carry, base):
+    """`carry` with tags in [0, base) added on random non-initial states."""
+    tags = {s: set(t) for s, t in carry.tags.items()}
+    states = sorted(p.automaton.states - {p.initial})
+    for s in rng.sample(states, rng.randint(0, min(3, len(states)))):
+        tags.setdefault(s, set()).update(
+            rng.sample(range(base), rng.randint(1, min(4, base))))
+    return ActiveSet(carry.generation, tags)
+
+
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed"])
+def test_fast_path_equals_engine(form):
+    # Two-segment run_segment against the reference Engine: the same
+    # matches in the same order, the same per-cycle pair counts and
+    # match count, and the same carried set, on random windows and on
+    # carries the first segment left, sometimes with random extra tags.
+    rng = random.Random(f"fast-vs-engine/{form}")
+    for trial in range(200):
+        p, _, data, _ = gen_instance(rng, max_input=40, forms=(form,))
+        cut = rng.randint(0, len(data))
+        carry = None
+        for base, seg in ((0, data[:cut]), (cut, data[cut:])):
+            if carry is not None and base and rng.random() < 0.5:
+                carry = _random_carry(rng, p, carry, base)
+            window = _random_window(rng, base, len(seg))
+            want, want_stats, want_snap = engine_segment(p, seg, window,
+                                                         carry, base)
+            got = []
+            stats, snap = run_segment(p, seg, window, carry, got.append,
+                                      base=base)
+            assert got == want, (trial, base)
+            assert stats.per_cycle_pairs == want_stats.per_cycle_pairs
+            assert stats.matches_emitted == want_stats.matches_emitted
+            assert snap == want_snap, (trial, base)
+            carry = snap
+
+
+@pytest.mark.slow
+def test_lone_long_lived_tag_scans_in_linear_time():
+    # One tag lives from the 'a' to the 'b' and no other start survives:
+    # its mask must not widen with its age, or the scan turns quadratic.
+    p = build_pfsm([("gap", compile_pattern("a[^x]*b"))])
+    ns = [8192, 16384, 32768, 65536]
+    times = [best_scan_seconds(p, b"a" + b"c" * n + b"b") for n in ns]
+    slope = loglog_slope(ns, times)
+    assert slope <= 1.4, (slope, times)
+
+
+def test_far_carry_keeps_its_absolute_tag():
+    # A tag carried a million positions keeps its start, and the carried
+    # set the scan returns still goes through the wire format.
+    p = build_pfsm([("gap", compile_pattern("a[^x]*b"))])
+    _, carry = run_segment(p, b"a", (0, 0), None)
+    assert list(carry.tags.values()) == [{0}]
+    out = []
+    _, snap = run_segment(p, b"ccb", None, carry, out.append, base=10**6)
+    assert out == [Match(p.labels.id_of("gap"), 0, 10**6 + 2)]
+    assert list(snap.tags.values()) == [{0}]
+    assert load_active_set(dump_active_set(snap)) == snap
 
 
 @pytest.mark.parametrize("tag, base", [(-5, 0), (10**6, 0), (4, 4)])
