@@ -7,8 +7,7 @@ rebuilding the machine, and scans can be partitioned by pattern or by
 input segment with output identical to a single scan.
 """
 
-from .automaton import (Automaton, LabelRegistry, epsilon_closure, step,
-                        validate)
+from .automaton import Automaton, epsilon_closure, step, validate
 from .compile import (StateCeilingExceeded, compile_nfa, compile_pattern,
                       nfa_to_dfa, read_pattern_file)
 from .engine import (ActiveSet, Engine, EngineStats, Match,
@@ -23,7 +22,7 @@ from .union import (Pfsm, add_pattern, build_pfsm, dump_pfsm, extract_pattern,
 
 __all__ = [
     "ActiveSet", "Automaton", "Engine", "EngineStats", "GenerationMismatchError",
-    "LabelRegistry", "Match", "PartitionPlan", "Pfsm", "RegexSyntaxError",
+    "Match", "PartitionPlan", "Pfsm", "RegexSyntaxError",
     "StateCeilingExceeded", "add_pattern", "build_pfsm", "compile_nfa",
     "compile_pattern", "data_plan", "dump_active_set", "dump_pfsm",
     "epsilon_closure", "extract_pattern", "find_matches", "load_active_set",

@@ -96,7 +96,7 @@ def validate(a: Automaton) -> list[str]:
 def dump_lines(a: Automaton, label_text) -> list[str]:
     """Serialize to the line-oriented interchange format.
 
-    label_text maps a label id to its text (e.g. LabelRegistry.text).
+    label_text maps a label id to its text (e.g. Pfsm.label_text).
     Deterministic output: states and transitions in sorted order.
     """
     lines = [FORMAT_HEADER]
@@ -185,31 +185,3 @@ def parse_lines(lines) -> tuple[Automaton, dict[int, str], list[str]]:
                   dict.fromkeys(final_texts, 0))
     return a, final_texts, extra
 
-
-class LabelRegistry:
-    """Bijection between label ids and label texts. Append-only."""
-
-    def __init__(self):
-        self._texts: list[str] = []
-        self._ids: dict[str, int] = {}
-
-    def intern(self, text: str) -> int:
-        """Return the id for text, allocating one if unseen."""
-        if text in self._ids:
-            return self._ids[text]
-        lid = len(self._texts)
-        self._texts.append(text)
-        self._ids[text] = lid
-        return lid
-
-    def id_of(self, text: str) -> int:
-        return self._ids[text]
-
-    def text(self, label_id: int) -> str:
-        return self._texts[label_id]
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._ids
-
-    def __len__(self) -> int:
-        return len(self._texts)

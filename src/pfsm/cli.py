@@ -126,7 +126,8 @@ def main():
               help="Per-pattern machine form.")
 @click.option("--strategy", type=click.Choice(["single", "regex", "lazy", "chained"]),
               default="single")
-@click.option("--workers", type=click.IntRange(min=1), default=1)
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Worker count (default 1; partitioned strategies only).")
 @click.option("--segments", "segments_flag", default="auto",
               help="Comma-separated cut points, or 'auto' for even segments "
                    "(lazy and chained only).")
@@ -139,6 +140,12 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
     if stats and strategy != "single":
         raise click.UsageError("--stats needs --strategy single")
     cuts = _parse_segments(strategy, segments_flag)
+    if workers is not None and workers > 1 and strategy == "single":
+        raise click.UsageError("--workers above 1 needs --strategy regex, "
+                               "lazy or chained")
+    if workers is not None and cuts is not None:
+        raise click.UsageError("--workers conflicts with --segments: the cut "
+                               "points fix the worker count")
     pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
     data = _read_input(text, input_file)
     formatter = format_match_tsv if fmt == "tsv" else format_match_jsonl
@@ -151,7 +158,7 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
             matches = []
         else:
             try:
-                plan = _make_plan(strategy, workers, cuts, len(data), pfsm)
+                plan = _make_plan(strategy, workers or 1, cuts, len(data), pfsm)
                 matches = run_partitioned(pfsm, data, plan)
             except PlanError as exc:
                 raise MatchError(str(exc)) from exc

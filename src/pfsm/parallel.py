@@ -63,6 +63,10 @@ def segments(plan: PartitionPlan, n: int) -> list[tuple[int, int]]:
 
 def _check_assignment(p: Pfsm, plan: PartitionPlan) -> dict[int, list[int]]:
     amap = plan.assignment_map()
+    unknown = sorted(lid for lid in amap if lid not in p.directory)
+    if unknown:
+        raise PlanError(f"assigned labels not in the machine: "
+                        f"{', '.join(map(str, unknown))}")
     missing = [lid for lid in p.live_labels() if lid not in amap]
     if missing:
         names = ", ".join(p.label_text(lid) for lid in missing)
@@ -83,12 +87,12 @@ def run_regex_partitioned(p: Pfsm, data: bytes,
     by_worker = _check_assignment(p, plan)
 
     def scan(label_ids: list[int]) -> list[Match]:
+        ids = sorted(label_ids)
         sub = build_pfsm([(p.label_text(lid), extract_pattern(p, lid))
-                          for lid in sorted(label_ids)])
-        found = find_matches(sub, data)
-        # Sub-machine label ids are local; map back through the label text.
-        return [Match(p.labels.id_of(sub.label_text(m.label)), m.start, m.end)
-                for m in found]
+                          for lid in ids])
+        # Sub-machine label k is the worker's k-th label.
+        return [Match(ids[m.label], m.start, m.end)
+                for m in find_matches(sub, data)]
 
     return _merge([scan(ids) for _, ids in sorted(by_worker.items())])
 

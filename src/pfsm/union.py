@@ -12,16 +12,18 @@ epsilon set are never mutated, so an update copies only the top-level
 containers (state set, final labels, the two transition dicts) and the
 ancillary state's epsilon set, the one set an update edits. Old
 generations therefore stay valid, and an update costs O(states) pointer
-copies rather than a copy of every edge. The generations of one build or
-load also share the label registry, which is append-only.
+copies rather than a copy of every edge. The directory is the only home
+of label text and, with its text index `label_ids`, is copied the same
+way: a removed label drops out of every later generation. Label ids are
+never reused; a label removed and added again gets a new one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .automaton import (Automaton, AutomatonFormatError, LabelRegistry,
-                        dump_lines, parse_lines, validate)
+from .automaton import (Automaton, AutomatonFormatError, dump_lines,
+                        parse_lines, validate)
 
 
 class DuplicateLabelError(ValueError):
@@ -34,7 +36,6 @@ class UnknownLabelError(KeyError):
 
 @dataclass(frozen=True)
 class PatternEntry:
-    label_id: int
     label: str
     entry: int
     owned: frozenset[int]
@@ -47,17 +48,18 @@ class PatternEntry:
 @dataclass
 class Pfsm:
     automaton: Automaton
-    labels: LabelRegistry
-    directory: dict[int, PatternEntry]
-    generation: int = 0
-    next_state_id: int = field(default=0)
+    directory: dict[int, PatternEntry]    # label id -> pattern
+    label_ids: dict[str, int]             # label text -> label id
+    generation: int
+    next_state_id: int
+    next_label_id: int
 
     @property
     def initial(self) -> int:
         return self.automaton.initial
 
     def label_text(self, label_id: int) -> str:
-        return self.labels.text(label_id)
+        return self.directory[label_id].label
 
     def live_labels(self) -> list[int]:
         return sorted(self.directory)
@@ -83,14 +85,13 @@ def _graft(dst: Automaton, src: Automaton, states, base: int,
     return remap
 
 
-def _append(union: Automaton, labels: LabelRegistry,
-            directory: dict[int, PatternEntry], base: int, label: str,
+def _append(union: Automaton, directory: dict[int, PatternEntry],
+            label_ids: dict[str, int], base: int, lid: int, label: str,
             machine: Automaton) -> int:
-    """Graft machine into union at state id base, behind a new q0 edge.
-    Returns the next free state id."""
-    if label in labels and labels.id_of(label) in directory:
+    """Graft machine into union at state id base, behind a new q0 edge,
+    as label id lid. Returns the next free state id."""
+    if label in label_ids:
         raise DuplicateLabelError(f"duplicate label {label!r}")
-    lid = labels.intern(label)
     try:
         remap = _graft(union, machine, machine.states, base, lid)
         entry = remap[machine.initial]
@@ -98,7 +99,8 @@ def _append(union: Automaton, labels: LabelRegistry,
         raise ValueError(f"pattern {label!r}: state {exc.args[0]} is used "
                          f"but not in the machine's state set") from None
     union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
-    directory[lid] = PatternEntry(lid, label, entry, frozenset(remap.values()))
+    directory[lid] = PatternEntry(label, entry, frozenset(remap.values()))
+    label_ids[label] = lid
     return base + len(remap)
 
 
@@ -114,28 +116,31 @@ def _next_generation(a: Automaton) -> Automaton:
 def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
     """Assemble labeled pattern machines into a union machine."""
     union = Automaton({0}, 0, {}, {}, {})
-    labels = LabelRegistry()
     directory: dict[int, PatternEntry] = {}
+    label_ids: dict[str, int] = {}
     next_id = 1
-    for label, machine in patterns:
-        next_id = _append(union, labels, directory, next_id, label, machine)
-    return Pfsm(union, labels, directory, generation=0, next_state_id=next_id)
+    for lid, (label, machine) in enumerate(patterns):
+        next_id = _append(union, directory, label_ids, next_id, lid, label,
+                          machine)
+    return Pfsm(union, directory, label_ids, 0, next_id, len(patterns))
 
 
 def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
     """New generation with the pattern appended. Existing state ids unchanged."""
     union = _next_generation(p.automaton)
-    directory = dict(p.directory)
-    next_id = _append(union, p.labels, directory, p.next_state_id, label, machine)
-    return Pfsm(union, p.labels, directory, p.generation + 1, next_id)
+    directory, label_ids = dict(p.directory), dict(p.label_ids)
+    next_id = _append(union, directory, label_ids, p.next_state_id,
+                      p.next_label_id, label, machine)
+    return Pfsm(union, directory, label_ids, p.generation + 1, next_id,
+                p.next_label_id + 1)
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     """New generation with the pattern's states and edges removed.
     Surviving state ids are unchanged; removed ids are never reused."""
-    if label not in p.labels or p.labels.id_of(label) not in p.directory:
+    if label not in p.label_ids:
         raise UnknownLabelError(label)
-    lid = p.labels.id_of(label)
+    lid = p.label_ids[label]
     entry = p.directory[lid]
     union = _next_generation(p.automaton)
     for s in entry.owned:
@@ -144,17 +149,17 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
         union.epsilon_transitions.pop(s, None)
         union.final_labels.pop(s, None)
     union.epsilon_transitions[union.initial].discard(entry.entry)
-    directory = dict(p.directory)
-    del directory[lid]
-    return Pfsm(union, p.labels, directory, p.generation + 1, p.next_state_id)
+    directory, label_ids = dict(p.directory), dict(p.label_ids)
+    del directory[lid], label_ids[label]
+    return Pfsm(union, directory, label_ids, p.generation + 1,
+                p.next_state_id, p.next_label_id)
 
 
 def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
     """The stand-alone machine of one pattern, renumbered to dense ids.
     Finals carry label 0 (single-pattern convention)."""
     if label_id not in p.directory:
-        raise UnknownLabelError(p.labels.text(label_id)
-                                if 0 <= label_id < len(p.labels) else label_id)
+        raise UnknownLabelError(label_id)
     entry = p.directory[label_id]
     out = Automaton(set(), 0, {}, {}, {})
     out.initial = _graft(out, p.automaton, entry.owned, 0, 0)[entry.entry]
@@ -177,9 +182,12 @@ def validate_pfsm(p: Pfsm) -> list[str]:
             if outside:
                 problems.append(f"pattern {entry.label!r} state {s} has edges "
                                 f"leaving the pattern, to {sorted(outside)}")
-        for f in entry.owned & a.finals:
-            if a.final_labels.get(f) != lid:
-                problems.append(f"final {f} labeled {a.final_labels.get(f)}, owner is {lid}")
+        for f in sorted(entry.owned & a.finals):
+            if a.final_labels[f] != lid:
+                other = p.directory.get(a.final_labels[f])
+                text = other.label if other else a.final_labels[f]
+                problems.append(f"final {f} is labeled {text!r} but owned by "
+                                f"pattern {entry.label!r}")
     if seen | {a.initial} != a.states:
         problems.append("pattern directory does not partition the non-initial states")
     if a.byte_transitions.get(a.initial):
@@ -199,7 +207,7 @@ def dump_pfsm(p: Pfsm) -> str:
         if not entry.label or " ".join(entry.label.split()) != entry.label:
             raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
                              f"empty or has irregular whitespace")
-    lines = dump_lines(p.automaton, p.labels.text)
+    lines = dump_lines(p.automaton, p.label_text)
     for lid in sorted(p.directory):
         entry = p.directory[lid]
         lines.append(f"pattern {entry.label} {entry.entry}")
@@ -243,22 +251,25 @@ def load_pfsm(text: str) -> Pfsm:
 def _assemble_from_directory(a: Automaton, final_texts: dict[int, str],
                              declared: list[tuple[str, int]]) -> Pfsm:
     q0 = a.initial
-    labels = LabelRegistry()
     directory: dict[int, PatternEntry] = {}
-    # Ownership is reachability from the entry state, excluding q0.
-    for label, entry_state in declared:
-        if label in labels:
+    label_ids: dict[str, int] = {}
+    # Labels are numbered in pattern-line order. Ownership is reachability
+    # from the entry state, excluding q0.
+    for lid, (label, entry_state) in enumerate(declared):
+        if label in label_ids:
             raise AutomatonFormatError(f"duplicate pattern label {label!r}")
-        lid = labels.intern(label)
+        if entry_state not in a.states:
+            raise AutomatonFormatError(f"pattern {label!r} entry state "
+                                       f"{entry_state} is not a state of the machine")
         owned = _reachable(a, entry_state) - {q0}
-        directory[lid] = PatternEntry(lid, label, entry_state, frozenset(owned))
-    # Re-key final labels onto registry ids.
+        directory[lid] = PatternEntry(label, entry_state, frozenset(owned))
+        label_ids[label] = lid
+    # Re-key final labels from their texts onto label ids.
     for f, text in final_texts.items():
-        if text not in labels:
+        if text not in label_ids:
             raise AutomatonFormatError(f"final {f} labeled {text!r} which has no pattern line")
-        a.final_labels[f] = labels.id_of(text)
-    p = Pfsm(a, labels, directory, generation=0,
-             next_state_id=max(a.states) + 1 if a.states else 1)
+        a.final_labels[f] = label_ids[text]
+    p = Pfsm(a, directory, label_ids, 0, max(a.states) + 1, len(declared))
     problems = validate_pfsm(p)
     if problems:
         raise AutomatonFormatError("; ".join(problems))

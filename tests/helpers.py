@@ -23,8 +23,9 @@ FIG2_MATCHES = {
 }
 
 # PFSM-AUT dumps the union loader must refuse, with a fragment of the
-# error: pattern x's final state 2 has an edge back into q0, and a
-# pattern line whose entry state is not an integer.
+# error: pattern x's final state 2 has an edge back into q0, a pattern
+# line whose entry state is not an integer, pattern b's final labeled
+# with pattern a's text, and a pattern entry that is not a state.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -32,7 +33,16 @@ BAD_PFSM_DUMPS = [
     ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\neps 0 1\n"
      "pattern x abc\n",
      "malformed pattern line 'pattern x abc'"),
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a\nstate 3\n"
+     "state 4 final a\ntrans 1 0x61 2\ntrans 3 0x62 4\neps 0 1\neps 0 3\n"
+     "pattern a 1\npattern b 3\n",
+     "final 4 is labeled 'a' but owned by pattern 'b'"),
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1 final a\neps 0 1\n"
+     "pattern a 1\npattern b 5\n",
+     "pattern 'b' entry state 5 is not a state of the machine"),
 ]
+BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
+                     "final-labeled-by-other-pattern", "entry-not-a-state"]
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:
@@ -96,7 +106,7 @@ def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
         else:
             machines.append((f"p{i}", nfa))
     p = build_pfsm(machines)
-    labeled = [(p.labels.id_of(f"p{i}"), ast) for i, ast in enumerate(asts)]
+    labeled = [(p.label_ids[f"p{i}"], ast) for i, ast in enumerate(asts)]
     data = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, max_input)))
     return p, labeled, data, form
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from helpers import BAD_PFSM_DUMPS, FIG1_PATTERNS
+from helpers import BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_PATTERNS
 
 from pfsm.cli import main
 
@@ -93,7 +93,7 @@ def test_match_zero_workers_is_usage_error(runner, strategy):
 
 
 @pytest.mark.parametrize("strategy, workers", [
-    ("regex", 3), ("lazy", 2), ("chained", 2), ("chained", 3),
+    ("single", 1), ("regex", 3), ("lazy", 2), ("chained", 2), ("chained", 3),
 ])
 def test_match_strategies_equal_single(runner, strategy, workers):
     single = runner.invoke(main, ["match", *fig1_args(), "--text", "aacacab"])
@@ -119,6 +119,18 @@ def test_match_segments_needs_lazy_or_chained(runner, strategy, segments):
                                   "--segments", segments])
     assert result.exit_code == 2
     assert "--segments" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--strategy", "chained", "--workers", "5", "--segments", "3"],
+    ["--strategy", "single", "--workers", "4"],
+], ids=["workers-beside-segments", "workers-with-single"])
+def test_match_workers_never_ignored(runner, args):
+    # The cuts fix the worker count, and `single` runs one worker, so a
+    # --workers value either would ignore is refused.
+    result = runner.invoke(main, ["match", "-e", "ab", "--text", "abab", *args])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
 
 
 def test_match_from_pattern_and_input_files(runner, tmp_path):
@@ -220,8 +232,7 @@ def test_compile_dump_load_match(runner, tmp_path):
     assert match.output == FIG2_TSV
 
 
-@pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS,
-                         ids=["edge-leaves-pattern", "non-integer-entry"])
+@pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS, ids=BAD_PFSM_DUMP_IDS)
 def test_match_rejects_malformed_automaton(runner, tmp_path, text, fragment):
     dump = tmp_path / "bad.aut"
     dump.write_text(text)

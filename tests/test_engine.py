@@ -237,7 +237,7 @@ def test_far_carry_keeps_its_absolute_tag():
     assert list(carry.tags.values()) == [{0}]
     out = []
     _, snap = run_segment(p, b"ccb", None, carry, out.append, base=10**6)
-    assert out == [Match(p.labels.id_of("gap"), 0, 10**6 + 2)]
+    assert out == [Match(p.label_ids["gap"], 0, 10**6 + 2)]
     assert list(snap.tags.values()) == [{0}]
     assert load_active_set(dump_active_set(snap)) == snap
 
@@ -334,7 +334,7 @@ def test_active_set_wire_rejects_garbage():
 
 def test_match_output_formats():
     p = build_fig1("dfa")
-    m = Match(p.labels.id_of("a*c"), 0, 2)
+    m = Match(p.label_ids["a*c"], 0, 2)
     assert format_match_tsv(m, p, FIG1_INPUT) == "a*c\t0\t2\taac"
     assert format_match_jsonl(m, p, FIG1_INPUT) == \
         '{"label": "a*c", "start": 0, "end": 2, "match": "aac"}'

@@ -7,7 +7,7 @@ import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, build_fig1, gen_instance,
                      match_texts)
 
-from pfsm import build_pfsm, find_matches
+from pfsm import build_pfsm, find_matches, remove_pattern
 from pfsm.compile import compile_pattern
 from pfsm.parallel import (PartitionPlan, PlanError, data_plan, regex_plan,
                            run_chained_partitioned, run_lazy_partitioned,
@@ -42,6 +42,14 @@ def test_malformed_plans_rejected():
         run_regex_partitioned(p, b"a", PartitionPlan("regex", 2, assignment=()))
     with pytest.raises(PlanError, match="expected 'regex'"):
         run_regex_partitioned(p, b"a", data_plan("lazy", 1, 1))
+    # Assigned ids that are not live labels: one never issued, one removed.
+    every = tuple((lid, 0) for lid in p.live_labels())
+    with pytest.raises(PlanError, match="not in the machine: 7$"):
+        run_regex_partitioned(p, b"a", PartitionPlan(
+            "regex", 1, assignment=every + ((7, 0),)))
+    q = remove_pattern(p, "ac")
+    with pytest.raises(PlanError, match=f"not in the machine: {p.label_ids['ac']}$"):
+        run_regex_partitioned(q, b"a", PartitionPlan("regex", 1, assignment=every))
 
 
 @serial

@@ -4,8 +4,9 @@ import random
 import re
 
 import pytest
-from helpers import (BAD_PFSM_DUMPS, FIG1_INPUT, FIG2_MATCHES, FIG1_PATTERNS,
-                     build_fig1, gen_instance, match_texts)
+from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
+                     FIG2_MATCHES, FIG1_PATTERNS, build_fig1, gen_instance,
+                     match_texts)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
@@ -29,10 +30,10 @@ def test_fig1_structure():
         for j in range(i + 1, 3):
             assert not owned[i] & owned[j]
     assert set().union(*owned) | {q0} == a.states
-    for entry in p.directory.values():
+    for lid, entry in p.directory.items():
         finals = entry.owned & a.finals
         assert finals
-        assert all(a.final_labels[f] == entry.label_id for f in finals)
+        assert all(a.final_labels[f] == lid for f in finals)
     assert validate_pfsm(p) == []
 
 
@@ -81,8 +82,8 @@ def test_extract_unknown_id_names_the_id():
         extract_pattern(p, -1)
     assert exc.value.args == (-1,)
     with pytest.raises(UnknownLabelError) as exc:
-        extract_pattern(remove_pattern(p, "ac"), p.labels.id_of("ac"))
-    assert exc.value.args == ("ac",)
+        extract_pattern(remove_pattern(p, "ac"), p.label_ids["ac"])
+    assert exc.value.args == (p.label_ids["ac"],)
 
 
 def test_add_to_empty_equals_build():
@@ -148,17 +149,26 @@ def test_updates_leave_earlier_generations_intact():
     assert find_matches(q, b"xcbab") == before
 
 
-def test_updates_share_the_label_registry():
-    p = build_fig1("dfa")
-    q = add_pattern(p, "extra", compile_pattern("(a|c)b"))
-    r = remove_pattern(q, "ac")
-    assert q.labels is p.labels and r.labels is p.labels
+def test_removed_label_leaves_later_generations():
+    # A lineage under live updates holds the live labels only: 1,000
+    # remove+add rounds leave one label, and the first generation still
+    # formats its own.
+    m = compile_pattern("ab")
+    p = first = build_pfsm([("p0", m)])
+    for k in range(1, 1001):
+        p = add_pattern(remove_pattern(p, f"p{k - 1}"), f"p{k}", m)
+    assert len(p.directory) == len(p.label_ids) == 1
+    assert "p0" not in p.label_ids
+    assert p.live_labels() == [1000]
+    assert first.label_text(0) == "p0"
+    assert match_texts(find_matches(first, b"xab"), first) == {("p0", 1, 2)}
+    assert match_texts(find_matches(p, b"xab"), p) == {("p1000", 1, 2)}
 
 
 def test_branches_keep_their_own_labels_and_matches():
     # Two branches of one parent add the same label with different
-    # machines: the shared registry gives it one id, each branch keeps
-    # its own machine, and a later add on one branch stays there.
+    # machines: each branch has its own directory, so each keeps its own
+    # machine and text, and a later add on one branch stays there.
     p = build_fig1("dfa")
     left = add_pattern(p, "new", compile_pattern("cab"))
     right = add_pattern(remove_pattern(p, "ac"), "new", compile_pattern("ca"))
@@ -262,6 +272,25 @@ def test_dump_load_roundtrip_behavior_and_bytes():
         assert dump_pfsm(loaded) == text
 
 
+def test_dump_load_roundtrip_after_live_updates():
+    # A label removed and added again gets a new id, so "ac" is listed
+    # after "z"; the dump keeps that order through a load.
+    p = build_fig1("dfa")
+    q = remove_pattern(p, "ac")
+    q = add_pattern(q, "z", compile_pattern("z", "dfa"))
+    q = add_pattern(q, "ac", compile_pattern("ac", "dfa"))
+    assert [q.label_text(lid) for lid in q.live_labels()] \
+        == ["a*c", "a(ca)*b", "z", "ac"]
+    text = dump_pfsm(q)
+    loaded = load_pfsm(text)
+    assert validate_pfsm(loaded) == []
+    assert dump_pfsm(loaded) == text
+    data = FIG1_INPUT + b"zacz"
+    got = match_texts(find_matches(q, data), q)
+    assert match_texts(find_matches(loaded, data), loaded) == got
+    assert {("z", 7, 7), ("ac", 8, 9)} <= got
+
+
 def test_load_plain_automaton_without_directory():
     machine = compile_pattern("a*c", "dfa")
     single = build_pfsm([("a*c", machine)])
@@ -272,8 +301,7 @@ def test_load_plain_automaton_without_directory():
         == match_texts(find_matches(single, b"aac"), single)
 
 
-@pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS,
-                         ids=["edge-leaves-pattern", "non-integer-entry"])
+@pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS, ids=BAD_PFSM_DUMP_IDS)
 def test_load_rejects_malformed_directory(text, fragment):
     with pytest.raises(AutomatonFormatError, match=re.escape(fragment)):
         load_pfsm(text)
