@@ -17,7 +17,7 @@ from .automaton import AutomatonFormatError
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
 from .engine import format_match_jsonl, format_match_tsv, run
 from .oracle import all_matches
-from .parallel import PartitionPlan, PlanError, data_plan, regex_plan, run_partitioned
+from .parallel import PlanError, data_plan, regex_plan, run_partitioned
 from .syntax import RegexSyntaxError, parse_regex
 from .union import Pfsm, build_pfsm, dump_pfsm, load_pfsm
 
@@ -60,6 +60,9 @@ def _compile_set(entries, form) -> Pfsm:
 def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
     if automaton_file and (exprs or patterns_file):
         raise click.UsageError("--automaton conflicts with -e/--patterns")
+    if automaton_file and form is not None:
+        raise click.UsageError("--form conflicts with --automaton: the dump "
+                               "fixes each pattern's form")
     if automaton_file:
         try:
             with open(automaton_file, encoding="utf-8") as fh:
@@ -71,7 +74,7 @@ def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
     entries = _gather_patterns(exprs, patterns_file)
     if not entries:
         raise click.UsageError("no patterns given (-e, --patterns, or --automaton)")
-    return _compile_set(entries, form)
+    return _compile_set(entries, form or "auto")
 
 
 def _read_input(text, input_file) -> bytes:
@@ -88,26 +91,6 @@ def _read_input(text, input_file) -> bytes:
     return text.encode("utf-8")
 
 
-def _parse_segments(strategy, segments_flag) -> tuple[int, ...] | None:
-    """Explicit cut points, or None for even segments."""
-    if segments_flag == "auto":
-        return None
-    if strategy not in ("lazy", "chained"):
-        raise click.UsageError("--segments needs --strategy lazy or chained")
-    try:
-        return tuple(int(c) for c in segments_flag.split(","))
-    except ValueError as exc:
-        raise click.UsageError(f"bad --segments {segments_flag!r}") from exc
-
-
-def _make_plan(strategy, workers, cuts, n, pfsm) -> PartitionPlan:
-    if strategy == "regex":
-        return regex_plan(pfsm, workers)
-    if cuts is not None:
-        return PartitionPlan(strategy, len(cuts) + 1, cuts=cuts)
-    return data_plan(strategy, n, workers)
-
-
 @click.group()
 def main():
     """Multi-pattern regex matcher reporting every match at every span."""
@@ -122,30 +105,23 @@ def main():
 @click.option("--text", default=None, help="Input string (UTF-8 bytes).")
 @click.option("--input", "input_file", type=click.Path(), default=None,
               help="Input file (raw bytes).")
-@click.option("--form", type=click.Choice(["nfa", "dfa", "auto"]), default="auto",
-              help="Per-pattern machine form.")
+@click.option("--form", type=click.Choice(["nfa", "dfa", "auto"]), default=None,
+              help="Per-pattern machine form (default auto; not with --automaton).")
 @click.option("--strategy", type=click.Choice(["single", "regex", "lazy", "chained"]),
               default="single")
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Worker count (default 1; partitioned strategies only).")
-@click.option("--segments", "segments_flag", default="auto",
-              help="Comma-separated cut points, or 'auto' for even segments "
-                   "(lazy and chained only).")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              help="Worker count (above 1 for partitioned strategies only).")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
 @click.option("--stats", is_flag=True,
               help="Append a scan-statistics summary (single strategy only).")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
-              form, strategy, workers, segments_flag, fmt, stats):
+              form, strategy, workers, fmt, stats):
     """Scan input and print every match, sorted by (end, start, label)."""
     if stats and strategy != "single":
         raise click.UsageError("--stats needs --strategy single")
-    cuts = _parse_segments(strategy, segments_flag)
-    if workers is not None and workers > 1 and strategy == "single":
+    if workers > 1 and strategy == "single":
         raise click.UsageError("--workers above 1 needs --strategy regex, "
                                "lazy or chained")
-    if workers is not None and cuts is not None:
-        raise click.UsageError("--workers conflicts with --segments: the cut "
-                               "points fix the worker count")
     pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
     data = _read_input(text, input_file)
     formatter = format_match_tsv if fmt == "tsv" else format_match_jsonl
@@ -158,7 +134,8 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
             matches = []
         else:
             try:
-                plan = _make_plan(strategy, workers or 1, cuts, len(data), pfsm)
+                plan = (regex_plan(pfsm, workers) if strategy == "regex"
+                        else data_plan(strategy, len(data), workers))
                 matches = run_partitioned(pfsm, data, plan)
             except PlanError as exc:
                 raise MatchError(str(exc)) from exc

@@ -4,8 +4,8 @@ compile_nfa is a Thompson-style construction: every machine it produces has
 exactly one initial state and exactly one final state with no outgoing
 edges, which is the shape the union-machine builder relies on.
 
-nfa_to_dfa is epsilon-closure subset construction with a configurable state
-ceiling; overflow raises StateCeilingExceeded so the caller can keep the
+nfa_to_dfa is epsilon-closure subset construction under a fixed state
+ceiling (DEFAULT_STATE_CEILING); overflow raises StateCeilingExceeded so the caller can keep the
 NFA form instead (the time/space trade-off knob).
 """
 
@@ -111,13 +111,14 @@ def compile_nfa(ast: Node) -> Automaton:
                      {exit_: 0})
 
 
-def nfa_to_dfa(nfa: Automaton, state_ceiling: int = DEFAULT_STATE_CEILING) -> Automaton:
+def nfa_to_dfa(nfa: Automaton) -> Automaton:
     """Subset construction. Language-preserving; output has no epsilon edges
     and at most one successor per (state, byte).
 
-    Raises StateCeilingExceeded when more than state_ceiling subset states
-    would be created.
+    Raises StateCeilingExceeded when more than DEFAULT_STATE_CEILING subset
+    states would be created.
     """
+    ceiling = DEFAULT_STATE_CEILING
     start = frozenset(epsilon_closure(nfa, {nfa.initial}))
     ids: dict[frozenset[int], int] = {start: 0}
     worklist = [start]
@@ -142,8 +143,8 @@ def nfa_to_dfa(nfa: Automaton, state_ceiling: int = DEFAULT_STATE_CEILING) -> Au
         for byte, succ in outgoing.items():
             target = frozenset(epsilon_closure(nfa, succ))
             if target not in ids:
-                if len(ids) >= state_ceiling:
-                    raise StateCeilingExceeded(state_ceiling)
+                if len(ids) >= ceiling:
+                    raise StateCeilingExceeded(ceiling)
                 ids[target] = len(ids)
                 worklist.append(target)
                 lab = label_of(target)
@@ -155,8 +156,7 @@ def nfa_to_dfa(nfa: Automaton, state_ceiling: int = DEFAULT_STATE_CEILING) -> Au
                      final_labels)
 
 
-def compile_pattern(pattern: str | bytes, form: str = "auto",
-                    state_ceiling: int = DEFAULT_STATE_CEILING) -> Automaton:
+def compile_pattern(pattern: str | bytes, form: str = "auto") -> Automaton:
     """Parse and compile one pattern.
 
     form: "nfa", "dfa" (overflow is a hard error), or "auto" (DFA unless the
@@ -172,10 +172,10 @@ def compile_pattern(pattern: str | bytes, form: str = "auto",
     if form == "nfa":
         return nfa
     if form == "dfa":
-        return nfa_to_dfa(nfa, state_ceiling)
+        return nfa_to_dfa(nfa)
     if form == "auto":
         try:
-            return nfa_to_dfa(nfa, state_ceiling)
+            return nfa_to_dfa(nfa)
         except StateCeilingExceeded:
             return nfa
     raise ValueError(f"unknown form {form!r}")

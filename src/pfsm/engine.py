@@ -372,8 +372,11 @@ def load_active_set(text: str) -> ActiveSet:
         raise ActiveSetFormatError(f"bad header, expected {ACTIVESET_HEADER!r}")
     if len(lines) < 2 or not lines[1].startswith("gen "):
         raise ActiveSetFormatError("missing generation line")
+    gen_line = lines[1].split()
+    if len(gen_line) != 2:
+        raise ActiveSetFormatError(f"malformed generation line {lines[1]!r}")
     try:
-        gen = int(lines[1].split()[1])
+        gen = int(gen_line[1])
         tags: dict[int, set[int]] = {}
         for line in lines[2:]:
             tokens = line.split()

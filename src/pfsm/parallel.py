@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .engine import ActiveSet, Match, find_matches, run_segment
@@ -22,23 +23,25 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    strategy: str                          # "regex" | "lazy" | "chained"
-    workers: int
-    assignment: tuple[tuple[int, int], ...] | None = None  # (label id, worker)
-    cuts: tuple[int, ...] | None = None    # ascending interior cut points
+    """How one scan is split; the worker count follows from it.
 
-    def assignment_map(self) -> dict[int, int]:
-        return dict(self.assignment or ())
+    A regex plan lists `groups`, one tuple of label ids per worker, and every
+    live label sits in exactly one group. A lazy or chained plan lists
+    `cuts`, the ascending interior cut points of the input, and runs
+    len(cuts) + 1 workers, one per segment.
+    """
+    strategy: str                          # "regex" | "lazy" | "chained"
+    groups: tuple[tuple[int, ...], ...] = ()
+    cuts: tuple[int, ...] = ()
 
 
 def regex_plan(p: Pfsm, workers: int) -> PartitionPlan:
-    """Round-robin assignment of the live labels."""
+    """Deal the live labels round-robin; no group is left empty."""
     if workers < 1:
         raise PlanError(f"need at least one worker, got {workers}")
     labels = p.live_labels()
-    return PartitionPlan("regex", workers,
-                         assignment=tuple((lid, i % workers)
-                                          for i, lid in enumerate(labels)))
+    groups = (tuple(labels[k::workers]) for k in range(workers))
+    return PartitionPlan("regex", groups=tuple(g for g in groups if g))
 
 
 def data_plan(strategy: str, n: int, workers: int) -> PartitionPlan:
@@ -49,34 +52,32 @@ def data_plan(strategy: str, n: int, workers: int) -> PartitionPlan:
         raise PlanError(f"need at least one worker, got {workers}")
     workers = min(workers, n) if n else 1
     cuts = tuple(n * k // workers for k in range(1, workers))
-    return PartitionPlan(strategy, workers, cuts=cuts)
+    return PartitionPlan(strategy, cuts=cuts)
 
 
 def segments(plan: PartitionPlan, n: int) -> list[tuple[int, int]]:
     """Inclusive (lo, hi) bounds of each worker's segment."""
-    cuts = plan.cuts or ()
+    cuts = plan.cuts
     if any(not 0 < c < n for c in cuts) or list(cuts) != sorted(set(cuts)):
         raise PlanError(f"malformed cuts {cuts} for input of length {n}")
     bounds = [0, *cuts, n]
     return [(bounds[k], bounds[k + 1] - 1) for k in range(len(bounds) - 1)]
 
 
-def _check_assignment(p: Pfsm, plan: PartitionPlan) -> dict[int, list[int]]:
-    amap = plan.assignment_map()
-    unknown = sorted(lid for lid in amap if lid not in p.directory)
+def _check_groups(p: Pfsm, plan: PartitionPlan) -> None:
+    listed = Counter(lid for group in plan.groups for lid in group)
+    unknown = sorted(lid for lid in listed if lid not in p.directory)
     if unknown:
         raise PlanError(f"assigned labels not in the machine: "
                         f"{', '.join(map(str, unknown))}")
-    missing = [lid for lid in p.live_labels() if lid not in amap]
+    repeated = sorted(lid for lid, k in listed.items() if k > 1)
+    if repeated:
+        raise PlanError(f"labels listed more than once: "
+                        f"{', '.join(map(str, repeated))}")
+    missing = [lid for lid in p.live_labels() if lid not in listed]
     if missing:
         names = ", ".join(p.label_text(lid) for lid in missing)
         raise PlanError(f"unassigned labels: {names}")
-    by_worker: dict[int, list[int]] = {}
-    for lid, w in amap.items():
-        if not 0 <= w < plan.workers:
-            raise PlanError(f"worker {w} out of range")
-        by_worker.setdefault(w, []).append(lid)
-    return by_worker
 
 
 def run_regex_partitioned(p: Pfsm, data: bytes,
@@ -84,17 +85,17 @@ def run_regex_partitioned(p: Pfsm, data: bytes,
     """Each worker scans the full input with only its assigned patterns."""
     if plan.strategy != "regex":
         raise PlanError(f"plan strategy is {plan.strategy!r}, expected 'regex'")
-    by_worker = _check_assignment(p, plan)
+    _check_groups(p, plan)
 
-    def scan(label_ids: list[int]) -> list[Match]:
-        ids = sorted(label_ids)
+    def scan(group: tuple[int, ...]) -> list[Match]:
+        ids = sorted(group)
         sub = build_pfsm([(p.label_text(lid), extract_pattern(p, lid))
                           for lid in ids])
         # Sub-machine label k is the worker's k-th label.
         return [Match(ids[m.label], m.start, m.end)
                 for m in find_matches(sub, data)]
 
-    return _merge([scan(ids) for _, ids in sorted(by_worker.items())])
+    return _merge([scan(group) for group in plan.groups])
 
 
 def run_lazy_partitioned(p: Pfsm, data: bytes,

@@ -104,30 +104,12 @@ def test_match_strategies_equal_single(runner, strategy, workers):
     assert result.output == single.output
 
 
-def test_match_explicit_segments(runner):
-    result = runner.invoke(main, ["match", *fig1_args(), "--text", "aacacab",
-                                  "--strategy", "chained", "--segments", "2,5"])
-    assert result.exit_code == 0
-    assert result.output == FIG2_TSV
-
-
-@pytest.mark.parametrize("strategy, segments", [("single", "1"),
-                                                ("regex", "9,x")])
-def test_match_segments_needs_lazy_or_chained(runner, strategy, segments):
-    result = runner.invoke(main, ["match", "-e", "ab", "--text", "abab",
-                                  "--strategy", strategy,
-                                  "--segments", segments])
-    assert result.exit_code == 2
-    assert "--segments" in result.output
-
-
 @pytest.mark.parametrize("args", [
-    ["--strategy", "chained", "--workers", "5", "--segments", "3"],
     ["--strategy", "single", "--workers", "4"],
-], ids=["workers-beside-segments", "workers-with-single"])
+], ids=["workers-with-single"])
 def test_match_workers_never_ignored(runner, args):
-    # The cuts fix the worker count, and `single` runs one worker, so a
-    # --workers value either would ignore is refused.
+    # `single` runs one worker, so a --workers value it would ignore is
+    # refused.
     result = runner.invoke(main, ["match", "-e", "ab", "--text", "abab", *args])
     assert result.exit_code == 2
     assert "--workers" in result.output
@@ -232,6 +214,18 @@ def test_compile_dump_load_match(runner, tmp_path):
     assert match.output == FIG2_TSV
 
 
+@pytest.mark.parametrize("form", ["nfa", "auto"])
+def test_match_form_beside_automaton_is_usage_error(runner, tmp_path, form):
+    # The dump fixes each pattern's form, so an explicit --form, even the
+    # default one, would be ignored and is refused.
+    dump = tmp_path / "machine.aut"
+    runner.invoke(main, ["compile", *fig1_args(), "-o", str(dump)])
+    result = runner.invoke(main, ["match", "--automaton", str(dump),
+                                  "--form", form, "--text", "aacacab"])
+    assert result.exit_code == 2
+    assert "--form" in result.output
+
+
 @pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS, ids=BAD_PFSM_DUMP_IDS)
 def test_match_rejects_malformed_automaton(runner, tmp_path, text, fragment):
     dump = tmp_path / "bad.aut"
@@ -264,9 +258,6 @@ def test_compile_empty_pattern_file(runner, tmp_path):
 def test_compile_dfa_ceiling_error(runner, monkeypatch):
     import pfsm.compile as compile_mod
     monkeypatch.setattr(compile_mod, "DEFAULT_STATE_CEILING", 2)
-    monkeypatch.setattr("pfsm.cli.compile_pattern",
-                        lambda pat, form: compile_mod.compile_pattern(
-                            pat, form, state_ceiling=2))
     result = runner.invoke(main, ["compile", "-e", "(a|b)*abb", "--form", "dfa"])
     assert result.exit_code == 1
     assert "exceeded" in result.output

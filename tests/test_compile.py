@@ -82,18 +82,20 @@ def test_subset_construction_state_bound():
         assert len(dfa.states) <= 2 ** len(nfa.states)
 
 
-def test_state_ceiling_trips():
+def test_state_ceiling_trips(monkeypatch):
+    monkeypatch.setattr("pfsm.compile.DEFAULT_STATE_CEILING", 16)
     nfa = compile_nfa(parse_regex("(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)"))
     with pytest.raises(StateCeilingExceeded):
-        nfa_to_dfa(nfa, state_ceiling=16)
+        nfa_to_dfa(nfa)
 
 
-def test_auto_form_falls_back_to_nfa():
+def test_auto_form_falls_back_to_nfa(monkeypatch):
+    monkeypatch.setattr("pfsm.compile.DEFAULT_STATE_CEILING", 16)
     pattern = "(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)"
-    machine = compile_pattern(pattern, "auto", state_ceiling=16)
+    machine = compile_pattern(pattern, "auto")
     assert not machine.deterministic
     with pytest.raises(StateCeilingExceeded):
-        compile_pattern(pattern, "dfa", state_ceiling=16)
+        compile_pattern(pattern, "dfa")
 
 
 def test_triple_oracle_agreement_on_random_trees():

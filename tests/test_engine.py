@@ -326,6 +326,8 @@ def test_active_set_wire_rejects_garbage():
         load_active_set("nope\n")
     with pytest.raises(ActiveSetFormatError):
         load_active_set("PFSM-ACT v1\ngen 1\nactive x 1\n")
+    with pytest.raises(ActiveSetFormatError, match="generation line"):
+        load_active_set("PFSM-ACT v1\ngen 1 junk\nactive 3 1\n")
     with pytest.raises(ActiveSetFormatError, match="state 2 .* tag -5"):
         load_active_set("PFSM-ACT v1\ngen 1\nactive 2 3,-5\n")
     with pytest.raises(ActiveSetFormatError, match="state 3 listed twice"):

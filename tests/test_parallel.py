@@ -28,9 +28,9 @@ def test_data_plan_segments_cover_and_partition():
 
 def test_malformed_plans_rejected():
     with pytest.raises(PlanError):
-        segments(PartitionPlan("chained", 3, cuts=(5, 2)), 10)
+        segments(PartitionPlan("chained", cuts=(5, 2)), 10)
     with pytest.raises(PlanError):
-        segments(PartitionPlan("lazy", 2, cuts=(12,)), 10)
+        segments(PartitionPlan("lazy", cuts=(12,)), 10)
     with pytest.raises(PlanError):
         data_plan("regex", 10, 2)
     p = build_fig1("dfa")
@@ -39,17 +39,21 @@ def test_malformed_plans_rejected():
     with pytest.raises(PlanError, match="at least one worker"):
         regex_plan(p, 0)
     with pytest.raises(PlanError, match="unassigned"):
-        run_regex_partitioned(p, b"a", PartitionPlan("regex", 2, assignment=()))
+        run_regex_partitioned(p, b"a", PartitionPlan("regex", groups=()))
     with pytest.raises(PlanError, match="expected 'regex'"):
         run_regex_partitioned(p, b"a", data_plan("lazy", 1, 1))
     # Assigned ids that are not live labels: one never issued, one removed.
-    every = tuple((lid, 0) for lid in p.live_labels())
+    every = tuple(p.live_labels())
     with pytest.raises(PlanError, match="not in the machine: 7$"):
         run_regex_partitioned(p, b"a", PartitionPlan(
-            "regex", 1, assignment=every + ((7, 0),)))
+            "regex", groups=(every + (7,),)))
     q = remove_pattern(p, "ac")
     with pytest.raises(PlanError, match=f"not in the machine: {p.label_ids['ac']}$"):
-        run_regex_partitioned(q, b"a", PartitionPlan("regex", 1, assignment=every))
+        run_regex_partitioned(q, b"a", PartitionPlan("regex", groups=(every,)))
+    # A label listed in two groups would be scanned, and reported, twice.
+    with pytest.raises(PlanError, match="more than once: 0$"):
+        run_regex_partitioned(p, b"a", PartitionPlan(
+            "regex", groups=((0, 1), (0, 2))))
 
 
 @serial
@@ -68,7 +72,7 @@ def test_regex_partitioned_single_worker_is_identity():
 @serial
 def test_fig2_lazy_partitioned(executor):
     p = build_fig1("dfa")
-    plan = PartitionPlan("lazy", 2, cuts=(4,))  # segments [0,3] and [4,6]
+    plan = PartitionPlan("lazy", cuts=(4,))  # segments [0,3] and [4,6]
     got = run_lazy_partitioned(p, FIG1_INPUT, plan)
     assert match_texts(got, p) == FIG2_MATCHES
 
@@ -90,7 +94,7 @@ def test_lazy_worker_scope():
 
 def test_lazy_single_segment_is_identity():
     p = build_fig1("dfa")
-    got = run_lazy_partitioned(p, FIG1_INPUT, PartitionPlan("lazy", 1, cuts=()))
+    got = run_lazy_partitioned(p, FIG1_INPUT, PartitionPlan("lazy"))
     assert got == find_matches(p, FIG1_INPUT)
 
 
@@ -98,7 +102,7 @@ def test_lazy_single_segment_is_identity():
 def test_fig2_chained_partitioned(executor):
     p = build_fig1("dfa")
     for cuts in [(4,), (2, 5)]:
-        plan = PartitionPlan("chained", len(cuts) + 1, cuts=cuts)
+        plan = PartitionPlan("chained", cuts=cuts)
         got = run_chained_partitioned(p, FIG1_INPUT, plan)
         assert match_texts(got, p) == FIG2_MATCHES
 
@@ -108,7 +112,7 @@ def test_chained_frontier_hops_across_every_segment(executor):
     # A match spanning all four single-byte segments must ride a 3-hop
     # frontier chain into the last worker.
     p = build_pfsm([("aaaa", compile_pattern("aaaa", "dfa"))])
-    plan = PartitionPlan("chained", 4, cuts=(1, 2, 3))
+    plan = PartitionPlan("chained", cuts=(1, 2, 3))
     got = run_chained_partitioned(p, b"aaaa", plan)
     assert match_texts(got, p) == {("aaaa", 0, 3)}
     assert got == find_matches(p, b"aaaa")
@@ -117,7 +121,7 @@ def test_chained_frontier_hops_across_every_segment(executor):
 def test_chained_single_segment_is_identity():
     p = build_fig1("dfa")
     got = run_chained_partitioned(p, FIG1_INPUT,
-                                  PartitionPlan("chained", 1, cuts=()))
+                                  PartitionPlan("chained"))
     assert got == find_matches(p, FIG1_INPUT)
 
 
@@ -136,15 +140,20 @@ def test_randomized_equivalence_with_single_run(strategy, executor):
         assert got == find_matches(p, data), (strategy, workers, data)
 
 
+def test_regex_plan_deals_labels_round_robin():
+    # One group per worker, never an empty one: the plan's length is the
+    # number of workers that actually run.
+    p = build_fig1("dfa")
+    assert regex_plan(p, 2).groups == ((0, 2), (1,))
+    assert regex_plan(p, 9).groups == ((0,), (1,), (2,))
+
+
 def test_regex_partitioning_shrinks_resident_machine():
     p = build_fig1("dfa")
     total = sum(e.n_states for e in p.directory.values())
-    plan = regex_plan(p, 3)
-    amap = plan.assignment_map()
-    per_worker = {}
-    for lid, w in amap.items():
-        per_worker[w] = per_worker.get(w, 0) + p.directory[lid].n_states
-    assert max(per_worker.values()) < total
+    per_worker = [sum(p.directory[lid].n_states for lid in group)
+                  for group in regex_plan(p, 3).groups]
+    assert max(per_worker) < total
 
 
 def test_empty_input_all_strategies():
