@@ -11,14 +11,14 @@ from .automaton import Automaton, epsilon_closure, step, validate
 from .compile import (StateCeilingExceeded, compile_nfa, compile_pattern,
                       nfa_to_dfa, read_pattern_file)
 from .engine import (ActiveSet, Engine, EngineStats, Match,
-                     GenerationMismatchError, dump_active_set, find_matches,
-                     load_active_set, run, run_segment)
+                     GenerationMismatchError, find_matches, run, run_segment)
 from .parallel import (PartitionPlan, data_plan, regex_plan,
                        run_chained_partitioned, run_lazy_partitioned,
                        run_partitioned, run_regex_partitioned)
 from .syntax import RegexSyntaxError, parse_regex
-from .union import (Pfsm, add_pattern, build_pfsm, dump_pfsm, extract_pattern,
-                    load_pfsm, remove_pattern, validate_pfsm)
+from .union import (Pfsm, add_pattern, build_pfsm, extract_pattern,
+                    remove_pattern, validate_pfsm)
+from .wire import dump_active_set, dump_pfsm, load_active_set, load_pfsm
 
 __all__ = [
     "ActiveSet", "Automaton", "Engine", "EngineStats", "GenerationMismatchError",

@@ -13,13 +13,13 @@ import sys
 
 import click
 
-from .automaton import AutomatonFormatError
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
 from .engine import format_match_jsonl, format_match_tsv, run
 from .oracle import all_matches
 from .parallel import PlanError, data_plan, regex_plan, run_partitioned
 from .syntax import RegexSyntaxError, parse_regex
-from .union import Pfsm, build_pfsm, dump_pfsm, load_pfsm
+from .union import Pfsm, build_pfsm
+from .wire import AutomatonFormatError, dump_pfsm, load_pfsm
 
 
 class MatchError(click.ClickException):

@@ -4,9 +4,9 @@ compile_nfa is a Thompson-style construction: every machine it produces has
 exactly one initial state and exactly one final state with no outgoing
 edges, which is the shape the union-machine builder relies on.
 
-nfa_to_dfa is epsilon-closure subset construction under a fixed state
-ceiling (DEFAULT_STATE_CEILING); overflow raises StateCeilingExceeded so the caller can keep the
-NFA form instead (the time/space trade-off knob).
+nfa_to_dfa is epsilon-closure subset construction under the fixed state
+ceiling DEFAULT_STATE_CEILING (10,000 states); overflow raises
+StateCeilingExceeded so the caller can keep the NFA form instead.
 """
 
 from __future__ import annotations

@@ -41,15 +41,9 @@ from operator import itemgetter
 from .automaton import Automaton, epsilon_closure, step
 from .union import Pfsm
 
-ACTIVESET_HEADER = "PFSM-ACT v1"
-
 
 class GenerationMismatchError(ValueError):
     """Active set refers to a different structural generation of the machine."""
-
-
-class ActiveSetFormatError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, order=True)
@@ -353,46 +347,6 @@ def find_matches(pfsm: Pfsm, data: bytes) -> list[Match]:
     out: list[Match] = []
     run(pfsm, data, out.append)
     return out
-
-
-# ---------------------------------------------------------------------------
-# wire/output formats
-
-def dump_active_set(aset: ActiveSet) -> str:
-    lines = [ACTIVESET_HEADER, f"gen {aset.generation}"]
-    for s in sorted(aset.tags):
-        tags = ",".join(str(t) for t in sorted(aset.tags[s]))
-        lines.append(f"active {s} {tags}")
-    return "\n".join(lines) + "\n"
-
-
-def load_active_set(text: str) -> ActiveSet:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ACTIVESET_HEADER:
-        raise ActiveSetFormatError(f"bad header, expected {ACTIVESET_HEADER!r}")
-    if len(lines) < 2 or not lines[1].startswith("gen "):
-        raise ActiveSetFormatError("missing generation line")
-    gen_line = lines[1].split()
-    if len(gen_line) != 2:
-        raise ActiveSetFormatError(f"malformed generation line {lines[1]!r}")
-    try:
-        gen = int(gen_line[1])
-        tags: dict[int, set[int]] = {}
-        for line in lines[2:]:
-            tokens = line.split()
-            if tokens[0] != "active" or len(tokens) != 3:
-                raise ActiveSetFormatError(f"malformed line {line!r}")
-            state = int(tokens[1])
-            state_tags = {int(t) for t in tokens[2].split(",")}
-            if min(state_tags) < 0:
-                raise ActiveSetFormatError(f"active state {state} carries "
-                                           f"negative tag {min(state_tags)}")
-            if state in tags:
-                raise ActiveSetFormatError(f"active state {state} listed twice")
-            tags[state] = state_tags
-    except (ValueError, IndexError) as exc:
-        raise ActiveSetFormatError(str(exc)) from exc
-    return ActiveSet(gen, tags)
 
 
 def format_match_tsv(m: Match, pfsm: Pfsm, data: bytes) -> str:

@@ -34,6 +34,13 @@ class PartitionPlan:
     groups: tuple[tuple[int, ...], ...] = ()
     cuts: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if self.strategy not in ("regex", "lazy", "chained"):
+            raise PlanError(f"unknown strategy {self.strategy!r}")
+        unused = "cuts" if self.strategy == "regex" else "groups"
+        if getattr(self, unused):
+            raise PlanError(f"a {self.strategy} plan takes no {unused}")
+
 
 def regex_plan(p: Pfsm, workers: int) -> PartitionPlan:
     """Deal the live labels round-robin; no group is left empty."""

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import (Automaton, AutomatonFormatError, dump_lines,
-                        parse_lines, validate)
+from .automaton import Automaton, successors, validate
 
 
 class DuplicateLabelError(ValueError):
@@ -178,7 +177,7 @@ def validate_pfsm(p: Pfsm) -> list[str]:
         if entry.entry not in entry.owned:
             problems.append(f"pattern {entry.label!r} entry state not owned")
         for s in sorted(entry.owned):
-            outside = _successors(a, s) - entry.owned
+            outside = successors(a, s) - entry.owned
             if outside:
                 problems.append(f"pattern {entry.label!r} state {s} has edges "
                                 f"leaving the pattern, to {sorted(outside)}")
@@ -192,105 +191,10 @@ def validate_pfsm(p: Pfsm) -> list[str]:
         problems.append("pattern directory does not partition the non-initial states")
     if a.byte_transitions.get(a.initial):
         problems.append("ancillary initial state has byte transitions")
+    if a.initial in a.final_labels:
+        problems.append("ancillary initial state is final")
     q0_eps = a.epsilon_transitions.get(a.initial, set())
     entries = {e.entry for e in p.directory.values()}
     if q0_eps != entries:
         problems.append("ancillary epsilon edges do not match pattern entries")
     return problems
-
-
-def dump_pfsm(p: Pfsm) -> str:
-    """The machine's interchange dump. Raises ValueError for a label the
-    loader would not read back unchanged: the format splits lines on
-    whitespace runs."""
-    for entry in p.directory.values():
-        if not entry.label or " ".join(entry.label.split()) != entry.label:
-            raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
-                             f"empty or has irregular whitespace")
-    lines = dump_lines(p.automaton, p.label_text)
-    for lid in sorted(p.directory):
-        entry = p.directory[lid]
-        lines.append(f"pattern {entry.label} {entry.entry}")
-    return "\n".join(lines) + "\n"
-
-
-def load_pfsm(text: str) -> Pfsm:
-    """Load a union machine from its interchange dump.
-
-    Also accepts a plain single-automaton dump without `pattern` lines
-    (externally produced machines): the whole automaton is wrapped as a
-    single pattern.
-    """
-    a, final_texts, extra = parse_lines(text.splitlines())
-    problems = validate(a)
-    if problems:
-        raise AutomatonFormatError("; ".join(problems))
-
-    declared: list[tuple[str, int]] = []
-    for line in extra:
-        tokens = line.split()
-        if tokens[0] != "pattern":
-            raise AutomatonFormatError(f"unknown directive {tokens[0]!r}")
-        if len(tokens) < 3:
-            raise AutomatonFormatError(f"malformed pattern line {line!r}")
-        try:
-            declared.append((" ".join(tokens[1:-1]), int(tokens[-1])))
-        except ValueError:
-            raise AutomatonFormatError(f"malformed pattern line {line!r}: "
-                                       f"entry state is not an integer") from None
-
-    if declared:
-        return _assemble_from_directory(a, final_texts, declared)
-    # No directory: wrap the automaton as one pattern under label "m0"
-    # (or its sole final label text when unambiguous).
-    texts = sorted(set(final_texts.values()))
-    label = texts[0] if len(texts) == 1 else "m0"
-    return build_pfsm([(label, a)])
-
-
-def _assemble_from_directory(a: Automaton, final_texts: dict[int, str],
-                             declared: list[tuple[str, int]]) -> Pfsm:
-    q0 = a.initial
-    directory: dict[int, PatternEntry] = {}
-    label_ids: dict[str, int] = {}
-    # Labels are numbered in pattern-line order. Ownership is reachability
-    # from the entry state, excluding q0.
-    for lid, (label, entry_state) in enumerate(declared):
-        if label in label_ids:
-            raise AutomatonFormatError(f"duplicate pattern label {label!r}")
-        if entry_state not in a.states:
-            raise AutomatonFormatError(f"pattern {label!r} entry state "
-                                       f"{entry_state} is not a state of the machine")
-        owned = _reachable(a, entry_state) - {q0}
-        directory[lid] = PatternEntry(label, entry_state, frozenset(owned))
-        label_ids[label] = lid
-    # Re-key final labels from their texts onto label ids.
-    for f, text in final_texts.items():
-        if text not in label_ids:
-            raise AutomatonFormatError(f"final {f} labeled {text!r} which has no pattern line")
-        a.final_labels[f] = label_ids[text]
-    p = Pfsm(a, directory, label_ids, 0, max(a.states) + 1, len(declared))
-    problems = validate_pfsm(p)
-    if problems:
-        raise AutomatonFormatError("; ".join(problems))
-    return p
-
-
-def _successors(a: Automaton, s: int) -> set[int]:
-    """Targets of every byte and epsilon edge leaving s."""
-    succ = set(a.epsilon_transitions.get(s, ()))
-    for targets in a.byte_transitions.get(s, {}).values():
-        succ |= targets
-    return succ
-
-
-def _reachable(a: Automaton, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in _successors(a, s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen

@@ -1,0 +1,211 @@
+"""The two text formats: `PFSM-AUT` machine dumps and `PFSM-ACT` carried
+active sets.
+
+Both are a header line, then one directive per line, split on whitespace;
+blank lines and lines starting with `#` are skipped:
+
+    PFSM-AUT v1                     PFSM-ACT v1
+    state <id> [initial] [final <label>]
+    trans <from> 0x<HH> <to>        gen <generation>
+    eps <from> <to>                 active <state> <tag>,<tag>,...
+    pattern <label> <entry state>
+
+Every integer has one spelling: ASCII decimal digits with no sign, `_` or
+leading zero; a byte is `0x` and two upper-case hex digits. A state is
+declared once and a tag is listed once per state. An error about a line
+names it (`line N:`).
+"""
+
+from __future__ import annotations
+
+import re
+
+from .automaton import Automaton, reachable, validate
+from .engine import ActiveSet
+from .union import PatternEntry, Pfsm, build_pfsm, validate_pfsm
+
+AUTOMATON_HEADER = "PFSM-AUT v1"
+ACTIVESET_HEADER = "PFSM-ACT v1"
+
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+_BYTE = re.compile(r"0x[0-9A-F]{2}")
+
+
+class AutomatonFormatError(ValueError):
+    """Malformed `PFSM-AUT` dump."""
+
+
+class ActiveSetFormatError(ValueError):
+    """Malformed `PFSM-ACT` carried set."""
+
+
+def _int(token: str, what: str, spelling: re.Pattern = _DECIMAL) -> int:
+    """The value of `token`, which must be in its one spelling."""
+    if not spelling.fullmatch(token):
+        raise ValueError(f"{what} {token} does not match {spelling.pattern}")
+    return int(token, 0)
+
+
+def _read(text: str, header: str, error: type[ValueError], directive) -> None:
+    """Check the header of `text`, then pass each directive line's tokens
+    to `directive`; a ValueError it raises becomes `error`, prefixed with
+    the line number."""
+    lines = text.splitlines()
+    if not lines:
+        raise error(f"line 1: empty file, expected header {header!r}")
+    if lines[0].strip() != header:
+        raise error(f"line 1: bad header {lines[0].strip()!r}, "
+                    f"expected {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            try:
+                directive(tokens)
+            except ValueError as exc:
+                raise error(f"line {lineno}: {exc}") from None
+
+
+def dump_pfsm(p: Pfsm) -> str:
+    """The machine's dump, states and edges in sorted order. Raises
+    ValueError for a label the loader would not read back unchanged:
+    lines are split on whitespace runs."""
+    for entry in p.directory.values():
+        if not entry.label or " ".join(entry.label.split()) != entry.label:
+            raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
+                             f"empty or has irregular whitespace")
+    a = p.automaton
+    lines = [AUTOMATON_HEADER]
+    for s in sorted(a.states):
+        line = f"state {s}"
+        if s == a.initial:
+            line += " initial"
+        if s in a.final_labels:
+            line += f" final {p.label_text(a.final_labels[s])}"
+        lines.append(line)
+    for s, table in sorted(a.byte_transitions.items()):
+        lines += (f"trans {s} 0x{byte:02X} {t}"
+                  for byte in sorted(table) for t in sorted(table[byte]))
+    for s, succ in sorted(a.epsilon_transitions.items()):
+        lines += (f"eps {s} {t}" for t in sorted(succ))
+    lines += (f"pattern {p.directory[lid].label} {p.directory[lid].entry}"
+              for lid in sorted(p.directory))
+    return "\n".join(lines) + "\n"
+
+
+def load_pfsm(text: str) -> Pfsm:
+    """Load a union machine from its dump.
+
+    A plain automaton dump without `pattern` lines (an externally produced
+    machine) is wrapped as one pattern, named by its sole final label text
+    or else `m0`. Label ids follow the order of the `pattern` lines.
+    """
+    a = Automaton(set(), None, {}, {}, {})   # no initial state yet
+    final_texts: dict[int, str] = {}
+    entries: dict[str, int] = {}              # pattern label -> entry state
+
+    def directive(tokens: list[str]) -> None:
+        kind = tokens[0]
+        if kind == "state":
+            sid, *rest = tokens[1:]
+            s = _int(sid, "state")
+            if s in a.states:
+                raise ValueError(f"state {s} declared twice")
+            a.states.add(s)
+            if rest[:1] == ["initial"]:
+                if a.initial is not None:
+                    raise ValueError("second initial state")
+                a.initial, rest = s, rest[1:]
+            if rest:
+                if rest[0] != "final":
+                    raise ValueError(f"unknown marker {rest[0]!r}")
+                if len(rest) < 2:
+                    raise ValueError("final without label")
+                final_texts[s] = " ".join(rest[1:])
+        elif kind == "trans":
+            frm, byte, to = tokens[1:]
+            table = a.byte_transitions.setdefault(_int(frm, "transition source"), {})
+            table.setdefault(_int(byte, "byte", _BYTE), set()).add(
+                _int(to, "transition target"))
+        elif kind == "eps":
+            frm, to = tokens[1:]
+            a.epsilon_transitions.setdefault(_int(frm, "epsilon source"),
+                                             set()).add(_int(to, "epsilon target"))
+        elif kind == "pattern":
+            line = " ".join(tokens)
+            if len(tokens) < 3:
+                raise ValueError(f"malformed pattern line {line!r}")
+            label = " ".join(tokens[1:-1])
+            if label in entries:
+                raise ValueError(f"duplicate pattern label {label!r}")
+            entries[label] = _int(tokens[-1], f"malformed pattern line "
+                                              f"{line!r}: entry state")
+        else:
+            raise ValueError(f"unknown directive {kind!r}")
+
+    _read(text, AUTOMATON_HEADER, AutomatonFormatError, directive)
+    if a.initial is None:
+        raise AutomatonFormatError("no initial state declared")
+    if not entries:
+        a.final_labels.update(dict.fromkeys(final_texts, 0))
+        _check(validate(a))
+        texts = set(final_texts.values())
+        return build_pfsm([(texts.pop() if len(texts) == 1 else "m0", a)])
+
+    label_ids = {label: lid for lid, label in enumerate(entries)}
+    for f, label in final_texts.items():
+        if label not in label_ids:
+            raise AutomatonFormatError(f"final {f} labeled {label!r} which has "
+                                       f"no pattern line")
+        a.final_labels[f] = label_ids[label]
+    directory = {}
+    for label, entry in entries.items():
+        if entry not in a.states:
+            raise AutomatonFormatError(f"pattern {label!r} entry state {entry} "
+                                       f"is not a state of the machine")
+        # A pattern owns what its entry reaches, short of q0.
+        owned = frozenset(reachable(a, entry) - {a.initial})
+        directory[label_ids[label]] = PatternEntry(label, entry, owned)
+    p = Pfsm(a, directory, label_ids, 0, max(a.states) + 1, len(entries))
+    _check(validate_pfsm(p))
+    return p
+
+
+def _check(problems: list[str]) -> None:
+    if problems:
+        raise AutomatonFormatError("; ".join(problems))
+
+
+def dump_active_set(aset: ActiveSet) -> str:
+    lines = [ACTIVESET_HEADER, f"gen {aset.generation}"]
+    lines += (f"active {s} {','.join(map(str, sorted(aset.tags[s])))}"
+              for s in sorted(aset.tags))
+    return "\n".join(lines) + "\n"
+
+
+def load_active_set(text: str) -> ActiveSet:
+    """Load a carried active set; its first directive is `gen`."""
+    aset = ActiveSet(None, {})                # no generation yet
+
+    def directive(tokens: list[str]) -> None:
+        if aset.generation is None:
+            if tokens[0] != "gen" or len(tokens) != 2:
+                raise ValueError(f"malformed generation line "
+                                 f"{' '.join(tokens)!r}")
+            aset.generation = _int(tokens[1], "generation")
+            return
+        if tokens[0] != "active" or len(tokens) != 3:
+            raise ValueError(f"malformed line {' '.join(tokens)!r}")
+        state = _int(tokens[1], "active state")
+        if state in aset.tags:
+            raise ValueError(f"active state {state} listed twice")
+        tags = aset.tags[state] = set()
+        for token in tokens[2].split(","):
+            tag = _int(token, f"active state {state} carries tag")
+            if tag in tags:
+                raise ValueError(f"active state {state} lists tag {tag} twice")
+            tags.add(tag)
+
+    _read(text, ACTIVESET_HEADER, ActiveSetFormatError, directive)
+    if aset.generation is None:
+        raise ActiveSetFormatError("missing generation line")
+    return aset

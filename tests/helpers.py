@@ -25,7 +25,8 @@ FIG2_MATCHES = {
 # PFSM-AUT dumps the union loader must refuse, with a fragment of the
 # error: pattern x's final state 2 has an edge back into q0, a pattern
 # line whose entry state is not an integer, pattern b's final labeled
-# with pattern a's text, and a pattern entry that is not a state.
+# with pattern a's text, a pattern entry that is not a state, and a final
+# label on the ancillary initial state.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -40,9 +41,12 @@ BAD_PFSM_DUMPS = [
     ("PFSM-AUT v1\nstate 0 initial\nstate 1 final a\neps 0 1\n"
      "pattern a 1\npattern b 5\n",
      "pattern 'b' entry state 5 is not a state of the machine"),
+    ("PFSM-AUT v1\nstate 0 initial final x\nstate 1\neps 0 1\npattern x 1\n",
+     "ancillary initial state is final"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
-                     "final-labeled-by-other-pattern", "entry-not-a-state"]
+                     "final-labeled-by-other-pattern", "entry-not-a-state",
+                     "final-initial-state"]
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfsm.automaton import (Automaton, AutomatonFormatError, dump_lines,
-                            epsilon_closure, parse_lines, step, validate)
+from pfsm.automaton import Automaton, epsilon_closure, step, validate
 from pfsm.compile import compile_pattern
+from pfsm.union import build_pfsm
+from pfsm.wire import AutomatonFormatError, dump_pfsm, load_pfsm
 
 
 def small_automaton(rng: random.Random, n: int = 6):
@@ -120,16 +121,18 @@ def test_determinism_is_derived_not_stored():
 
 def test_dump_parse_roundtrip():
     nfa = compile_pattern("a(ca)*b", "nfa")
-    lines = dump_lines(nfa, lambda lid: "a(ca)*b")
-    parsed, final_texts, extra = parse_lines(lines)
-    assert extra == []
-    assert parsed.states == nfa.states
-    assert parsed.initial == nfa.initial
-    assert parsed.byte_transitions == nfa.byte_transitions
-    assert parsed.epsilon_transitions == nfa.epsilon_transitions
-    assert parsed.finals == nfa.finals
-    assert final_texts == {f: "a(ca)*b" for f in nfa.finals}
-    assert dump_lines(parsed, lambda lid: "a(ca)*b") == lines
+    p = build_pfsm([("a(ca)*b", nfa)])
+    text = dump_pfsm(p)
+    loaded = load_pfsm(text)
+    parsed = loaded.automaton
+    assert parsed.states == p.automaton.states
+    assert parsed.initial == p.initial
+    assert parsed.byte_transitions == p.automaton.byte_transitions
+    assert parsed.epsilon_transitions == p.automaton.epsilon_transitions
+    assert parsed.final_labels == p.automaton.final_labels
+    assert [loaded.label_text(lid) for lid in loaded.live_labels()] \
+        == ["a(ca)*b"]
+    assert dump_pfsm(loaded) == text
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -141,4 +144,4 @@ def test_dump_parse_roundtrip():
 ])
 def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(AutomatonFormatError, match=fragment):
-        parse_lines(text.splitlines())
+        load_pfsm(text)

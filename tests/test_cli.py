@@ -241,7 +241,7 @@ def test_compile_roundtrip_is_byte_identical(runner, tmp_path):
     second = tmp_path / "b.aut"
     runner.invoke(main, ["compile", *fig1_args(), "-o", str(first)])
     # compile from the dump itself: load, dump again
-    from pfsm.union import dump_pfsm, load_pfsm
+    from pfsm.wire import dump_pfsm, load_pfsm
     assert dump_pfsm(load_pfsm(first.read_text())) == first.read_text()
     runner.invoke(main, ["compile", *fig1_args(), "-o", str(second)])
     assert first.read_text() == second.read_text()

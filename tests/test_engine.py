@@ -10,10 +10,11 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
 
 from pfsm import build_pfsm, compile_pattern, step
 from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
-                         dump_active_set, find_matches, format_match_jsonl,
-                         format_match_tsv, load_active_set, run, run_segment)
+                         find_matches, format_match_jsonl, format_match_tsv,
+                         run, run_segment)
 from pfsm.oracle import all_matches
 from pfsm.union import remove_pattern
+from pfsm.wire import ActiveSetFormatError, dump_active_set, load_active_set
 
 # These tests scan through run/find_matches, the fast path that the
 # reference Engine is checked against below; this single-valued
@@ -321,7 +322,6 @@ def test_active_set_wire_roundtrip():
 
 
 def test_active_set_wire_rejects_garbage():
-    from pfsm.engine import ActiveSetFormatError
     with pytest.raises(ActiveSetFormatError):
         load_active_set("nope\n")
     with pytest.raises(ActiveSetFormatError):

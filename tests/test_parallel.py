@@ -54,6 +54,14 @@ def test_malformed_plans_rejected():
     with pytest.raises(PlanError, match="more than once: 0$"):
         run_regex_partitioned(p, b"a", PartitionPlan(
             "regex", groups=((0, 1), (0, 2))))
+    # A plan holds only the fields its strategy reads.
+    with pytest.raises(PlanError, match="unknown strategy 'bogus'"):
+        PartitionPlan("bogus")
+    with pytest.raises(PlanError, match="regex plan takes no cuts"):
+        PartitionPlan("regex", groups=(every,), cuts=(4,))
+    for strategy in ("lazy", "chained"):
+        with pytest.raises(PlanError, match=f"{strategy} plan takes no groups"):
+            PartitionPlan(strategy, groups=((0,),), cuts=(4,))
 
 
 @serial

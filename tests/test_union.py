@@ -11,9 +11,10 @@ from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
                   epsilon_closure)
-from pfsm.automaton import Automaton, AutomatonFormatError
+from pfsm.automaton import Automaton
 from pfsm.compile import compile_pattern
 from pfsm.union import DuplicateLabelError, UnknownLabelError
+from pfsm.wire import AutomatonFormatError
 
 
 def test_fig1_structure():
@@ -294,8 +295,8 @@ def test_dump_load_roundtrip_after_live_updates():
 def test_load_plain_automaton_without_directory():
     machine = compile_pattern("a*c", "dfa")
     single = build_pfsm([("a*c", machine)])
-    from pfsm.automaton import dump_lines
-    text = "\n".join(dump_lines(machine, lambda _: "a*c")) + "\n"
+    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a*c\n"
+            "trans 0 0x61 1\ntrans 0 0x63 2\ntrans 1 0x61 1\ntrans 1 0x63 2\n")
     loaded = load_pfsm(text)
     assert match_texts(find_matches(loaded, b"aac"), loaded) \
         == match_texts(find_matches(single, b"aac"), single)

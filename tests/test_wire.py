@@ -1,0 +1,140 @@
+"""The PFSM-AUT and PFSM-ACT text formats: a dump loads back to the same
+bytes, and every integer has one spelling."""
+
+import random
+import re
+
+import pytest
+from helpers import gen_alphabet, gen_ast, gen_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pfsm import add_pattern, remove_pattern
+from pfsm.compile import compile_nfa
+from pfsm.engine import ActiveSet
+from pfsm.wire import (ActiveSetFormatError, AutomatonFormatError,
+                       dump_active_set, dump_pfsm, load_active_set, load_pfsm)
+
+AUT = ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
+       "trans 1 0x61 2\neps 0 1\npattern x 1\n")
+ACT = "PFSM-ACT v1\ngen 1\nactive 3 1\n"
+
+active_sets = st.builds(
+    ActiveSet, st.integers(0, 10**9),
+    st.dictionaries(st.integers(0, 10**6),
+                    st.sets(st.integers(0, 10**12), min_size=1, max_size=4),
+                    max_size=5))
+
+
+def machines(seed: int):
+    """A random machine, then the same machine after one pattern is
+    removed and a new one added."""
+    rng = random.Random(seed)
+    p = gen_instance(rng, max_patterns=3, depth=4, max_input=0)[0]
+    q = remove_pattern(p, rng.choice(sorted(p.label_ids)))
+    added = compile_nfa(gen_ast(rng, gen_alphabet(rng), 3))
+    return p, add_pattern(q, "added", added)
+
+
+def integer_spans(line: str) -> list[tuple[int, int, bool]]:
+    """(start, end, is_byte) of each integer token on a directive line."""
+    tokens = list(re.finditer(r"\S+", line))
+    kind = tokens[0].group()
+    if kind == "trans":
+        return [(t.start(), t.end(), k == 2) for k, t in enumerate(tokens)
+                if k > 0]
+    picks = {"state": [1], "eps": [1, 2], "pattern": [-1], "gen": [1],
+             "active": [1]}[kind]
+    spans = [(tokens[k].start(), tokens[k].end(), False) for k in picks]
+    if kind == "active":
+        tags = tokens[2]
+        spans += [(tags.start() + m.start(), tags.start() + m.end(), False)
+                  for m in re.finditer(r"[^,]+", tags.group())]
+    return spans
+
+
+def respell(token: str, how: str) -> str:
+    """A respelling of the integer `token`: a sign, an `_`, an
+    Arabic-Indic digit or, for a byte, no `0x`."""
+    if how == "plus":
+        return "+" + token
+    if how == "underscore":
+        k = 3 if token.startswith("0x") else 1
+        return token[:k] + "_" + token[k:] if len(token) > k else "0_" + token
+    if how == "arabic-indic":
+        k = max(i for i, c in enumerate(token) if c.isdigit())
+        return token[:k] + chr(0x660 + int(token[k])) + token[k + 1:]
+    return token[2:]                       # "no-0x": the bare hex digits
+
+
+def assert_respellings_refused(text: str, load, error, data) -> None:
+    """Respell one integer token of a valid text; loading it must raise
+    `error` naming that token's line."""
+    lines = text.splitlines()
+    spots = [(i, span) for i, line in enumerate(lines) if i > 0
+             for span in integer_spans(line)]
+    i, (lo, hi, is_byte) = data.draw(st.sampled_from(spots))
+    hows = ["plus", "underscore", "arabic-indic"] + ["no-0x"] * is_byte
+    how = data.draw(st.sampled_from(hows))
+    lines[i] = lines[i][:lo] + respell(lines[i][lo:hi], how) + lines[i][hi:]
+    with pytest.raises(error, match=f"^line {i + 1}: "):
+        load("\n".join(lines) + "\n")
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_pfsm_dump_load_dump_is_byte_identical(seed):
+    for p in machines(seed):
+        text = dump_pfsm(p)
+        assert dump_pfsm(load_pfsm(text)) == text
+
+
+@given(active_sets)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_active_set_dump_load_dump_is_byte_identical(aset):
+    text = dump_active_set(aset)
+    loaded = load_active_set(text)
+    assert loaded == aset
+    assert dump_active_set(loaded) == text
+
+
+@given(st.integers(0, 10**6), st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_pfsm_respelled_integer_is_refused(seed, data):
+    text = dump_pfsm(machines(seed)[1])
+    assert_respellings_refused(text, load_pfsm, AutomatonFormatError, data)
+
+
+@given(active_sets, st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_active_set_respelled_integer_is_refused(aset, data):
+    assert_respellings_refused(dump_active_set(aset), load_active_set,
+                               ActiveSetFormatError, data)
+
+
+@pytest.mark.parametrize("load, error, text, line, bad", [
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 0_2"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans +1 0x61 2"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 61 2"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6_1 2"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 02"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6a 2"),
+    (load_pfsm, AutomatonFormatError, AUT, "pattern x 1", "pattern x ١"),
+    (load_active_set, ActiveSetFormatError, ACT, "gen 1", "gen 1_0"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active +3 1"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 1,1"),
+], ids=["underscore", "plus", "byte-without-0x", "byte-underscore",
+        "leading-zero", "lower-case-hex", "arabic-indic",
+        "gen-underscore", "active-plus", "tag-twice"])
+def test_one_line_respelled_is_refused(load, error, text, line, bad):
+    # Each bad line, put in place of a good one, is the only fault.
+    assert load(text) is not None
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(error, match=f"^line {lineno}: "):
+        load(text.replace(line, bad))
+
+
+def test_state_declared_twice_is_refused():
+    with pytest.raises(AutomatonFormatError,
+                       match="^line 4: state 1 declared twice$"):
+        load_pfsm(AUT.replace("state 1\n", "state 1\nstate 1\n"))
