@@ -1,28 +1,46 @@
-"""The union machine: many labeled pattern automata behind one ancillary
+"""The union machine: labeled pattern machines behind one ancillary
 initial state, with live add/remove.
 
-The ancillary initial state has one epsilon edge per registered pattern,
-each to that pattern's entry state. Every structural change bumps the
-generation counter and produces a new Pfsm value; state ids of surviving
-patterns never change, so a scanner holding an active set across an update
-can reconcile cheaply (or detect the mismatch and abort).
+The ancillary initial state has one epsilon edge per machine, to the
+machine's entry state. A machine usually holds one pattern; labels that
+share an entry share its machine. Literal patterns share one such machine,
+a prefix trie: the first literal's chain becomes the trie, and each later
+literal walks it from the entry and branches off with fresh states, its
+last node final for its label. A literal whose last node is already final
+for another label keeps its own chain, so a state carries one label. A
+label owns the states on its paths from its machine's entry to its finals
+(a trie label, its path from the entry to its final), and only labels of
+one machine share states.
+
+Every structural change bumps the generation counter and produces a new
+Pfsm value; surviving state ids never change, so a scanner holding an
+active set across an update can reconcile cheaply (or detect the mismatch
+and abort).
 
 Generations share structure. Once grafted, a state's byte table and
-epsilon set are never mutated, so an update copies only the top-level
-containers (state set, final labels, the two transition dicts) and the
-ancillary state's epsilon set, the one set an update edits. Old
-generations therefore stay valid, and an update costs O(states) pointer
-copies rather than a copy of every edge. The directory is the only home
-of label text and, with its text index `label_ids`, is copied the same
-way: a removed label drops out of every later generation. Label ids are
-never reused; a label removed and added again gets a new one.
+epsilon set are never mutated, trie tables included: an update copies the
+top-level containers (state set, final labels, the two transition dicts)
+and the ancillary state's epsilon set, and a trie insert or prune copies
+the one table it edits, that of the node a word branches from or that
+its pruned branch hangs from. Old generations therefore stay valid, and
+an update costs O(states) pointer copies rather than a copy of every
+edge. A trie remove drops the label's final and deletes the branch nodes
+that no longer lead to a final, so memory follows the live words; if a
+duplicate of the word keeps its own chain, the duplicate takes the final
+over instead and its chain goes. Removing a label of any other machine
+drops its finals and the states no other label of the machine owns, then
+the states the entry no longer reaches. The
+directory is the only home of label text and, with its text index
+`label_ids`, is copied the same way: a removed label drops out of every
+later generation. Label ids are never reused; a label removed and added
+again gets a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Automaton, successors, validate
+from .automaton import Automaton, reachable, successors, validate
 
 
 class DuplicateLabelError(ValueError):
@@ -52,6 +70,7 @@ class Pfsm:
     generation: int
     next_state_id: int
     next_label_id: int
+    trie: int | None = None               # entry of the literal trie
 
     @property
     def initial(self) -> int:
@@ -64,19 +83,25 @@ class Pfsm:
         return sorted(self.directory)
 
 
-def _graft(dst: Automaton, src: Automaton, states, base: int,
-           label_id: int) -> dict[int, int]:
+def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
+           clip: bool = False) -> dict[int, int]:
     """Copy `states` of src, with their edges, into dst, renumbered as
-    base, base+1, ... in sorted order; finals are relabeled label_id.
-    Every edge must stay inside `states`. Returns the renumbering."""
+    base, base+1, ... in sorted order; finals are relabeled label_id. An
+    edge leaving `states` is dropped when `clip` is set and raises
+    KeyError otherwise. Returns the renumbering."""
     remap = {s: base + i for i, s in enumerate(sorted(states))}
     for s, t in remap.items():
         dst.states.add(t)
         table = src.byte_transitions.get(s)
+        if table and clip:
+            table = {b: kept for b, succ in table.items()
+                     if (kept := succ & remap.keys())}
         if table:
             dst.byte_transitions[t] = {b: {remap[u] for u in succ}
                                        for b, succ in table.items()}
         succ = src.epsilon_transitions.get(s)
+        if succ and clip:
+            succ = succ & remap.keys()
         if succ:
             dst.epsilon_transitions[t] = {remap[u] for u in succ}
         if s in src.final_labels:
@@ -84,13 +109,79 @@ def _graft(dst: Automaton, src: Automaton, states, base: int,
     return remap
 
 
+def _literal_word(machine: Automaton) -> bytes | None:
+    """The word of a literal machine: no epsilon edges and one final, its
+    states one acyclic path of one-byte edges from the initial state to
+    that final. None for any other machine."""
+    trans, s = machine.byte_transitions, machine.initial
+    if len(machine.final_labels) != 1 or len(trans.get(s, ())) != 1 \
+            or any(machine.epsilon_transitions.values()):
+        return None
+    (final,) = machine.final_labels
+    path, word = {s}, []
+    while s != final:
+        row = trans.get(s)
+        if not row or len(row) != 1:
+            return None
+        ((byte, succ),) = row.items()
+        if len(succ) != 1:
+            return None
+        (s,) = succ
+        if s in path:
+            return None
+        path.add(s)
+        word.append(byte)
+    if trans.get(final) or path != machine.states:
+        return None
+    return bytes(word)
+
+
+def _insert(a: Automaton, root: int, word: bytes, base: int,
+            lid: int) -> tuple[list[int], int] | None:
+    """Walk `word` down the trie at `root`, branch off with fresh states
+    base, base+1, ... and make the last node final for lid. Returns the
+    path from the root and the next free state id, or None, leaving `a`
+    as it was, when the last node is already final."""
+    trans = a.byte_transitions
+    path = [root]
+    for i, byte in enumerate(word):
+        row = trans.get(path[-1])
+        succ = row.get(byte) if row else None
+        if not succ:
+            break
+        path.extend(succ)                   # a trie row has one successor
+    else:
+        if path[-1] in a.final_labels:
+            return None
+        a.final_labels[path[-1]] = lid
+        return path, base
+    fresh = range(base, base + len(word) - i)
+    trans[path[-1]] = {**trans.get(path[-1], {}), word[i]: {base}}
+    for s, byte in zip(fresh, word[i + 1:]):
+        trans[s] = {byte: {s + 1}}
+    a.states.update(fresh)
+    a.final_labels[fresh[-1]] = lid
+    path.extend(fresh)
+    return path, fresh.stop
+
+
 def _append(union: Automaton, directory: dict[int, PatternEntry],
             label_ids: dict[str, int], base: int, lid: int, label: str,
-            machine: Automaton) -> int:
-    """Graft machine into union at state id base, behind a new q0 edge,
-    as label id lid. Returns the next free state id."""
+            machine: Automaton, trie: int | None) -> tuple[int, int | None]:
+    """Put machine into union as label id lid: a literal joins the trie
+    at `trie`, anything else is grafted at state id base behind a new q0
+    edge (the first literal so becomes the trie). Returns the next free
+    state id and the trie's entry."""
     if label in label_ids:
         raise DuplicateLabelError(f"duplicate label {label!r}")
+    word = _literal_word(machine)
+    if word is not None and trie is not None:
+        joined = _insert(union, trie, word, base, lid)
+        if joined is not None:
+            path, base = joined
+            directory[lid] = PatternEntry(label, trie, frozenset(path))
+            label_ids[label] = lid
+            return base, trie
     try:
         remap = _graft(union, machine, machine.states, base, lid)
         entry = remap[machine.initial]
@@ -100,7 +191,9 @@ def _append(union: Automaton, directory: dict[int, PatternEntry],
     union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
     directory[lid] = PatternEntry(label, entry, frozenset(remap.values()))
     label_ids[label] = lid
-    return base + len(remap)
+    if word is not None and trie is None:
+        trie = entry
+    return base + len(remap), trie
 
 
 def _next_generation(a: Automaton) -> Automaton:
@@ -117,84 +210,304 @@ def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
     union = Automaton({0}, 0, {}, {}, {})
     directory: dict[int, PatternEntry] = {}
     label_ids: dict[str, int] = {}
-    next_id = 1
+    next_id, trie = 1, None
     for lid, (label, machine) in enumerate(patterns):
-        next_id = _append(union, directory, label_ids, next_id, lid, label,
-                          machine)
-    return Pfsm(union, directory, label_ids, 0, next_id, len(patterns))
+        next_id, trie = _append(union, directory, label_ids, next_id, lid,
+                                label, machine, trie)
+    return Pfsm(union, directory, label_ids, 0, next_id, len(patterns), trie)
 
 
 def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
-    """New generation with the pattern appended. Existing state ids unchanged."""
+    """New generation with the pattern added. Existing state ids unchanged."""
     union = _next_generation(p.automaton)
     directory, label_ids = dict(p.directory), dict(p.label_ids)
-    next_id = _append(union, directory, label_ids, p.next_state_id,
-                      p.next_label_id, label, machine)
+    next_id, trie = _append(union, directory, label_ids, p.next_state_id,
+                            p.next_label_id, label, machine, p.trie)
     return Pfsm(union, directory, label_ids, p.generation + 1, next_id,
-                p.next_label_id + 1)
+                p.next_label_id + 1, trie)
+
+
+def _twin(a: Automaton, directory: dict[int, PatternEntry], word: bytes,
+          trie: int) -> int | None:
+    """The label of the lowest-numbered machine besides the trie that is
+    one label's own chain spelling `word`, or None."""
+    trans, finals, eps = a.byte_transitions, a.final_labels, a.epsilon_transitions
+    best, lid = None, None
+    for entry in eps[a.initial]:
+        if entry == trie or (best is not None and entry > best):
+            continue
+        s = entry
+        for byte in word:
+            row = trans.get(s)
+            if s in finals or eps.get(s) or not row or len(row) != 1 \
+                    or len(row.get(byte, ())) != 1:
+                break
+            (s,) = row[byte]
+        else:
+            if s in finals and not trans.get(s) and not eps.get(s) \
+                    and sum(e.entry == entry for e in directory.values()) == 1:
+                best, lid = entry, finals[s]
+    return lid
+
+
+def _prune(a: Automaton, directory: dict[int, PatternEntry],
+           gone: PatternEntry) -> bool:
+    """Take a trie label's final from it. A label whose own chain spells
+    the same word takes the final over, and its chain goes; otherwise the
+    nodes of the path that no longer lead to a final go, and the one table
+    they hang from is copied. Returns True when the whole trie went."""
+    trans, finals = a.byte_transitions, a.final_labels
+    path, word = [gone.entry], bytearray()
+    while step := [(b, u) for b, succ in trans.get(path[-1], {}).items()
+                   for u in succ if u in gone.owned]:
+        ((byte, s),) = step
+        path.append(s)
+        word.append(byte)
+    lid = _twin(a, directory, bytes(word), gone.entry)
+    if lid is not None:
+        chain = directory[lid]
+        directory[lid] = PatternEntry(chain.label, gone.entry, gone.owned)
+        finals[path[-1]] = lid
+        _drop(a, directory, chain, lid)
+        return False
+    del finals[path[-1]]
+    cut = len(path)                         # path[cut:] goes
+    if not trans.get(path[-1]):
+        cut -= 1
+        while cut and path[cut - 1] not in finals and len(trans[path[cut - 1]]) == 1:
+            cut -= 1
+    for s in path[cut:]:
+        a.states.discard(s)
+        trans.pop(s, None)
+    if cut == 0:
+        a.epsilon_transitions[a.initial].discard(gone.entry)
+        return True
+    if cut < len(path):
+        parent, child = path[cut - 1], path[cut]
+        row = {b: succ for b, succ in trans[parent].items() if child not in succ}
+        if row:
+            trans[parent] = row
+        else:
+            del trans[parent]
+    return False
+
+
+def _drop(a: Automaton, directory: dict[int, PatternEntry], gone: PatternEntry,
+          lid: int) -> None:
+    """Drop label lid's finals and the states of `gone` that no label of
+    its machine left in `directory` owns, with the edges into them; the
+    machine and its q0 edge go with its last label. What the entry no
+    longer reaches goes too, and the other labels' states are read off
+    the rest as the loader reads them."""
+    kin = [(k, e.label) for k, e in directory.items() if e.entry == gone.entry]
+    kept = frozenset().union(*(directory[k].owned for k, _ in kin))
+    doomed = gone.owned - kept
+    for s in doomed:
+        a.states.discard(s)
+        a.byte_transitions.pop(s, None)
+        a.epsilon_transitions.pop(s, None)
+        a.final_labels.pop(s, None)
+    if not kin:
+        a.epsilon_transitions[a.initial].discard(gone.entry)
+        return
+    for s in kept:
+        if a.final_labels.get(s) == lid:
+            del a.final_labels[s]
+        table = a.byte_transitions.get(s)
+        if table and any(succ & doomed for succ in table.values()):
+            a.byte_transitions[s] = {b: succ - doomed for b, succ
+                                     in table.items() if succ - doomed}
+        succ = a.epsilon_transitions.get(s)
+        if succ and succ & doomed:
+            a.epsilon_transitions[s] = succ - doomed
+    live = reachable(a, gone.entry) - {a.initial}
+    for s in kept - live:
+        a.states.discard(s)
+        a.byte_transitions.pop(s, None)
+        a.epsilon_transitions.pop(s, None)
+    directory.update(_owners(a, gone.entry, sorted(kin), live))
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
-    """New generation with the pattern's states and edges removed.
-    Surviving state ids are unchanged; removed ids are never reused."""
+    """New generation without the pattern: its finals go, and so do its
+    states that no other label of its machine owns and those its machine's
+    entry no longer reaches. A duplicate literal on its own chain takes a
+    removed trie label's final over. Surviving state ids are unchanged;
+    removed ids are never reused."""
     if label not in p.label_ids:
         raise UnknownLabelError(label)
     lid = p.label_ids[label]
-    entry = p.directory[lid]
+    gone = p.directory[lid]
     union = _next_generation(p.automaton)
-    for s in entry.owned:
-        union.states.discard(s)
-        union.byte_transitions.pop(s, None)
-        union.epsilon_transitions.pop(s, None)
-        union.final_labels.pop(s, None)
-    union.epsilon_transitions[union.initial].discard(entry.entry)
     directory, label_ids = dict(p.directory), dict(p.label_ids)
     del directory[lid], label_ids[label]
+    trie = p.trie
+    if gone.entry == trie:
+        if _prune(union, directory, gone):
+            trie = _find_trie(union, directory)
+    else:
+        _drop(union, directory, gone, lid)
+        if gone.entry in union.states and (trie is None or gone.entry < trie):
+            trie = _find_trie(union, directory)   # what is left may be a trie
     return Pfsm(union, directory, label_ids, p.generation + 1,
-                p.next_state_id, p.next_label_id)
+                p.next_state_id, p.next_label_id, trie)
 
 
 def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
-    """The stand-alone machine of one pattern, renumbered to dense ids.
-    Finals carry label 0 (single-pattern convention)."""
+    """The stand-alone machine of one pattern: its own states, the edges
+    between them and its own finals, renumbered to dense ids. Finals
+    carry label 0 (single-pattern convention)."""
     if label_id not in p.directory:
         raise UnknownLabelError(label_id)
-    entry = p.directory[label_id]
+    entry, finals = p.directory[label_id], p.automaton.final_labels
     out = Automaton(set(), 0, {}, {}, {})
-    out.initial = _graft(out, p.automaton, entry.owned, 0, 0)[entry.entry]
+    remap = _graft(out, p.automaton, entry.owned, 0, 0, clip=True)
+    for s in entry.owned & finals.keys():
+        if finals[s] != label_id:
+            del out.final_labels[remap[s]]
+    out.initial = remap[entry.entry]
     return out
 
 
+def _machines(directory: dict[int, PatternEntry]) -> dict[int, dict[int, PatternEntry]]:
+    """The directory grouped by entry state: one group per machine."""
+    out: dict[int, dict[int, PatternEntry]] = {}
+    for lid, e in directory.items():
+        out.setdefault(e.entry, {})[lid] = e
+    return out
+
+
+def _is_trie(a: Automaton, entry: int, labels: dict[int, PatternEntry]) -> bool:
+    """Whether the machine at `entry` holding `labels` is a literal trie:
+    a tree of one-byte edges from a non-final entry, without epsilon
+    edges, whose leaves are final and whose labels have one final each."""
+    states = frozenset().union(*(e.owned for e in labels.values()))
+    if entry in a.final_labels:
+        return False
+    seen, stack, ends = {entry}, [entry], []
+    while stack:
+        s = stack.pop()
+        row = a.byte_transitions.get(s)
+        if a.epsilon_transitions.get(s) or not (row or s in a.final_labels):
+            return False
+        if s in a.final_labels:
+            ends.append(a.final_labels[s])
+        for succ in (row or {}).values():
+            if len(succ) != 1 or succ & seen:
+                return False
+            seen |= succ
+            stack.extend(succ)
+    return seen == states and sorted(ends) == sorted(labels)
+
+
+def _find_trie(a: Automaton, directory: dict[int, PatternEntry]) -> int | None:
+    """The entry of the lowest-numbered machine that is a literal trie."""
+    machines = _machines(directory)
+    return next((entry for entry in sorted(machines)
+                 if _is_trie(a, entry, machines[entry])), None)
+
+
+def _owners(a: Automaton, entry: int, labels: list[tuple[int, str]],
+            states: set[int]) -> dict[int, PatternEntry]:
+    """Directory entries of the machine at `entry` over `states`, for
+    `labels`, (id, text) pairs in id order: each label owns the entry and
+    the states on its paths to its finals, and states on no label's path
+    go with the last label."""
+    preds: dict[int, list[int]] = {}
+    for s in states:
+        for t in successors(a, s):
+            preds.setdefault(t, []).append(s)
+    owned: dict[int, set[int]] = {lid: set() for lid, _ in labels}
+    for f in states & a.finals:
+        owned.get(a.final_labels[f], set()).add(f)
+    for mine in owned.values():
+        stack = list(mine)
+        while stack:
+            for s in preds.get(stack.pop(), ()):
+                if s not in mine:
+                    mine.add(s)
+                    stack.append(s)
+        mine.add(entry)
+    owned[labels[-1][0]] |= states - set().union(*owned.values())
+    return {lid: PatternEntry(text, entry, frozenset(owned[lid]))
+            for lid, text in labels}
+
+
+def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
+    """The union machine `a` with its directory read off `patterns`, the
+    (label, entry state) pairs in label-id order: labels that name one
+    entry share the machine of the states that entry reaches."""
+    machines: dict[int, list[tuple[int, str]]] = {}
+    for lid, (label, entry) in enumerate(patterns):
+        machines.setdefault(entry, []).append((lid, label))
+    directory: dict[int, PatternEntry] = {}
+    for entry, labels in machines.items():
+        directory.update(_owners(a, entry, labels,
+                                 reachable(a, entry) - {a.initial}))
+    directory = dict(sorted(directory.items()))
+    label_ids = {label: lid for lid, (label, _) in enumerate(patterns)}
+    return Pfsm(a, directory, label_ids, 0, max(a.states) + 1, len(patterns),
+                _find_trie(a, directory))
+
+
+def wrap_machine(machine: Automaton, labels: list[str]) -> Pfsm:
+    """A union holding the states `machine` reaches as one machine whose
+    finals labeled k report labels[k]."""
+    union = Automaton({0}, 0, {}, {}, {})
+    remap = _graft(union, machine, reachable(machine, machine.initial), 1, 0)
+    for s, t in remap.items():
+        if s in machine.final_labels:
+            union.final_labels[t] = machine.final_labels[s]
+    entry = remap[machine.initial]
+    union.epsilon_transitions[0] = {entry}
+    return assemble(union, [(label, entry) for label in labels])
+
+
 def validate_pfsm(p: Pfsm) -> list[str]:
-    """Automaton invariants plus union-machine bookkeeping invariants."""
+    """Automaton invariants plus union-machine bookkeeping invariants:
+    machines partition the non-initial states, no edge leaves its machine,
+    every final carries a label of its machine and lies on that label's
+    states, and `trie` is the lowest-numbered literal-trie machine."""
     problems = validate(p.automaton)
     a = p.automaton
-    seen: set[int] = set()
-    for lid, entry in p.directory.items():
-        if entry.owned & seen:
-            problems.append(f"pattern {entry.label!r} shares states with another pattern")
-        seen |= entry.owned
-        if entry.entry not in entry.owned:
-            problems.append(f"pattern {entry.label!r} entry state not owned")
-        for s in sorted(entry.owned):
-            outside = successors(a, s) - entry.owned
+    machines = _machines(p.directory)
+    seen: dict[int, str] = {}                # state -> a label owning it
+    for entry, labels in machines.items():
+        owner: dict[int, str] = {}
+        for e in labels.values():
+            if entry not in e.owned:
+                problems.append(f"pattern {e.label!r} entry state not owned")
+            for s in e.owned:
+                owner.setdefault(s, e.label)
+        for s in sorted(owner.keys() & seen.keys()):
+            problems.append(f"patterns {seen[s]!r} and {owner[s]!r} of "
+                            f"different machines share state {s}")
+        seen |= owner
+        for s in sorted(owner):
+            outside = successors(a, s) - owner.keys()
             if outside:
-                problems.append(f"pattern {entry.label!r} state {s} has edges "
+                problems.append(f"pattern {owner[s]!r} state {s} has edges "
                                 f"leaving the pattern, to {sorted(outside)}")
-        for f in sorted(entry.owned & a.finals):
-            if a.final_labels[f] != lid:
-                other = p.directory.get(a.final_labels[f])
-                text = other.label if other else a.final_labels[f]
+        for f in sorted(owner.keys() & a.finals):
+            lid = a.final_labels[f]
+            if lid not in labels:
+                other = p.directory.get(lid)
+                text = other.label if other else lid
                 problems.append(f"final {f} is labeled {text!r} but owned by "
-                                f"pattern {entry.label!r}")
-    if seen | {a.initial} != a.states:
+                                f"pattern {owner[f]!r}")
+            elif f not in labels[lid].owned:
+                problems.append(f"final {f} of pattern {labels[lid].label!r} "
+                                f"is not among its states")
+    if seen.keys() | {a.initial} != a.states:
         problems.append("pattern directory does not partition the non-initial states")
     if a.byte_transitions.get(a.initial):
         problems.append("ancillary initial state has byte transitions")
     if a.initial in a.final_labels:
         problems.append("ancillary initial state is final")
     q0_eps = a.epsilon_transitions.get(a.initial, set())
-    entries = {e.entry for e in p.directory.values()}
-    if q0_eps != entries:
+    if q0_eps != machines.keys():
         problems.append("ancillary epsilon edges do not match pattern entries")
+    if not problems and p.trie != _find_trie(a, p.directory):
+        problems.append(f"trie entry {p.trie} is not the lowest-numbered "
+                        f"literal-trie machine")
     return problems

@@ -14,15 +14,25 @@ Every integer has one spelling: ASCII decimal digits with no sign, `_` or
 leading zero; a byte is `0x` and two upper-case hex digits. A state is
 declared once and a tag is listed once per state. An error about a line
 names it (`line N:`).
+
+A `pattern` line names a label and its machine's entry state. Lines that
+name one entry share that machine (the literal trie is one): its states
+are those the entry reaches, each label owns the states on its paths from
+the entry to its finals, and states on no label's path go with the
+machine's last label. Machines may not share states, an edge may not
+leave its machine, and a final must carry a label of its own machine. A
+dump without `pattern` lines is a plain machine; the states its initial
+state reaches load as one machine that keeps its final labels, or, with no
+final state, the dump is the empty union.
 """
 
 from __future__ import annotations
 
 import re
 
-from .automaton import Automaton, reachable, validate
+from .automaton import Automaton, validate
 from .engine import ActiveSet
-from .union import PatternEntry, Pfsm, build_pfsm, validate_pfsm
+from .union import Pfsm, assemble, validate_pfsm, wrap_machine
 
 AUTOMATON_HEADER = "PFSM-AUT v1"
 ACTIVESET_HEADER = "PFSM-ACT v1"
@@ -95,9 +105,17 @@ def dump_pfsm(p: Pfsm) -> str:
 def load_pfsm(text: str) -> Pfsm:
     """Load a union machine from its dump.
 
+    Label ids follow the order of the `pattern` lines. Lines that name one
+    entry state share its machine: each of their labels owns the states
+    on its paths from the entry to its finals, and states on no label's
+    path go with the machine's last label. The literal trie is the
+    lowest-numbered machine shaped as one.
+
     A plain automaton dump without `pattern` lines (an externally produced
-    machine) is wrapped as one pattern, named by its sole final label text
-    or else `m0`. Label ids follow the order of the `pattern` lines.
+    machine) is wrapped as one machine of the states its initial state
+    reaches that keeps its final labels, listed in the order they first
+    appear. A dump with no `pattern` line and no
+    final state is the empty union.
     """
     a = Automaton(set(), None, {}, {}, {})   # no initial state yet
     final_texts: dict[int, str] = {}
@@ -146,10 +164,18 @@ def load_pfsm(text: str) -> Pfsm:
     if a.initial is None:
         raise AutomatonFormatError("no initial state declared")
     if not entries:
-        a.final_labels.update(dict.fromkeys(final_texts, 0))
+        ids = {t: k for k, t in enumerate(dict.fromkeys(final_texts.values()))}
+        a.final_labels.update((f, ids[t]) for f, t in final_texts.items())
         _check(validate(a))
-        texts = set(final_texts.values())
-        return build_pfsm([(texts.pop() if len(texts) == 1 else "m0", a)])
+        if ids:
+            return wrap_machine(a, list(ids))
+        if a.states != {a.initial}:
+            raise AutomatonFormatError("a dump with no pattern line and no "
+                                       "final state is the empty union: it "
+                                       "has no state but the initial one")
+        p = Pfsm(a, {}, {}, 0, a.initial + 1, 0)
+        _check(validate_pfsm(p))
+        return p
 
     label_ids = {label: lid for lid, label in enumerate(entries)}
     for f, label in final_texts.items():
@@ -157,15 +183,11 @@ def load_pfsm(text: str) -> Pfsm:
             raise AutomatonFormatError(f"final {f} labeled {label!r} which has "
                                        f"no pattern line")
         a.final_labels[f] = label_ids[label]
-    directory = {}
     for label, entry in entries.items():
         if entry not in a.states:
             raise AutomatonFormatError(f"pattern {label!r} entry state {entry} "
                                        f"is not a state of the machine")
-        # A pattern owns what its entry reaches, short of q0.
-        owned = frozenset(reachable(a, entry) - {a.initial})
-        directory[label_ids[label]] = PatternEntry(label, entry, owned)
-    p = Pfsm(a, directory, label_ids, 0, max(a.states) + 1, len(entries))
+    p = assemble(a, list(entries.items()))
     _check(validate_pfsm(p))
     return p
 

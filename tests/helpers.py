@@ -22,11 +22,19 @@ FIG2_MATCHES = {
     ("a(ca)*b", 1, 6), ("a(ca)*b", 3, 6), ("a(ca)*b", 5, 6),
 }
 
+# A plain PFSM-AUT dump (no `pattern` lines) whose finals carry two
+# labels: it loads as one machine that keeps both, so scanning `ab`
+# reports `a` at (0, 0) and `b` at (1, 1).
+PLAIN_TWO_LABEL_DUMP = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final a\n"
+                        "state 2 final b\ntrans 0 0x61 1\ntrans 0 0x62 2\n")
+
 # PFSM-AUT dumps the union loader must refuse, with a fragment of the
 # error: pattern x's final state 2 has an edge back into q0, a pattern
 # line whose entry state is not an integer, pattern b's final labeled
-# with pattern a's text, a pattern entry that is not a state, and a final
-# label on the ancillary initial state.
+# with pattern a's text, a pattern entry that is not a state, a final
+# label on the ancillary initial state, and two with a machine that
+# patterns a and b share: pattern c's final labeled b, and an edge from
+# b's final into pattern c's machine.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -43,10 +51,21 @@ BAD_PFSM_DUMPS = [
      "pattern 'b' entry state 5 is not a state of the machine"),
     ("PFSM-AUT v1\nstate 0 initial final x\nstate 1\neps 0 1\npattern x 1\n",
      "ancillary initial state is final"),
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a\n"
+     "state 3 final b\nstate 5\nstate 6 final b\ntrans 1 0x61 2\n"
+     "trans 1 0x62 3\ntrans 5 0x63 6\neps 0 1\neps 0 5\npattern a 1\n"
+     "pattern b 1\npattern c 5\n",
+     "final 6 is labeled 'b' but owned by pattern 'c'"),
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a\n"
+     "state 3 final b\nstate 4\nstate 5 final c\ntrans 1 0x61 2\n"
+     "trans 1 0x62 3\ntrans 3 0x63 5\ntrans 4 0x63 5\neps 0 1\neps 0 4\n"
+     "pattern a 1\npattern b 1\npattern c 4\n",
+     "patterns 'b' and 'c' of different machines share state 5"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-labeled-by-other-pattern", "entry-not-a-state",
-                     "final-initial-state"]
+                     "final-initial-state", "final-labeled-by-other-machine",
+                     "edge-into-other-machine"]
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:
@@ -113,6 +132,40 @@ def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
     labeled = [(p.label_ids[f"p{i}"], ast) for i, ast in enumerate(asts)]
     data = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, max_input)))
     return p, labeled, data, form
+
+
+def gen_literal_set(rng: random.Random, alphabet: list[int],
+                    max_words: int = 6, max_len: int = 4) -> list[tuple[str, bytes]]:
+    """(label, word) pairs of a random literal set. It always holds a word,
+    its one-byte prefix, an extension of it and a second label for it, so
+    words share prefixes, one word is a prefix of another, two labels have
+    the same literal and one-byte words occur; more random words follow."""
+    def word(lo: int, hi: int) -> bytes:
+        return bytes(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+    base = word(2, max_len)
+    words = [base[:1], base, base + word(1, 2), base]
+    words += [word(1, max_len) for _ in range(rng.randint(0, max_words))]
+    rng.shuffle(words)
+    return [(f"w{k}", w) for k, w in enumerate(words)]
+
+
+def literal_machine(word: bytes):
+    """The DFA of one literal word: a chain of one-byte edges."""
+    return nfa_to_dfa(compile_nfa(concat([Literal(b) for b in word])))
+
+
+def gen_literal_instance(rng: random.Random, *, max_input: int = 64,
+                         max_alphabet: int = 3):
+    """A random literal set in `gen_instance`'s shape: (pfsm, [(label id,
+    ast)], input, "literal"); its words share one trie."""
+    alphabet = gen_alphabet(rng, max_alphabet)
+    pairs = gen_literal_set(rng, alphabet)
+    p = build_pfsm([(label, literal_machine(w)) for label, w in pairs])
+    labeled = [(p.label_ids[label], concat([Literal(b) for b in w]))
+               for label, w in pairs]
+    data = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, max_input)))
+    return p, labeled, data, "literal"
 
 
 def build_fig1(form: str = "dfa"):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from helpers import BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_PATTERNS
+from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_PATTERNS,
+                     PLAIN_TWO_LABEL_DUMP)
 
 from pfsm.cli import main
 
@@ -212,6 +213,16 @@ def test_compile_dump_load_match(runner, tmp_path):
                                  "--text", "aacacab"])
     assert match.exit_code == 0
     assert match.output == FIG2_TSV
+
+
+@pytest.mark.parametrize("strategy", ["single", "regex"])
+def test_match_plain_dump_reports_each_label(runner, tmp_path, strategy):
+    dump = tmp_path / "plain.aut"
+    dump.write_text(PLAIN_TWO_LABEL_DUMP)
+    result = runner.invoke(main, ["match", "--automaton", str(dump),
+                                  "--text", "ab", "--strategy", strategy])
+    assert result.exit_code == 0, result.output
+    assert result.output == "a\t0\t0\ta\nb\t1\t1\tb\n"
 
 
 @pytest.mark.parametrize("form", ["nfa", "auto"])

@@ -6,7 +6,7 @@ import random
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
                      build_fig1_mixed, engine_segment, gen_instance,
-                     loglog_slope, match_texts)
+                     gen_literal_instance, loglog_slope, match_texts)
 
 from pfsm import build_pfsm, compile_pattern, step
 from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
@@ -192,15 +192,19 @@ def _random_carry(rng, p, carry, base):
     return ActiveSet(carry.generation, tags)
 
 
-@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed"])
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "literal"])
 def test_fast_path_equals_engine(form):
     # Two-segment run_segment against the reference Engine: the same
     # matches in the same order, the same per-cycle pair counts and
     # match count, and the same carried set, on random windows and on
     # carries the first segment left, sometimes with random extra tags.
+    # The literal sets share one prefix trie.
     rng = random.Random(f"fast-vs-engine/{form}")
     for trial in range(200):
-        p, _, data, _ = gen_instance(rng, max_input=40, forms=(form,))
+        if form == "literal":
+            p, _, data, _ = gen_literal_instance(rng, max_input=40)
+        else:
+            p, _, data, _ = gen_instance(rng, max_input=40, forms=(form,))
         cut = rng.randint(0, len(data))
         carry = None
         for base, seg in ((0, data[:cut]), (cut, data[cut:])):

@@ -5,10 +5,11 @@ import random
 
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, build_fig1, gen_instance,
-                     match_texts)
+                     gen_literal_instance, match_texts)
 
 from pfsm import build_pfsm, find_matches, remove_pattern
 from pfsm.compile import compile_pattern
+from pfsm.oracle import all_matches
 from pfsm.parallel import (PartitionPlan, PlanError, data_plan, regex_plan,
                            run_chained_partitioned, run_lazy_partitioned,
                            run_partitioned, run_regex_partitioned, segments)
@@ -169,3 +170,24 @@ def test_empty_input_all_strategies():
     for strategy in ("lazy", "chained"):
         assert run_partitioned(p, b"", data_plan(strategy, 0, 2)) == []
     assert run_partitioned(p, b"", regex_plan(p, 2)) == []
+
+
+def test_literal_sets_equal_oracle_under_every_strategy():
+    # Literal sets share one prefix trie; regex workers rebuild a trie
+    # from their own words' chains.
+    rng = random.Random("literal-strategies")
+    for trial in range(60):
+        p, labeled, data, _ = gen_literal_instance(rng, max_input=40)
+        assert p.trie is not None
+        want = {(p.label_text(lid), i, j)
+                for lid, i, j in all_matches(labeled, data)}
+        single = find_matches(p, data)
+        assert match_texts(single, p) == want, trial
+        if not data:
+            continue
+        for workers in (2, 3):
+            for plan in (regex_plan(p, workers),
+                         data_plan("lazy", len(data), workers),
+                         data_plan("chained", len(data), workers)):
+                assert run_partitioned(p, data, plan) == single, \
+                    (trial, plan.strategy, workers)

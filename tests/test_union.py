@@ -5,7 +5,8 @@ import re
 
 import pytest
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
-                     FIG2_MATCHES, FIG1_PATTERNS, build_fig1, gen_instance,
+                     FIG2_MATCHES, FIG1_PATTERNS, build_fig1, gen_alphabet,
+                     gen_instance, gen_literal_set, literal_machine,
                      match_texts)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
@@ -313,3 +314,211 @@ def test_loaded_machine_entry_closure():
     loaded = load_pfsm(dump_pfsm(p))
     closure = epsilon_closure(loaded.automaton, {loaded.initial})
     assert closure == {loaded.initial} | {e.entry for e in loaded.directory.values()}
+
+
+def _literal_pfsm(pairs):
+    return build_pfsm([(label, literal_machine(w)) for label, w in pairs])
+
+
+def test_literals_share_one_prefix_trie():
+    # abc and abd branch at ab; ab ends on an inner node; the second
+    # label of abc keeps its own chain, since a state carries one label.
+    # The Thompson NFA of a literal has epsilon edges and is grafted as a
+    # machine of its own.
+    pairs = [("abc", b"abc"), ("abd", b"abd"), ("ab", b"ab"),
+             ("again", b"abc"), ("b", b"b")]
+    p = build_pfsm([(label, literal_machine(w)) for label, w in pairs]
+                   + [("nfa", compile_pattern("ab", "nfa"))])
+    assert validate_pfsm(p) == []
+    trie = p.trie
+    assert [p.directory[lid].entry == trie for lid in p.live_labels()] \
+        == [True, True, True, False, True, False]
+    # q0, the trie's root, a, ab, abc, abd and b; abc's own chain; the NFA.
+    assert len(p.automaton.states) == 1 + 6 + 4 + 4
+    assert p.directory[p.label_ids["ab"]].owned \
+        < p.directory[p.label_ids["abc"]].owned
+    got = match_texts(find_matches(p, b"abcabd"), p)
+    assert got == {("abc", 0, 2), ("again", 0, 2), ("ab", 0, 1), ("nfa", 0, 1),
+                   ("b", 1, 1), ("ab", 3, 4), ("nfa", 3, 4), ("b", 4, 4),
+                   ("abd", 3, 5)}
+    # A trie label's stand-alone machine is its own chain.
+    extracted = extract_pattern(p, p.label_ids["abd"])
+    assert len(extracted.states) == 4 and len(extracted.final_labels) == 1
+
+
+@pytest.mark.parametrize("gone", ["prefix", "extension"])
+def test_prefix_word_removal_equals_fresh_build(gone):
+    # Remove a word while a word it is a prefix of stays, or the reverse:
+    # the trie keeps what the live words use and drops the rest.
+    rng = random.Random(f"trie-prefix/{gone}")
+    for trial in range(100):
+        alphabet = gen_alphabet(rng, 3)
+        pairs = gen_literal_set(rng, alphabet)
+        p = _literal_pfsm(pairs)
+        prefix, ext = rng.choice([(x, y) for x in pairs for y in pairs
+                                  if len(x[1]) < len(y[1])
+                                  and y[1].startswith(x[1])])
+        victim = prefix if gone == "prefix" else ext
+        q = remove_pattern(p, victim[0])
+        assert validate_pfsm(q) == []
+        live = [x for x in pairs if x != victim]
+        fresh = _literal_pfsm(live)
+        data = bytes(rng.choice(alphabet) for _ in range(40))
+        assert match_texts(find_matches(q, data), q) \
+            == match_texts(find_matches(fresh, data), fresh), trial
+        assert len(q.automaton.states) == len(fresh.automaton.states), trial
+        back = add_pattern(q, victim[0], literal_machine(victim[1]))
+        assert match_texts(find_matches(back, data), back) \
+            == match_texts(find_matches(p, data), p), trial
+
+
+def test_trie_size_follows_the_live_words():
+    # 1,000 rounds of removing one word and adding a new one leave the
+    # machine as large as a fresh build of the live words. Words repeat:
+    # when a word's trie label goes, its twin's chain rejoins the trie.
+    rng = random.Random("trie-rounds")
+    alphabet = list(b"abc")
+    live = dict(gen_literal_set(rng, alphabet, max_words=12))
+    p = _literal_pfsm(live.items())
+    twins = 0
+    for k in range(1000):
+        victim = rng.choice(sorted(live))
+        p = remove_pattern(p, victim)
+        del live[victim]
+        w = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+        twins += w in live.values()
+        live[f"n{k}"] = w
+        p = add_pattern(p, f"n{k}", literal_machine(w))
+        fresh = _literal_pfsm(live.items())
+        assert len(p.automaton.states) == len(fresh.automaton.states), k
+    assert twins > 100
+    assert validate_pfsm(p) == []
+    data = bytes(rng.choice(alphabet) for _ in range(200))
+    assert match_texts(find_matches(p, data), p) \
+        == match_texts(find_matches(fresh, data), fresh)
+
+
+def test_trie_edits_leave_earlier_generations_intact():
+    rng = random.Random("trie-generations")
+    alphabet = list(b"abc")
+    pairs = gen_literal_set(rng, alphabet, max_words=10)
+    first = _literal_pfsm(pairs)
+    data = bytes(rng.choice(alphabet) for _ in range(200))
+    text, matches = dump_pfsm(first), find_matches(first, data)
+    p, live = first, dict(pairs)
+    for k in range(200):
+        if live and rng.random() < 0.5:
+            victim = rng.choice(sorted(live))
+            p = remove_pattern(p, victim)
+            del live[victim]
+        else:
+            w = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+            p = add_pattern(p, f"n{k}", literal_machine(w))
+            live[f"n{k}"] = w
+        assert validate_pfsm(p) == [], k
+    assert dump_pfsm(first) == text
+    assert find_matches(first, data) == matches
+
+
+def test_trie_dump_roundtrip_and_add_after_load():
+    # The loader finds the trie again: adding a word after a load gives
+    # the dump that adding it before does.
+    p = _literal_pfsm([("abc", b"abc"), ("abd", b"abd"), ("b", b"b"),
+                       ("again", b"b")])
+    text = dump_pfsm(p)
+    assert text.count("pattern ") == 4
+    loaded = load_pfsm(text)
+    assert dump_pfsm(loaded) == text
+    assert loaded.trie == p.trie
+    for label, w in [("ab", b"ab"), ("ca", b"ca"), ("abcd", b"abcd")]:
+        m = literal_machine(w)
+        assert dump_pfsm(add_pattern(loaded, label, m)) \
+            == dump_pfsm(add_pattern(p, label, m))
+
+
+@pytest.mark.xfail(strict=True, reason="a dump does not carry the next free "
+                   "state id, so ids removed from the top are numbered anew "
+                   "after a load")
+def test_add_after_load_of_a_trimmed_trie():
+    # Removing abd frees the top state id 5; the machine keeps it retired,
+    # the loader restarts numbering above its highest state.
+    q = remove_pattern(_literal_pfsm([("abc", b"abc"), ("abd", b"abd")]),
+                       "abd")
+    loaded = load_pfsm(dump_pfsm(q))
+    m = literal_machine(b"abe")
+    assert dump_pfsm(add_pattern(loaded, "abe", m)) \
+        == dump_pfsm(add_pattern(q, "abe", m))
+
+
+def test_trie_goes_with_its_last_word():
+    # A duplicate keeps its own chain until its twin's trie label goes;
+    # then it takes over that final and its chain goes, which leaves the
+    # machine a fresh build of it would be. Removing every trie word
+    # removes the trie, and the next literal starts a new one.
+    p = _literal_pfsm([("x", b"ab"), ("y", b"ab"), ("z", b"ab")])
+    assert len(p.automaton.states) == 1 + 3 * 3
+    q = remove_pattern(p, "x")
+    assert validate_pfsm(q) == [] and q.trie == p.trie
+    assert q.directory[q.label_ids["y"]].entry == q.trie
+    assert len(q.automaton.states) == 1 + 2 * 3
+    q = remove_pattern(q, "z")
+    assert dump_pfsm(q) == dump_pfsm(_literal_pfsm([("y", b"ab")]))
+    q = add_pattern(q, "w", literal_machine(b"ac"))
+    assert q.directory[q.label_ids["w"]].entry == q.trie
+    empty = remove_pattern(remove_pattern(q, "y"), "w")
+    assert empty.trie is None and empty.automaton.states == {empty.initial}
+    again = add_pattern(empty, "v", literal_machine(b"c"))
+    assert again.trie is not None and validate_pfsm(again) == []
+
+
+def test_remove_label_of_shared_plain_machine():
+    # A plain dump's DFA for a*b (label x) and a*c (label y) shares the
+    # a-loop: removing x keeps y's states and drops x's final.
+    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
+            "state 3 final y\ntrans 0 0x61 1\ntrans 0 0x62 2\n"
+            "trans 0 0x63 3\ntrans 1 0x61 1\ntrans 1 0x62 2\n"
+            "trans 1 0x63 3\n")
+    p = load_pfsm(text)
+    assert p.trie is None
+    assert [p.label_text(lid) for lid in p.live_labels()] == ["x", "y"]
+    q = remove_pattern(p, "x")
+    assert validate_pfsm(q) == []
+    assert match_texts(find_matches(q, b"aabac"), q) \
+        == {("y", 3, 4), ("y", 4, 4)}
+    assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
+    # With x gone, y's machine is a chain no longer: the a-loop stays.
+    assert q.trie is None
+    assert match_texts(find_matches(p, b"aabac"), p) \
+        == {("x", 0, 2), ("x", 1, 2), ("x", 2, 2), ("y", 3, 4), ("y", 4, 4)}
+
+
+def test_removal_drops_what_the_entry_no_longer_reaches():
+    # State 2 leads to no final, so it goes with y, the machine's last
+    # label, but only x's final reaches it: it goes with x.
+    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\nstate 2\n"
+            "state 3 final y\ntrans 0 0x61 1\ntrans 1 0x62 2\n"
+            "trans 0 0x63 3\n")
+    p = load_pfsm(text)
+    assert dump_pfsm(load_pfsm(dump_pfsm(p))) == dump_pfsm(p)
+    q = remove_pattern(p, "x")
+    assert validate_pfsm(q) == []
+    assert len(q.automaton.states) == 3
+    assert q.directory[q.label_ids["y"]].owned == {1, 4}
+    assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
+    assert match_texts(find_matches(q, b"abc"), q) == {("y", 2, 2)}
+
+
+def test_shared_machine_left_as_a_trie_becomes_the_trie():
+    # y is `a`, x is `b+`: removing x leaves a one-edge chain, which the
+    # loader of its dump would take for the trie, so the removal does too.
+    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final y\n"
+            "state 2 final x\ntrans 0 0x61 1\ntrans 0 0x62 2\n"
+            "trans 2 0x62 2\n")
+    p = load_pfsm(text)
+    assert p.trie is None
+    q = remove_pattern(p, "x")
+    assert validate_pfsm(q) == []
+    assert q.trie == q.directory[q.label_ids["y"]].entry
+    assert load_pfsm(dump_pfsm(q)).trie == q.trie
+    grown = add_pattern(q, "ab", literal_machine(b"ab"))
+    assert grown.directory[grown.label_ids["ab"]].entry == q.trie

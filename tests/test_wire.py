@@ -5,11 +5,12 @@ import random
 import re
 
 import pytest
-from helpers import gen_alphabet, gen_ast, gen_instance
+from helpers import PLAIN_TWO_LABEL_DUMP, gen_alphabet, gen_ast, gen_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfsm import add_pattern, remove_pattern
+from pfsm import (add_pattern, build_pfsm, compile_pattern, find_matches,
+                  remove_pattern, validate_pfsm)
 from pfsm.compile import compile_nfa
 from pfsm.engine import ActiveSet
 from pfsm.wire import (ActiveSetFormatError, AutomatonFormatError,
@@ -138,3 +139,32 @@ def test_state_declared_twice_is_refused():
     with pytest.raises(AutomatonFormatError,
                        match="^line 4: state 1 declared twice$"):
         load_pfsm(AUT.replace("state 1\n", "state 1\nstate 1\n"))
+
+
+def test_plain_dump_keeps_each_final_label():
+    p = load_pfsm(PLAIN_TWO_LABEL_DUMP)
+    assert validate_pfsm(p) == []
+    assert [p.label_text(lid) for lid in p.live_labels()] == ["a", "b"]
+    assert [(p.label_text(m.label), m.start, m.end)
+            for m in find_matches(p, b"ab")] == [("a", 0, 0), ("b", 1, 1)]
+    # One machine behind q0, both labels at its entry.
+    assert len({e.entry for e in p.directory.values()}) == 1
+    text = dump_pfsm(p)
+    assert text.count("pattern ") == 2
+    assert dump_pfsm(load_pfsm(text)) == text
+    # A state the initial state does not reach is left out.
+    stray = load_pfsm(PLAIN_TWO_LABEL_DUMP + "state 3\ntrans 3 0x61 1\n")
+    assert dump_pfsm(stray) == text
+
+
+def test_empty_machine_roundtrips():
+    # A dump with no pattern line and no final state is the empty union.
+    empty = remove_pattern(build_pfsm([("x", compile_pattern("x"))]), "x")
+    text = dump_pfsm(empty)
+    assert text == "PFSM-AUT v1\nstate 0 initial\n"
+    loaded = load_pfsm(text)
+    assert loaded.directory == {} and loaded.automaton.states == {0}
+    assert dump_pfsm(loaded) == text
+    assert find_matches(loaded, b"xx") == []
+    with pytest.raises(AutomatonFormatError, match="is the empty union"):
+        load_pfsm(text + "state 1\ntrans 0 0x61 1\n")
