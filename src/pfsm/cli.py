@@ -74,7 +74,7 @@ def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
     entries = _gather_patterns(exprs, patterns_file)
     if not entries:
         raise click.UsageError("no patterns given (-e, --patterns, or --automaton)")
-    return _compile_set(entries, form or "auto")
+    return _compile_set(entries, form or "nfa")
 
 
 def _read_input(text, input_file) -> bytes:
@@ -105,8 +105,8 @@ def main():
 @click.option("--text", default=None, help="Input string (UTF-8 bytes).")
 @click.option("--input", "input_file", type=click.Path(), default=None,
               help="Input file (raw bytes).")
-@click.option("--form", type=click.Choice(["nfa", "dfa", "auto"]), default=None,
-              help="Per-pattern machine form (default auto; not with --automaton).")
+@click.option("--form", type=click.Choice(["nfa", "dfa"]), default=None,
+              help="Per-pattern machine form (default nfa; not with --automaton).")
 @click.option("--strategy", type=click.Choice(["single", "regex", "lazy", "chained"]),
               default="single")
 @click.option("--workers", type=click.IntRange(min=1), default=1,
@@ -153,7 +153,7 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
 @main.command("compile")
 @click.option("-e", "expressions", multiple=True, help="Pattern (repeatable).")
 @click.option("--patterns", "patterns_file", type=click.Path(), default=None)
-@click.option("--form", type=click.Choice(["nfa", "dfa", "auto"]), default="auto")
+@click.option("--form", type=click.Choice(["nfa", "dfa"]), default="nfa")
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Output file (default stdout).")
 def cmd_compile(expressions, patterns_file, form, output):

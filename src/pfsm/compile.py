@@ -1,12 +1,14 @@
 """Compile syntax trees into automata.
 
-compile_nfa is a Thompson-style construction: every machine it produces has
-exactly one initial state and exactly one final state with no outgoing
-edges, which is the shape the union-machine builder relies on.
+compile_nfa is the Glushkov (position) construction: one pass over the
+tree gives a machine without epsilon edges whose state 0 is initial, with
+no edge entering it, and whose state i > 0 is the i-th byte position (a
+Literal or ByteClass leaf), every edge into it reading one of that leaf's
+bytes. A literal's machine is a one-path chain.
 
 nfa_to_dfa is epsilon-closure subset construction under the fixed state
 ceiling DEFAULT_STATE_CEILING (10,000 states); overflow raises
-StateCeilingExceeded so the caller can keep the NFA form instead.
+StateCeilingExceeded.
 """
 
 from __future__ import annotations
@@ -32,83 +34,55 @@ class NullablePatternWarning(UserWarning):
     """Pattern matches the empty string; zero-length matches are never reported."""
 
 
-class _Builder:
-    def __init__(self):
-        self.n = 0
-        self.byte_transitions: dict[int, dict[int, set[int]]] = {}
-        self.epsilon: dict[int, set[int]] = {}
+def compile_nfa(ast: Node) -> Automaton:
+    """Glushkov construction: state 0 initial, one state per byte position,
+    edges from the first, last and follow sets of the positions, and state
+    0 final iff the pattern is nullable."""
+    reads: list[list[int]] = [[]]           # position -> bytes that enter it
+    follow: dict[int, set[int]] = {}
 
-    def fresh(self) -> int:
-        s = self.n
-        self.n += 1
-        return s
-
-    def edge(self, frm: int, byte: int, to: int):
-        self.byte_transitions.setdefault(frm, {}).setdefault(byte, set()).add(to)
-
-    def eps(self, frm: int, to: int):
-        self.epsilon.setdefault(frm, set()).add(to)
-
-    def fragment(self, node: Node) -> tuple[int, int]:
-        """Build the machine for node; returns (entry, exit)."""
+    def positions(node: Node) -> tuple[set[int], set[int], bool]:
+        """(first, last, nullable) of node; records its follow pairs."""
+        if isinstance(node, (Literal, ByteClass)):
+            reads.append([node.byte] if isinstance(node, Literal)
+                         else sorted(node.bytes_))
+            return {len(reads) - 1}, {len(reads) - 1}, False
         if isinstance(node, Empty):
-            i, f = self.fresh(), self.fresh()
-            self.eps(i, f)
-            return i, f
-        if isinstance(node, Literal):
-            i, f = self.fresh(), self.fresh()
-            self.edge(i, node.byte, f)
-            return i, f
-        if isinstance(node, ByteClass):
-            i, f = self.fresh(), self.fresh()
-            for b in node.bytes_:
-                self.edge(i, b, f)
-            return i, f
+            return set(), set(), True
         if isinstance(node, Concat):
-            entry, cur = self.fragment(node.parts[0])
+            first, last, null = positions(node.parts[0])
             for part in node.parts[1:]:
-                i, f = self.fragment(part)
-                self.eps(cur, i)
-                cur = f
-            return entry, cur
+                pf, pl, pn = positions(part)
+                for p in last:
+                    follow.setdefault(p, set()).update(pf)
+                first = first | pf if null else first
+                last = last | pl if pn else pl
+                null = null and pn
+            return first, last, null
         if isinstance(node, Alt):
-            i, f = self.fresh(), self.fresh()
-            for choice in node.choices:
-                ci, cf = self.fragment(choice)
-                self.eps(i, ci)
-                self.eps(cf, f)
-            return i, f
-        if isinstance(node, Star):
-            i, f = self.fresh(), self.fresh()
-            ci, cf = self.fragment(node.child)
-            self.eps(i, ci)
-            self.eps(i, f)
-            self.eps(cf, ci)
-            self.eps(cf, f)
-            return i, f
-        if isinstance(node, Plus):
-            i, f = self.fresh(), self.fresh()
-            ci, cf = self.fragment(node.child)
-            self.eps(i, ci)
-            self.eps(cf, ci)
-            self.eps(cf, f)
-            return i, f
-        if isinstance(node, Opt):
-            i, f = self.fresh(), self.fresh()
-            ci, cf = self.fragment(node.child)
-            self.eps(i, ci)
-            self.eps(i, f)
-            self.eps(cf, f)
-            return i, f
+            parts = [positions(c) for c in node.choices]
+            return (set().union(*(pf for pf, _, _ in parts)),
+                    set().union(*(pl for _, pl, _ in parts)),
+                    any(pn for _, _, pn in parts))
+        if isinstance(node, (Star, Plus, Opt)):
+            first, last, null = positions(node.child)
+            if not isinstance(node, Opt):
+                for p in last:
+                    follow.setdefault(p, set()).update(first)
+            return first, last, null or not isinstance(node, Plus)
         raise TypeError(f"unknown node {node!r}")
 
-
-def compile_nfa(ast: Node) -> Automaton:
-    """Thompson construction: single initial state, single edge-free final state."""
-    b = _Builder()
-    entry, exit_ = b.fragment(ast)
-    return Automaton(set(range(b.n)), entry, b.byte_transitions, b.epsilon,
-                     {exit_: 0})
+    first, last, null = positions(ast)
+    byte_transitions: dict[int, dict[int, set[int]]] = {}
+    for q, targets in [(0, first), *follow.items()]:
+        row: dict[int, set[int]] = {}
+        for p in sorted(targets):
+            for byte in reads[p]:
+                row.setdefault(byte, set()).add(p)
+        if row:
+            byte_transitions[q] = row
+    finals = dict.fromkeys(last | {0} if null else last, 0)
+    return Automaton(set(range(len(reads))), 0, byte_transitions, {}, finals)
 
 
 def nfa_to_dfa(nfa: Automaton) -> Automaton:
@@ -156,11 +130,11 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
                      final_labels)
 
 
-def compile_pattern(pattern: str | bytes, form: str = "auto") -> Automaton:
+def compile_pattern(pattern: str | bytes, form: str = "nfa") -> Automaton:
     """Parse and compile one pattern.
 
-    form: "nfa", "dfa" (overflow is a hard error), or "auto" (DFA unless the
-    state ceiling trips, then the NFA is kept).
+    form: "nfa", the Glushkov machine, or "dfa", its subset construction
+    (over the state ceiling raises StateCeilingExceeded).
     """
     ast = parse_regex(pattern)
     if nullable(ast):
@@ -173,11 +147,6 @@ def compile_pattern(pattern: str | bytes, form: str = "auto") -> Automaton:
         return nfa
     if form == "dfa":
         return nfa_to_dfa(nfa)
-    if form == "auto":
-        try:
-            return nfa_to_dfa(nfa)
-        except StateCeilingExceeded:
-            return nfa
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -281,7 +281,11 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
     """Run `Engine.feed`'s cycle over `data` on anchored masks, starting
     from the epsilon closure of `active`; returns the active set at the
     stop point."""
-    closing = {s for s, succ in a.epsilon_transitions.items() if succ}
+    # q0's epsilon edges close only the start region, which the seed rows
+    # cover: no edge enters q0 (validate_pfsm) and no carry names it
+    # (_check_carry), so an epsilon-free union closes nothing per cycle.
+    closing = {s for s, succ in a.epsilon_transitions.items()
+               if succ and s != a.initial}
     _close_masked(a, active, [s for s in active if s in closing])
     trans = a.byte_transitions
     finals = a.final_labels

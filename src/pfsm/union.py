@@ -112,7 +112,8 @@ def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
 def _literal_word(machine: Automaton) -> bytes | None:
     """The word of a literal machine: no epsilon edges and one final, its
     states one acyclic path of one-byte edges from the initial state to
-    that final. None for any other machine."""
+    that final, as both forms of a literal pattern are. None for any
+    other machine."""
     trans, s = machine.byte_transitions, machine.initial
     if len(machine.final_labels) != 1 or len(trans.get(s, ())) != 1 \
             or any(machine.epsilon_transitions.values()):
@@ -332,8 +333,10 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     """New generation without the pattern: its finals go, and so do its
     states that no other label of its machine owns and those its machine's
     entry no longer reaches. A duplicate literal on its own chain takes a
-    removed trie label's final over. Surviving state ids are unchanged;
-    removed ids are never reused."""
+    removed trie label's final over. Surviving state ids are unchanged.
+    The next free state id is one above the highest state, as the loader
+    derives it, so ids removed from the top are given out again; a scan
+    cannot confuse them, since it refuses a carry of another generation."""
     if label not in p.label_ids:
         raise UnknownLabelError(label)
     lid = p.label_ids[label]
@@ -349,8 +352,11 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
         _drop(union, directory, gone, lid)
         if gone.entry in union.states and (trie is None or gone.entry < trie):
             trie = _find_trie(union, directory)   # what is left may be a trie
-    return Pfsm(union, directory, label_ids, p.generation + 1,
-                p.next_state_id, p.next_label_id, trie)
+    next_id = p.next_state_id
+    if next_id - 1 not in union.states:
+        next_id = max(union.states) + 1
+    return Pfsm(union, directory, label_ids, p.generation + 1, next_id,
+                p.next_label_id, trie)
 
 
 def extract_pattern(p: Pfsm, label_id: int) -> Automaton:

@@ -113,10 +113,36 @@ def gen_alphabet(rng: random.Random, max_size: int = 4) -> list[int]:
     return [ord("a") + i for i in range(size)]
 
 
+def with_epsilon(machine: Automaton, hopped) -> Automaton:
+    """The same language with epsilon edges: every byte edge into a state
+    of `hopped` enters a fresh state instead, joined to it by an epsilon
+    edge, and a fresh initial state has an epsilon edge to the old one."""
+    top = max(machine.states) + 1
+    hop = {s: top + i for i, s in enumerate(sorted(hopped))}
+    start = top + len(hop)
+    byte_transitions = {s: {b: {hop.get(t, t) for t in succ}
+                            for b, succ in table.items()}
+                        for s, table in machine.byte_transitions.items()}
+    eps = {s: set(succ) for s, succ in machine.epsilon_transitions.items()}
+    for s, h in hop.items():
+        eps[h] = {s}
+    eps[start] = {machine.initial}
+    return Automaton(machine.states | set(hop.values()) | {start}, start,
+                     byte_transitions, eps, dict(machine.final_labels))
+
+
+def random_hops(rng: random.Random, machine: Automaton) -> Automaton:
+    """`with_epsilon` over a random half of the states other than the
+    initial one."""
+    return with_epsilon(machine, [s for s in sorted(machine.states)
+                                  if s != machine.initial and rng.random() < 0.5])
+
+
 def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
                  max_input: int = 64, forms=("dfa", "nfa", "mixed"),
                  max_alphabet: int = 4):
-    """A random (pfsm, [(label id, ast)], input, form) quadruple."""
+    """A random (pfsm, [(label id, ast)], input, form) quadruple. The "eps"
+    form puts epsilon edges into every NFA (`random_hops`)."""
     alphabet = gen_alphabet(rng, max_alphabet)
     n_patterns = rng.randint(1, max_patterns)
     asts = [gen_ast(rng, alphabet, depth) for _ in range(n_patterns)]
@@ -126,6 +152,8 @@ def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
         nfa = compile_nfa(ast)
         if form == "dfa" or (form == "mixed" and rng.random() < 0.5):
             machines.append((f"p{i}", nfa_to_dfa(nfa)))
+        elif form == "eps":
+            machines.append((f"p{i}", random_hops(rng, nfa)))
         else:
             machines.append((f"p{i}", nfa))
     p = build_pfsm(machines)
@@ -151,8 +179,8 @@ def gen_literal_set(rng: random.Random, alphabet: list[int],
 
 
 def literal_machine(word: bytes):
-    """The DFA of one literal word: a chain of one-byte edges."""
-    return nfa_to_dfa(compile_nfa(concat([Literal(b) for b in word])))
+    """The machine of one literal word: a chain of one-byte edges."""
+    return compile_nfa(concat([Literal(b) for b in word]))
 
 
 def gen_literal_instance(rng: random.Random, *, max_input: int = 64,
@@ -169,12 +197,18 @@ def gen_literal_instance(rng: random.Random, *, max_input: int = 64,
 
 
 def build_fig1(form: str = "dfa"):
+    """The Fig. 1 set in one form; "eps" is the NFA with every state
+    but the initial one behind an epsilon edge."""
     from pfsm.compile import compile_pattern
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return build_pfsm([(pat, compile_pattern(pat, form))
-                           for pat in FIG1_PATTERNS])
+        machines = [(pat, compile_pattern(pat, "nfa" if form == "eps" else form))
+                    for pat in FIG1_PATTERNS]
+    if form == "eps":
+        machines = [(pat, with_epsilon(m, m.states - {m.initial}))
+                    for pat, m in machines]
+    return build_pfsm(machines)
 
 
 def build_fig1_mixed():

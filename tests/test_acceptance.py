@@ -41,6 +41,7 @@ def test_criterion_1_fig2_golden():
     every engine form and under every strategy."""
     builders = {"dfa": lambda: build_fig1("dfa"),
                 "nfa": lambda: build_fig1("nfa"),
+                "eps": lambda: build_fig1("eps"),
                 "mixed": build_fig1_mixed}
     for form, build in builders.items():
         p = build()
@@ -48,7 +49,7 @@ def test_criterion_1_fig2_golden():
             if got != FIG2_MATCHES:
                 report("criterion 1: Fig. 2 golden", False, f"{form} {name}")
     report("criterion 1: Fig. 2 golden", True,
-           "3 forms x 7 run modes, 10 matches each")
+           "4 forms x 7 run modes, 10 matches each")
 
 
 def test_criterion_2_fig3_trace():
@@ -82,7 +83,8 @@ def test_criterion_3_oracle_equivalence():
     rng = random.Random(0xACCE)
     for trial in range(1000):
         p, labeled, data, _ = gen_instance(rng, max_patterns=4, depth=5,
-                                           max_input=64, max_alphabet=4)
+                                           max_input=64, max_alphabet=4,
+                                           forms=("dfa", "nfa", "mixed", "eps"))
         want = {(p.label_text(lab), i, j) for lab, i, j in all_matches(labeled, data)}
         for name, got in _all_strategy_runs(p, data).items():
             if got != want:

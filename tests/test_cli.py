@@ -225,7 +225,7 @@ def test_match_plain_dump_reports_each_label(runner, tmp_path, strategy):
     assert result.output == "a\t0\t0\ta\nb\t1\t1\tb\n"
 
 
-@pytest.mark.parametrize("form", ["nfa", "auto"])
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
 def test_match_form_beside_automaton_is_usage_error(runner, tmp_path, form):
     # The dump fixes each pattern's form, so an explicit --form, even the
     # default one, would be ignored and is refused.

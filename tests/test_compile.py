@@ -5,13 +5,13 @@ import random
 import warnings
 
 import pytest
-from helpers import all_strings, gen_ast, nfa_accepts
+from helpers import all_strings, gen_ast, nfa_accepts, random_hops
 
 from pfsm.compile import (NullablePatternWarning, StateCeilingExceeded,
                           compile_nfa, compile_pattern, nfa_to_dfa,
                           read_pattern_file)
 from pfsm.oracle import accepts
-from pfsm.syntax import parse_regex
+from pfsm.syntax import nullable, parse_regex
 
 AB = [ord("a"), ord("b")]
 AC = [ord("a"), ord("c")]
@@ -25,13 +25,27 @@ def test_minimal_literal_nfa():
     assert nfa.epsilon_transitions == {}
 
 
-def test_nfa_shape_single_final_no_exits():
-    for pattern in ["a*c", "a(ca)*b", "(a|b)+", "x?y"]:
-        nfa = compile_nfa(parse_regex(pattern))
-        assert len(nfa.finals) == 1
-        (final,) = nfa.finals
-        assert not nfa.byte_transitions.get(final)
-        assert not nfa.epsilon_transitions.get(final)
+def test_nfa_shape_position_automaton():
+    # One state per byte position plus the initial state, no epsilon
+    # edges, nothing entering the initial state, every edge into a
+    # position reading that position's bytes, and the initial state final
+    # iff the pattern is nullable.
+    for pattern, positions in [("a*c", 2), ("a(ca)*b", 4), ("(a|b)+", 2),
+                               ("x?y", 2), ("a[^x]*b", 3), ("(ab)*", 2)]:
+        ast = parse_regex(pattern)
+        nfa = compile_nfa(ast)
+        assert nfa.epsilon_transitions == {}
+        assert nfa.initial == 0 and nfa.states == set(range(1 + positions))
+        reads: dict[int, set[int]] = {}
+        for s, table in nfa.byte_transitions.items():
+            into: dict[int, set[int]] = {}
+            for byte, succ in table.items():
+                assert 0 not in succ
+                for t in succ:
+                    into.setdefault(t, set()).add(byte)
+            for t, read in into.items():
+                assert reads.setdefault(t, read) == read, (pattern, s, t)
+        assert (0 in nfa.finals) == nullable(ast)
 
 
 def test_star_language_by_enumeration():
@@ -89,27 +103,20 @@ def test_state_ceiling_trips(monkeypatch):
         nfa_to_dfa(nfa)
 
 
-def test_auto_form_falls_back_to_nfa(monkeypatch):
-    monkeypatch.setattr("pfsm.compile.DEFAULT_STATE_CEILING", 16)
-    pattern = "(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)"
-    machine = compile_pattern(pattern, "auto")
-    assert not machine.deterministic
-    with pytest.raises(StateCeilingExceeded):
-        compile_pattern(pattern, "dfa")
-
-
 def test_triple_oracle_agreement_on_random_trees():
     # NFA, DFA, and the independent tree interpreter agree on every short
-    # string over a 2-byte alphabet.
+    # string over a 2-byte alphabet; so do the NFA with epsilon hops and
+    # its subset construction.
     for seed in range(60):
         rng = random.Random(seed)
         ast = gen_ast(rng, AB, 3)
         nfa = compile_nfa(ast)
-        dfa = nfa_to_dfa(nfa)
+        eps = random_hops(rng, nfa)
+        machines = [nfa, nfa_to_dfa(nfa), eps, nfa_to_dfa(eps)]
         for s in all_strings(AB, 6):
             want = accepts(ast, s)
-            assert nfa_accepts(nfa, s) == want, (seed, s)
-            assert nfa_accepts(dfa, s) == want, (seed, s)
+            for k, machine in enumerate(machines):
+                assert nfa_accepts(machine, s) == want, (seed, k, s)
 
 
 def test_nullable_pattern_warns():

@@ -192,13 +192,14 @@ def _random_carry(rng, p, carry, base):
     return ActiveSet(carry.generation, tags)
 
 
-@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "literal"])
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "literal"])
 def test_fast_path_equals_engine(form):
     # Two-segment run_segment against the reference Engine: the same
     # matches in the same order, the same per-cycle pair counts and
     # match count, and the same carried set, on random windows and on
     # carries the first segment left, sometimes with random extra tags.
-    # The literal sets share one prefix trie.
+    # The literal sets share one prefix trie; only the eps form puts
+    # epsilon edges behind the initial state.
     rng = random.Random(f"fast-vs-engine/{form}")
     for trial in range(200):
         if form == "literal":
@@ -236,8 +237,9 @@ def test_lone_long_lived_tag_scans_in_linear_time():
 
 def test_far_carry_keeps_its_absolute_tag():
     # A tag carried a million positions keeps its start, and the carried
-    # set the scan returns still goes through the wire format.
-    p = build_pfsm([("gap", compile_pattern("a[^x]*b"))])
+    # set the scan returns still goes through the wire format. The DFA
+    # keeps one state live after the b, where the NFA keeps two.
+    p = build_pfsm([("gap", compile_pattern("a[^x]*b", "dfa"))])
     _, carry = run_segment(p, b"a", (0, 0), None)
     assert list(carry.tags.values()) == [{0}]
     out = []

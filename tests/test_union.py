@@ -7,7 +7,7 @@ import pytest
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
                      FIG2_MATCHES, FIG1_PATTERNS, build_fig1, gen_alphabet,
                      gen_instance, gen_literal_set, literal_machine,
-                     match_texts)
+                     match_texts, with_epsilon)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
@@ -323,23 +323,24 @@ def _literal_pfsm(pairs):
 def test_literals_share_one_prefix_trie():
     # abc and abd branch at ab; ab ends on an inner node; the second
     # label of abc keeps its own chain, since a state carries one label.
-    # The Thompson NFA of a literal has epsilon edges and is grafted as a
+    # A machine of ab with epsilon edges is no literal and is grafted as a
     # machine of its own.
     pairs = [("abc", b"abc"), ("abd", b"abd"), ("ab", b"ab"),
              ("again", b"abc"), ("b", b"b")]
     p = build_pfsm([(label, literal_machine(w)) for label, w in pairs]
-                   + [("nfa", compile_pattern("ab", "nfa"))])
+                   + [("eps", with_epsilon(literal_machine(b"ab"), [2]))])
     assert validate_pfsm(p) == []
     trie = p.trie
     assert [p.directory[lid].entry == trie for lid in p.live_labels()] \
         == [True, True, True, False, True, False]
-    # q0, the trie's root, a, ab, abc, abd and b; abc's own chain; the NFA.
-    assert len(p.automaton.states) == 1 + 6 + 4 + 4
+    # q0, the trie's root, a, ab, abc, abd and b; abc's own chain; ab's
+    # three states, a fresh initial state and the hop before its final.
+    assert len(p.automaton.states) == 1 + 6 + 4 + 5
     assert p.directory[p.label_ids["ab"]].owned \
         < p.directory[p.label_ids["abc"]].owned
     got = match_texts(find_matches(p, b"abcabd"), p)
-    assert got == {("abc", 0, 2), ("again", 0, 2), ("ab", 0, 1), ("nfa", 0, 1),
-                   ("b", 1, 1), ("ab", 3, 4), ("nfa", 3, 4), ("b", 4, 4),
+    assert got == {("abc", 0, 2), ("again", 0, 2), ("ab", 0, 1), ("eps", 0, 1),
+                   ("b", 1, 1), ("ab", 3, 4), ("eps", 3, 4), ("b", 4, 4),
                    ("abd", 3, 5)}
     # A trie label's stand-alone machine is its own chain.
     extracted = extract_pattern(p, p.label_ids["abd"])
@@ -436,18 +437,21 @@ def test_trie_dump_roundtrip_and_add_after_load():
             == dump_pfsm(add_pattern(p, label, m))
 
 
-@pytest.mark.xfail(strict=True, reason="a dump does not carry the next free "
-                   "state id, so ids removed from the top are numbered anew "
-                   "after a load")
 def test_add_after_load_of_a_trimmed_trie():
-    # Removing abd frees the top state id 5; the machine keeps it retired,
-    # the loader restarts numbering above its highest state.
-    q = remove_pattern(_literal_pfsm([("abc", b"abc"), ("abd", b"abd")]),
-                       "abd")
-    loaded = load_pfsm(dump_pfsm(q))
-    m = literal_machine(b"abe")
-    assert dump_pfsm(add_pattern(loaded, "abe", m)) \
-        == dump_pfsm(add_pattern(q, "abe", m))
+    # Removing abd frees the top state id 5, and removing b*c the top ids
+    # 4-6: the machine's next free id falls back to one above its highest
+    # state, as the loader derives it, so adding a pattern after a load
+    # numbers its states as adding it before does.
+    cases = [(_literal_pfsm([("abc", b"abc"), ("abd", b"abd")]), "abd",
+              literal_machine(b"abe")),
+             (build_pfsm([(pat, compile_pattern(pat)) for pat in ("a*c", "b*c")]),
+              "b*c", compile_pattern("c*d"))]
+    for p, gone, m in cases:
+        q = remove_pattern(p, gone)
+        loaded = load_pfsm(dump_pfsm(q))
+        assert loaded.next_state_id == q.next_state_id
+        assert dump_pfsm(add_pattern(loaded, "new", m)) \
+            == dump_pfsm(add_pattern(q, "new", m))
 
 
 def test_trie_goes_with_its_last_word():
