@@ -107,3 +107,21 @@ def reachable(a: Automaton, start: int) -> set[int]:
                 seen.add(t)
                 stack.append(t)
     return seen
+
+
+def useful(a: Automaton, start: int) -> set[int]:
+    """The states on a path from start to a final state, by byte and
+    epsilon edges, and start itself."""
+    seen = reachable(a, start)
+    preds: dict[int, list[int]] = {}
+    for s in seen:
+        for t in successors(a, s):
+            preds.setdefault(t, []).append(s)
+    stack = list(seen & a.finals)
+    out = {start, *stack}
+    while stack:
+        for s in preds.get(stack.pop(), ()):
+            if s not in out:
+                out.add(s)
+                stack.append(s)
+    return out

@@ -1,8 +1,8 @@
 """Command-line front-end.
 
-Subcommands: match (scan input with patterns or a compiled machine),
-compile (write the machine interchange dump), oracle (brute-force
-reference matcher, for debugging).
+Subcommands: match (scan input with patterns or a compiled machine, and
+print each match in the cycle where it ends), compile (write the machine
+interchange dump), oracle (brute-force reference matcher, for debugging).
 
 Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 """
@@ -16,7 +16,6 @@ import click
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
 from .engine import format_match_jsonl, format_match_tsv, run
 from .oracle import all_matches
-from .parallel import PlanError, data_plan, regex_plan, run_partitioned
 from .syntax import RegexSyntaxError, parse_regex
 from .union import Pfsm, build_pfsm
 from .wire import AutomatonFormatError, dump_pfsm, load_pfsm
@@ -107,41 +106,16 @@ def main():
               help="Input file (raw bytes).")
 @click.option("--form", type=click.Choice(["nfa", "dfa"]), default=None,
               help="Per-pattern machine form (default nfa; not with --automaton).")
-@click.option("--strategy", type=click.Choice(["single", "regex", "lazy", "chained"]),
-              default="single")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              help="Worker count (above 1 for partitioned strategies only).")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
-@click.option("--stats", is_flag=True,
-              help="Append a scan-statistics summary (single strategy only).")
+@click.option("--stats", is_flag=True, help="Append a scan-statistics summary.")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
-              form, strategy, workers, fmt, stats):
-    """Scan input and print every match, sorted by (end, start, label)."""
-    if stats and strategy != "single":
-        raise click.UsageError("--stats needs --strategy single")
-    if workers > 1 and strategy == "single":
-        raise click.UsageError("--workers above 1 needs --strategy regex, "
-                               "lazy or chained")
+              form, fmt, stats):
+    """Scan input and print each match as it ends: by end, then start,
+    then label."""
     pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
     data = _read_input(text, input_file)
     formatter = format_match_tsv if fmt == "tsv" else format_match_jsonl
-
-    if strategy == "single":
-        matches = []
-        scan_stats = run(pfsm, data, matches.append)
-    else:
-        if not data:
-            matches = []
-        else:
-            try:
-                plan = (regex_plan(pfsm, workers) if strategy == "regex"
-                        else data_plan(strategy, len(data), workers))
-                matches = run_partitioned(pfsm, data, plan)
-            except PlanError as exc:
-                raise MatchError(str(exc)) from exc
-
-    for m in matches:
-        click.echo(formatter(m, pfsm, data))
+    scan_stats = run(pfsm, data, lambda m: click.echo(formatter(m, pfsm, data)))
     if stats:
         m_max = max((e.n_states for e in pfsm.directory.values()), default=0)
         peak = max(scan_stats.per_cycle_pairs, default=0)

@@ -28,19 +28,20 @@ edge. A trie remove drops the label's final and deletes the branch nodes
 that no longer lead to a final, so memory follows the live words; if a
 duplicate of the word keeps its own chain, the duplicate takes the final
 over instead and its chain goes. Removing a label of any other machine
-drops its finals and the states no other label of the machine owns, then
-the states the entry no longer reaches. The
-directory is the only home of label text and, with its text index
-`label_ids`, is copied the same way: a removed label drops out of every
-later generation. Label ids are never reused; a label removed and added
-again gets a new one.
+drops its finals and the states no other label of the machine owns. Any
+machine but the trie that several labels share comes from a dump, and the
+loader keeps only the states on a path from an entry to a final, so every
+state left still lies on one of its labels' paths. The directory is the
+only home of label text and, with its text index `label_ids`, is copied
+the same way: a removed label drops out of every later generation. Label
+ids are never reused; a label removed and added again gets a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Automaton, reachable, successors, validate
+from .automaton import Automaton, reachable, successors, useful, validate
 
 
 class DuplicateLabelError(ValueError):
@@ -293,27 +294,15 @@ def _prune(a: Automaton, directory: dict[int, PatternEntry],
     return False
 
 
-def _drop(a: Automaton, directory: dict[int, PatternEntry], gone: PatternEntry,
-          lid: int) -> None:
-    """Drop label lid's finals and the states of `gone` that no label of
-    its machine left in `directory` owns, with the edges into them; the
-    machine and its q0 edge go with its last label. What the entry no
-    longer reaches goes too, and the other labels' states are read off
-    the rest as the loader reads them."""
-    kin = [(k, e.label) for k, e in directory.items() if e.entry == gone.entry]
-    kept = frozenset().union(*(directory[k].owned for k, _ in kin))
-    doomed = gone.owned - kept
+def _cut(a: Automaton, doomed, sources) -> None:
+    """Delete the `doomed` states from `a` with their own edges, and the
+    edges into them from `sources`."""
     for s in doomed:
         a.states.discard(s)
         a.byte_transitions.pop(s, None)
         a.epsilon_transitions.pop(s, None)
         a.final_labels.pop(s, None)
-    if not kin:
-        a.epsilon_transitions[a.initial].discard(gone.entry)
-        return
-    for s in kept:
-        if a.final_labels.get(s) == lid:
-            del a.final_labels[s]
+    for s in sources:
         table = a.byte_transitions.get(s)
         if table and any(succ & doomed for succ in table.values()):
             a.byte_transitions[s] = {b: succ - doomed for b, succ
@@ -321,20 +310,31 @@ def _drop(a: Automaton, directory: dict[int, PatternEntry], gone: PatternEntry,
         succ = a.epsilon_transitions.get(s)
         if succ and succ & doomed:
             a.epsilon_transitions[s] = succ - doomed
-    live = reachable(a, gone.entry) - {a.initial}
-    for s in kept - live:
-        a.states.discard(s)
-        a.byte_transitions.pop(s, None)
-        a.epsilon_transitions.pop(s, None)
-    directory.update(_owners(a, gone.entry, sorted(kin), live))
+
+
+def _drop(a: Automaton, directory: dict[int, PatternEntry], gone: PatternEntry,
+          lid: int) -> None:
+    """Drop label lid's finals and the states of `gone` that no label of
+    its machine left in `directory` owns, with the edges into them; the
+    machine and its q0 edge go with its last label. The other labels keep
+    their states: each lies on one of its label's paths to a final, since
+    the loader trims what leads to no final."""
+    kept = frozenset().union(*(e.owned for e in directory.values()
+                               if e.entry == gone.entry))
+    _cut(a, gone.owned - kept, kept)
+    if not kept:
+        a.epsilon_transitions[a.initial].discard(gone.entry)
+        return
+    for s in kept:
+        if a.final_labels.get(s) == lid:
+            del a.final_labels[s]
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     """New generation without the pattern: its finals go, and so do its
-    states that no other label of its machine owns and those its machine's
-    entry no longer reaches. A duplicate literal on its own chain takes a
-    removed trie label's final over. Surviving state ids are unchanged.
-    The next free state id is one above the highest state, as the loader
+    states that no other label of its machine owns. A duplicate literal on
+    its own chain takes a removed trie label's final over. Surviving state
+    ids are unchanged. The next free state id is one above the highest state, as the loader
     derives it, so ids removed from the top are given out again; a scan
     cannot confuse them, since it refuses a carry of another generation."""
     if label not in p.label_ids:
@@ -417,8 +417,9 @@ def _owners(a: Automaton, entry: int, labels: list[tuple[int, str]],
             states: set[int]) -> dict[int, PatternEntry]:
     """Directory entries of the machine at `entry` over `states`, for
     `labels`, (id, text) pairs in id order: each label owns the entry and
-    the states on its paths to its finals, and states on no label's path
-    go with the last label."""
+    the states on its paths to its finals. States on no label's path go
+    with the last label; they lead only to finals of other machines, which
+    `validate_pfsm` refuses."""
     preds: dict[int, list[int]] = {}
     for s in states:
         for t in successors(a, s):
@@ -442,14 +443,17 @@ def _owners(a: Automaton, entry: int, labels: list[tuple[int, str]],
 def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
     """The union machine `a` with its directory read off `patterns`, the
     (label, entry state) pairs in label-id order: labels that name one
-    entry share the machine of the states that entry reaches."""
+    entry share the machine of the states on a path from that entry to a
+    final, and the entry. Every other state but the initial one is
+    dropped from `a`, with the edges into it, so no state leads nowhere."""
     machines: dict[int, list[tuple[int, str]]] = {}
     for lid, (label, entry) in enumerate(patterns):
         machines.setdefault(entry, []).append((lid, label))
+    states = {entry: useful(a, entry) - {a.initial} for entry in machines}
+    _cut(a, a.states - {a.initial} - set().union(*states.values()), a.states)
     directory: dict[int, PatternEntry] = {}
     for entry, labels in machines.items():
-        directory.update(_owners(a, entry, labels,
-                                 reachable(a, entry) - {a.initial}))
+        directory.update(_owners(a, entry, labels, states[entry]))
     directory = dict(sorted(directory.items()))
     label_ids = {label: lid for lid, (label, _) in enumerate(patterns)}
     return Pfsm(a, directory, label_ids, 0, max(a.states) + 1, len(patterns),
@@ -457,8 +461,9 @@ def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
 
 
 def wrap_machine(machine: Automaton, labels: list[str]) -> Pfsm:
-    """A union holding the states `machine` reaches as one machine whose
-    finals labeled k report labels[k]."""
+    """A union holding `machine` as one machine whose finals labeled k
+    report labels[k]: its initial state and the states on its paths to a
+    final, as `assemble` keeps them."""
     union = Automaton({0}, 0, {}, {}, {})
     remap = _graft(union, machine, reachable(machine, machine.initial), 1, 0)
     for s, t in remap.items():

@@ -17,13 +17,15 @@ names it (`line N:`).
 
 A `pattern` line names a label and its machine's entry state. Lines that
 name one entry share that machine (the literal trie is one): its states
-are those the entry reaches, each label owns the states on its paths from
-the entry to its finals, and states on no label's path go with the
-machine's last label. Machines may not share states, an edge may not
-leave its machine, and a final must carry a label of its own machine. A
-dump without `pattern` lines is a plain machine; the states its initial
-state reaches load as one machine that keeps its final labels, or, with no
-final state, the dump is the empty union.
+are the entry and those on a path from the entry to a final, and each
+label owns the states on its paths from the entry to its finals. Every
+other state but the initial one is dropped at load, with the edges into
+it, so a sink state costs no live tags. Machines may not share states, an
+edge may not leave its machine, and a final must carry a label of its own
+machine. A dump without `pattern` lines is a plain machine; its initial
+state and the states on its paths to a final load as one machine that
+keeps its final labels, or, with no final state, the dump is the empty
+union.
 """
 
 from __future__ import annotations
@@ -107,15 +109,15 @@ def load_pfsm(text: str) -> Pfsm:
 
     Label ids follow the order of the `pattern` lines. Lines that name one
     entry state share its machine: each of their labels owns the states
-    on its paths from the entry to its finals, and states on no label's
-    path go with the machine's last label. The literal trie is the
-    lowest-numbered machine shaped as one.
+    on its paths from the entry to its finals. A state on no path from an
+    entry to a final is dropped, with the edges into it. The literal trie
+    is the lowest-numbered machine shaped as one.
 
     A plain automaton dump without `pattern` lines (an externally produced
-    machine) is wrapped as one machine of the states its initial state
-    reaches that keeps its final labels, listed in the order they first
-    appear. A dump with no `pattern` line and no
-    final state is the empty union.
+    machine) is wrapped as one machine, of its initial state and the
+    states on its paths to a final, that keeps its final labels, listed in
+    the order they first appear. A dump with no `pattern` line and no final
+    state is the empty union.
     """
     a = Automaton(set(), None, {}, {}, {})   # no initial state yet
     final_texts: dict[int, str] = {}

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior via click's test runner."""
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -75,45 +77,46 @@ def test_match_stats_flag(runner):
         "# stats: n=7 r=3 m_max=5 s=256 peak_active_pairs=9 matches=10")
 
 
-def test_match_stats_needs_single_strategy(runner):
-    # Partitioned runs report no scan statistics, so --stats is refused
-    # rather than printing made-up zero counts.
-    result = runner.invoke(main, ["match", "-e", "a*b", "--text", "aaab",
-                                  "--strategy", "chained", "--workers", "2",
-                                  "--stats"])
-    assert result.exit_code == 2
-    assert "--stats" in result.output
+def test_match_prints_each_match_before_the_scan_returns(runner, monkeypatch):
+    # Each match is formatted from the scan's sink in the cycle where it
+    # ends, not from a list read after the scan.
+    import pfsm.cli as cli
+    real_run, real_format = cli.run, cli.format_match_tsv
+    returned, seen = [False], []
+
+    def run(*args):
+        stats = real_run(*args)
+        returned[0] = True
+        return stats
+
+    def format_match_tsv(*args):
+        seen.append(returned[0])
+        return real_format(*args)
+
+    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli, "format_match_tsv", format_match_tsv)
+    result = runner.invoke(main, ["match", *fig1_args(), "--text", "aacacab"])
+    assert result.output == FIG2_TSV
+    assert seen == [False] * 10
 
 
-@pytest.mark.parametrize("strategy", ["regex", "chained"])
-def test_match_zero_workers_is_usage_error(runner, strategy):
-    result = runner.invoke(main, ["match", "-e", "a", "--text", "aa",
-                                  "--strategy", strategy, "--workers", "0"])
-    assert result.exit_code == 2
-    assert "--workers" in result.output
+def test_match_memory_does_not_grow_with_match_count():
+    # `a+` over n `a`s has n(n+1)/2 matches, but at most n live tags.
+    # Printed from the sink, the matches leave a peak that follows the live
+    # set, under 2x when n doubles; held in a list, they grow it about 4x.
+    def peak(n):
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            tracemalloc.start()
+            try:
+                main(["match", "-e", "a+", "--text", "a" * n],
+                     standalone_mode=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-
-@pytest.mark.parametrize("strategy, workers", [
-    ("single", 1), ("regex", 3), ("lazy", 2), ("chained", 2), ("chained", 3),
-])
-def test_match_strategies_equal_single(runner, strategy, workers):
-    single = runner.invoke(main, ["match", *fig1_args(), "--text", "aacacab"])
-    result = runner.invoke(main, ["match", *fig1_args(), "--text", "aacacab",
-                                  "--strategy", strategy,
-                                  "--workers", str(workers)])
-    assert result.exit_code == 0, result.output
-    assert result.output == single.output
-
-
-@pytest.mark.parametrize("args", [
-    ["--strategy", "single", "--workers", "4"],
-], ids=["workers-with-single"])
-def test_match_workers_never_ignored(runner, args):
-    # `single` runs one worker, so a --workers value it would ignore is
-    # refused.
-    result = runner.invoke(main, ["match", "-e", "ab", "--text", "abab", *args])
-    assert result.exit_code == 2
-    assert "--workers" in result.output
+    peak(150)                               # first-use imports and caches
+    small, large = peak(150), peak(300)
+    assert large < 2 * small, (small, large)
 
 
 def test_match_from_pattern_and_input_files(runner, tmp_path):
@@ -215,12 +218,11 @@ def test_compile_dump_load_match(runner, tmp_path):
     assert match.output == FIG2_TSV
 
 
-@pytest.mark.parametrize("strategy", ["single", "regex"])
-def test_match_plain_dump_reports_each_label(runner, tmp_path, strategy):
+def test_match_plain_dump_reports_each_label(runner, tmp_path):
     dump = tmp_path / "plain.aut"
     dump.write_text(PLAIN_TWO_LABEL_DUMP)
     result = runner.invoke(main, ["match", "--automaton", str(dump),
-                                  "--text", "ab", "--strategy", strategy])
+                                  "--text", "ab"])
     assert result.exit_code == 0, result.output
     assert result.output == "a\t0\t0\ta\nb\t1\t1\tb\n"
 
@@ -242,7 +244,7 @@ def test_match_rejects_malformed_automaton(runner, tmp_path, text, fragment):
     dump = tmp_path / "bad.aut"
     dump.write_text(text)
     result = runner.invoke(main, ["match", "--automaton", str(dump),
-                                  "--text", "aba", "--strategy", "regex"])
+                                  "--text", "aba"])
     assert result.exit_code == 1
     assert f"{dump}: " in result.output and fragment in result.output
 

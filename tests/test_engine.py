@@ -9,9 +9,10 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
                      gen_literal_instance, loglog_slope, match_texts)
 
 from pfsm import build_pfsm, compile_pattern, step
-from pfsm.engine import (ActiveSet, Engine, GenerationMismatchError, Match,
-                         find_matches, format_match_jsonl, format_match_tsv,
-                         run, run_segment)
+from pfsm.engine import (ActiveSet, Engine, EngineStats,
+                         GenerationMismatchError, Match, _scan, find_matches,
+                         format_match_jsonl, format_match_tsv, run,
+                         run_segment)
 from pfsm.oracle import all_matches
 from pfsm.union import remove_pattern
 from pfsm.wire import ActiveSetFormatError, dump_active_set, load_active_set
@@ -222,6 +223,17 @@ def test_fast_path_equals_engine(form):
             assert stats.matches_emitted == want_stats.matches_emitted
             assert snap == want_snap, (trial, base)
             carry = snap
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
+def test_lone_tag_never_widens(form):
+    # The one tag seeded at the 'a' stays anchored at its start with a
+    # one-bit mask, however long it lives: checked on the scan's own
+    # values, not through its running time.
+    p = build_pfsm([("gap", compile_pattern("a[^x]*b", form))])
+    active = _scan(p.automaton, b"a" + b"c" * 5000, (0, 0), {}, None, 0,
+                   EngineStats())
+    assert list(active.values()) == [(0, 1)]
 
 
 @pytest.mark.slow

@@ -4,8 +4,9 @@ for every strategy and plan."""
 import random
 
 import pytest
-from helpers import (FIG1_INPUT, FIG2_MATCHES, build_fig1, gen_instance,
-                     gen_literal_instance, match_texts)
+from helpers import (FIG1_INPUT, FIG2_MATCHES, PLAIN_TWO_LABEL_DUMP,
+                     build_fig1, gen_instance, gen_literal_instance,
+                     match_texts)
 
 from pfsm import build_pfsm, find_matches, remove_pattern
 from pfsm.compile import compile_pattern
@@ -13,6 +14,7 @@ from pfsm.oracle import all_matches
 from pfsm.parallel import (PartitionPlan, PlanError, data_plan, regex_plan,
                            run_chained_partitioned, run_lazy_partitioned,
                            run_partitioned, run_regex_partitioned, segments)
+from pfsm.wire import load_pfsm
 
 # Workers run serially; this single-valued parametrization keeps the
 # "[serial]" suffix in these tests' ids.
@@ -147,6 +149,20 @@ def test_randomized_equivalence_with_single_run(strategy, executor):
                 else data_plan(strategy, len(data), workers))
         got = run_partitioned(p, data, plan)
         assert got == find_matches(p, data), (strategy, workers, data)
+
+
+@pytest.mark.parametrize("strategy", ["regex", "lazy", "chained"])
+def test_labels_sharing_a_machine_equal_single_run(strategy):
+    # Both labels of a plain dump share one machine, so each regex worker
+    # runs the part of it that its label owns.
+    p = load_pfsm(PLAIN_TWO_LABEL_DUMP)
+    data = b"abba"
+    plan = (regex_plan(p, 2) if strategy == "regex"
+            else data_plan(strategy, len(data), 2))
+    single = find_matches(p, data)
+    assert match_texts(single, p) == {("a", 0, 0), ("b", 1, 1), ("b", 2, 2),
+                                      ("a", 3, 3)}
+    assert run_partitioned(p, data, plan) == single
 
 
 def test_regex_plan_deals_labels_round_robin():

@@ -497,8 +497,8 @@ def test_remove_label_of_shared_plain_machine():
 
 
 def test_removal_drops_what_the_entry_no_longer_reaches():
-    # State 2 leads to no final, so it goes with y, the machine's last
-    # label, but only x's final reaches it: it goes with x.
+    # State 2 leads to no final, so the loader drops it; removing x then
+    # drops x's final, the one state y does not own.
     text = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\nstate 2\n"
             "state 3 final y\ntrans 0 0x61 1\ntrans 1 0x62 2\n"
             "trans 0 0x63 3\n")

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from pfsm import (add_pattern, build_pfsm, compile_pattern, find_matches,
                   remove_pattern, validate_pfsm)
+from pfsm.automaton import Automaton
 from pfsm.compile import compile_nfa
-from pfsm.engine import ActiveSet
+from pfsm.engine import ActiveSet, run
+from pfsm.oracle import all_matches
+from pfsm.syntax import parse_regex
 from pfsm.wire import (ActiveSetFormatError, AutomatonFormatError,
                        dump_active_set, dump_pfsm, load_active_set, load_pfsm)
 
@@ -155,6 +158,45 @@ def test_plain_dump_keeps_each_final_label():
     # A state the initial state does not reach is left out.
     stray = load_pfsm(PLAIN_TWO_LABEL_DUMP + "state 3\ntrans 3 0x61 1\n")
     assert dump_pfsm(stray) == text
+
+
+def test_loader_drops_a_state_on_no_path_to_a_final():
+    # build_pfsm grafts the machine's unreachable state 2 as union state 3;
+    # the loader drops it, so the dump loads and scans as the built machine.
+    m = Automaton({0, 1, 2}, 0, {0: {0x61: {1}}}, {}, {1: 0})
+    p = build_pfsm([("x", m)])
+    assert validate_pfsm(p) == [] and p.automaton.states == {0, 1, 2, 3}
+    q = load_pfsm(dump_pfsm(p))
+    assert validate_pfsm(q) == [] and q.automaton.states == {0, 1, 2}
+    assert find_matches(q, b"aba") == find_matches(p, b"aba")
+    assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
+
+
+def complete_dfa_dump(word: bytes) -> str:
+    """A plain dump of the complete DFA of `word`: every state has an
+    edge on every byte, and a sink state takes each byte that leaves it."""
+    sink = len(word) + 1
+    states = [f"state {s}" for s in range(sink + 1)]
+    states[0] += " initial"
+    states[len(word)] += f" final {word.decode()}"
+    trans = [f"trans {s} 0x{b:02X} "
+             f"{s + 1 if s < len(word) and b == word[s] else sink}"
+             for s in range(sink + 1) for b in range(256)]
+    return "\n".join(["PFSM-AUT v1", *states, *trans]) + "\n"
+
+
+def test_complete_dfa_loads_without_its_sink():
+    # A tag that entered the sink would stay live to the end of the input:
+    # one more live pair per byte.
+    p = load_pfsm(complete_dfa_dump(b"ab"))
+    assert len(p.automaton.states) == 4
+    data = b"xab" * 50
+    want = {(p.label_ids["ab"], i, j)
+            for _, i, j in all_matches([(0, parse_regex("ab"))], data)}
+    assert {(m.label, m.start, m.end) for m in find_matches(p, data)} == want
+    for k in (50, 500):
+        stats = run(p, b"xab" * k)
+        assert max(stats.per_cycle_pairs) <= 3
 
 
 def test_empty_machine_roundtrips():
