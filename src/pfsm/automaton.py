@@ -20,8 +20,9 @@ class Automaton:
     byte_transitions: dict[int, dict[int, set[int]]]
     # state -> successor set
     epsilon_transitions: dict[int, set[int]]
-    # final state -> label id; the only record of which states are final
-    final_labels: dict[int, int]
+    # final state -> the non-empty set of label ids it accepts; the only
+    # record of which states are final
+    final_labels: dict[int, frozenset[int]]
 
     @property
     def finals(self):

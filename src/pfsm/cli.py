@@ -56,12 +56,9 @@ def _compile_set(entries, form) -> Pfsm:
     return build_pfsm(compiled)
 
 
-def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
+def _load_machine(exprs, patterns_file, automaton_file) -> Pfsm:
     if automaton_file and (exprs or patterns_file):
         raise click.UsageError("--automaton conflicts with -e/--patterns")
-    if automaton_file and form is not None:
-        raise click.UsageError("--form conflicts with --automaton: the dump "
-                               "fixes each pattern's form")
     if automaton_file:
         try:
             with open(automaton_file, encoding="utf-8") as fh:
@@ -73,7 +70,7 @@ def _load_machine(exprs, patterns_file, automaton_file, form) -> Pfsm:
     entries = _gather_patterns(exprs, patterns_file)
     if not entries:
         raise click.UsageError("no patterns given (-e, --patterns, or --automaton)")
-    return _compile_set(entries, form or "nfa")
+    return _compile_set(entries, "nfa")
 
 
 def _read_input(text, input_file) -> bytes:
@@ -104,15 +101,13 @@ def main():
 @click.option("--text", default=None, help="Input string (UTF-8 bytes).")
 @click.option("--input", "input_file", type=click.Path(), default=None,
               help="Input file (raw bytes).")
-@click.option("--form", type=click.Choice(["nfa", "dfa"]), default=None,
-              help="Per-pattern machine form (default nfa; not with --automaton).")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
 @click.option("--stats", is_flag=True, help="Append a scan-statistics summary.")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
-              form, fmt, stats):
+              fmt, stats):
     """Scan input and print each match as it ends: by end, then start,
     then label."""
-    pfsm = _load_machine(expressions, patterns_file, automaton_file, form)
+    pfsm = _load_machine(expressions, patterns_file, automaton_file)
     data = _read_input(text, input_file)
     formatter = format_match_tsv if fmt == "tsv" else format_match_jsonl
     scan_stats = run(pfsm, data, lambda m: click.echo(formatter(m, pfsm, data)))

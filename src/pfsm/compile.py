@@ -81,13 +81,14 @@ def compile_nfa(ast: Node) -> Automaton:
                 row.setdefault(byte, set()).add(p)
         if row:
             byte_transitions[q] = row
-    finals = dict.fromkeys(last | {0} if null else last, 0)
+    finals = dict.fromkeys(last | {0} if null else last, frozenset({0}))
     return Automaton(set(range(len(reads))), 0, byte_transitions, {}, finals)
 
 
 def nfa_to_dfa(nfa: Automaton) -> Automaton:
     """Subset construction. Language-preserving; output has no epsilon edges
-    and at most one successor per (state, byte).
+    and at most one successor per (state, byte), and a subset accepts the
+    labels of all its final members.
 
     Raises StateCeilingExceeded when more than DEFAULT_STATE_CEILING subset
     states would be created.
@@ -97,15 +98,6 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
     ids: dict[frozenset[int], int] = {start: 0}
     worklist = [start]
     byte_transitions: dict[int, dict[int, set[int]]] = {}
-    final_labels: dict[int, int] = {}
-
-    def label_of(subset: frozenset[int]) -> int | None:
-        labs = sorted(nfa.final_labels[s] for s in subset if s in nfa.final_labels)
-        return labs[0] if labs else None
-
-    lab = label_of(start)
-    if lab is not None:
-        final_labels[0] = lab
 
     while worklist:
         subset = worklist.pop()
@@ -121,11 +113,12 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
                     raise StateCeilingExceeded(ceiling)
                 ids[target] = len(ids)
                 worklist.append(target)
-                lab = label_of(target)
-                if lab is not None:
-                    final_labels[ids[target]] = lab
             byte_transitions.setdefault(sid, {}).setdefault(byte, set()).add(ids[target])
 
+    finals = nfa.final_labels
+    final_labels = {sid: labels for subset, sid in ids.items()
+                    if (labels := frozenset().union(
+                        *(finals[s] for s in subset if s in finals)))}
     return Automaton(set(range(len(ids))), 0, byte_transitions, {},
                      final_labels)
 

@@ -6,7 +6,8 @@ states; (2) epsilon-close the freshly activated start region, propagating
 the new tag; (3) keep only the transitions matching the current byte;
 (4) apply them, tag the targets, and epsilon-close the newly reached
 states. A final state holding tag t at the end of step 4 reports a match
-spanning [t, current position], emitted before the next byte is read.
+of each of its labels spanning [t, current position], emitted before the
+next byte is read.
 
 Tags travel unmodified, so every active state carries the set of start
 positions of the partial matches currently sitting in it. Zero-length
@@ -137,8 +138,7 @@ class Engine:
         # label reports each (label, start) once.
         final_tags: dict[int, set[int]] = {}
         for s, tags in nxt.items():
-            label = a.final_labels.get(s)
-            if label is not None:
+            for label in a.final_labels.get(s, ()):
                 final_tags.setdefault(label, set()).update(tags)
         emitted = sorted((Match(label, t, pos)
                           for label, tags in final_tags.items() for t in tags),
@@ -328,9 +328,9 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
         if hit:
             by_label: dict[int, tuple[int, int]] = {}
             for t in hit:
-                label = finals[t]
-                cur = by_label.get(label)
-                by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
+                for label in finals[t]:
+                    cur = by_label.get(label)
+                    by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
             found = sorted((start_tag, label)
                            for label, tagged in by_label.items()
                            for start_tag in _tags(*tagged))

@@ -6,8 +6,8 @@ machine's entry state. A machine usually holds one pattern; labels that
 share an entry share its machine. Literal patterns share one such machine,
 a prefix trie: the first literal's chain becomes the trie, and each later
 literal walks it from the entry and branches off with fresh states, its
-last node final for its label. A literal whose last node is already final
-for another label keeps its own chain, so a state carries one label. A
+last node final for its label. A final state carries a set of labels, so
+a literal whose last node is already final adds its label to that node. A
 label owns the states on its paths from its machine's entry to its finals
 (a trie label, its path from the entry to its final), and only labels of
 one machine share states.
@@ -24,17 +24,18 @@ and the ancillary state's epsilon set, and a trie insert or prune copies
 the one table it edits, that of the node a word branches from or that
 its pruned branch hangs from. Old generations therefore stay valid, and
 an update costs O(states) pointer copies rather than a copy of every
-edge. A trie remove drops the label's final and deletes the branch nodes
-that no longer lead to a final, so memory follows the live words; if a
-duplicate of the word keeps its own chain, the duplicate takes the final
-over instead and its chain goes. Removing a label of any other machine
-drops its finals and the states no other label of the machine owns. Any
-machine but the trie that several labels share comes from a dump, and the
-loader keeps only the states on a path from an entry to a final, so every
-state left still lies on one of its labels' paths. The directory is the
-only home of label text and, with its text index `label_ids`, is copied
-the same way: a removed label drops out of every later generation. Label
-ids are never reused; a label removed and added again gets a new one.
+edge. A trie remove takes the label off its final; a final left with no
+label stops being final, and the branch nodes that no longer lead to a
+final go, so memory follows the live words. Removing a label of any other
+machine takes it off its finals and drops the states no other label of
+the machine owns. A final's label set is a frozenset, replaced rather
+than edited, so generations share it too. Any machine but the trie that
+several labels share comes from a dump, and the loader keeps only the
+states on a path from an entry to a final, so every state left still lies
+on one of its labels' paths. The directory is the only home of label text
+and, with its text index `label_ids`, is copied the same way: a removed
+label drops out of every later generation. Label ids are never reused; a
+label removed and added again gets a new one.
 """
 
 from __future__ import annotations
@@ -87,10 +88,11 @@ class Pfsm:
 def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
            clip: bool = False) -> dict[int, int]:
     """Copy `states` of src, with their edges, into dst, renumbered as
-    base, base+1, ... in sorted order; finals are relabeled label_id. An
+    base, base+1, ... in sorted order; finals accept label_id alone. An
     edge leaving `states` is dropped when `clip` is set and raises
     KeyError otherwise. Returns the renumbering."""
     remap = {s: base + i for i, s in enumerate(sorted(states))}
+    labels = frozenset({label_id})
     for s, t in remap.items():
         dst.states.add(t)
         table = src.byte_transitions.get(s)
@@ -106,7 +108,7 @@ def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
         if succ:
             dst.epsilon_transitions[t] = {remap[u] for u in succ}
         if s in src.final_labels:
-            dst.final_labels[t] = label_id
+            dst.final_labels[t] = labels
     return remap
 
 
@@ -139,11 +141,10 @@ def _literal_word(machine: Automaton) -> bytes | None:
 
 
 def _insert(a: Automaton, root: int, word: bytes, base: int,
-            lid: int) -> tuple[list[int], int] | None:
+            lid: int) -> tuple[list[int], int]:
     """Walk `word` down the trie at `root`, branch off with fresh states
-    base, base+1, ... and make the last node final for lid. Returns the
-    path from the root and the next free state id, or None, leaving `a`
-    as it was, when the last node is already final."""
+    base, base+1, ... and add lid to the last node's labels. Returns the
+    path from the root and the next free state id."""
     trans = a.byte_transitions
     path = [root]
     for i, byte in enumerate(word):
@@ -153,16 +154,15 @@ def _insert(a: Automaton, root: int, word: bytes, base: int,
             break
         path.extend(succ)                   # a trie row has one successor
     else:
-        if path[-1] in a.final_labels:
-            return None
-        a.final_labels[path[-1]] = lid
+        end = path[-1]
+        a.final_labels[end] = a.final_labels.get(end, frozenset()) | {lid}
         return path, base
     fresh = range(base, base + len(word) - i)
     trans[path[-1]] = {**trans.get(path[-1], {}), word[i]: {base}}
     for s, byte in zip(fresh, word[i + 1:]):
         trans[s] = {byte: {s + 1}}
     a.states.update(fresh)
-    a.final_labels[fresh[-1]] = lid
+    a.final_labels[fresh[-1]] = frozenset({lid})
     path.extend(fresh)
     return path, fresh.stop
 
@@ -178,12 +178,10 @@ def _append(union: Automaton, directory: dict[int, PatternEntry],
         raise DuplicateLabelError(f"duplicate label {label!r}")
     word = _literal_word(machine)
     if word is not None and trie is not None:
-        joined = _insert(union, trie, word, base, lid)
-        if joined is not None:
-            path, base = joined
-            directory[lid] = PatternEntry(label, trie, frozenset(path))
-            label_ids[label] = lid
-            return base, trie
+        path, base = _insert(union, trie, word, base, lid)
+        directory[lid] = PatternEntry(label, trie, frozenset(path))
+        label_ids[label] = lid
+        return base, trie
     try:
         remap = _graft(union, machine, machine.states, base, lid)
         entry = remap[machine.initial]
@@ -229,50 +227,28 @@ def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
                 p.next_label_id + 1, trie)
 
 
-def _twin(a: Automaton, directory: dict[int, PatternEntry], word: bytes,
-          trie: int) -> int | None:
-    """The label of the lowest-numbered machine besides the trie that is
-    one label's own chain spelling `word`, or None."""
-    trans, finals, eps = a.byte_transitions, a.final_labels, a.epsilon_transitions
-    best, lid = None, None
-    for entry in eps[a.initial]:
-        if entry == trie or (best is not None and entry > best):
-            continue
-        s = entry
-        for byte in word:
-            row = trans.get(s)
-            if s in finals or eps.get(s) or not row or len(row) != 1 \
-                    or len(row.get(byte, ())) != 1:
-                break
-            (s,) = row[byte]
-        else:
-            if s in finals and not trans.get(s) and not eps.get(s) \
-                    and sum(e.entry == entry for e in directory.values()) == 1:
-                best, lid = entry, finals[s]
-    return lid
+def _unlabel(finals: dict[int, frozenset[int]], s: int, lid: int) -> None:
+    """Take lid off state s's labels; s stops being final with its last."""
+    rest = finals[s] - {lid}
+    if rest:
+        finals[s] = rest
+    else:
+        del finals[s]
 
 
-def _prune(a: Automaton, directory: dict[int, PatternEntry],
-           gone: PatternEntry) -> bool:
-    """Take a trie label's final from it. A label whose own chain spells
-    the same word takes the final over, and its chain goes; otherwise the
+def _prune(a: Automaton, gone: PatternEntry, lid: int) -> bool:
+    """Take trie label lid off its final. If no label is left there, the
     nodes of the path that no longer lead to a final go, and the one table
     they hang from is copied. Returns True when the whole trie went."""
     trans, finals = a.byte_transitions, a.final_labels
-    path, word = [gone.entry], bytearray()
-    while step := [(b, u) for b, succ in trans.get(path[-1], {}).items()
+    path = [gone.entry]
+    while step := [u for succ in trans.get(path[-1], {}).values()
                    for u in succ if u in gone.owned]:
-        ((byte, s),) = step
+        (s,) = step
         path.append(s)
-        word.append(byte)
-    lid = _twin(a, directory, bytes(word), gone.entry)
-    if lid is not None:
-        chain = directory[lid]
-        directory[lid] = PatternEntry(chain.label, gone.entry, gone.owned)
-        finals[path[-1]] = lid
-        _drop(a, directory, chain, lid)
+    _unlabel(finals, path[-1], lid)
+    if path[-1] in finals:
         return False
-    del finals[path[-1]]
     cut = len(path)                         # path[cut:] goes
     if not trans.get(path[-1]):
         cut -= 1
@@ -314,29 +290,29 @@ def _cut(a: Automaton, doomed, sources) -> None:
 
 def _drop(a: Automaton, directory: dict[int, PatternEntry], gone: PatternEntry,
           lid: int) -> None:
-    """Drop label lid's finals and the states of `gone` that no label of
-    its machine left in `directory` owns, with the edges into them; the
-    machine and its q0 edge go with its last label. The other labels keep
-    their states: each lies on one of its label's paths to a final, since
-    the loader trims what leads to no final."""
+    """Take label lid off its finals and drop the states of `gone` that no
+    label of its machine left in `directory` owns, with the edges into
+    them; the machine and its q0 edge go with its last label. The other
+    labels keep their states: each lies on one of its label's paths to a
+    final, since the loader trims what leads to no final."""
     kept = frozenset().union(*(e.owned for e in directory.values()
                                if e.entry == gone.entry))
     _cut(a, gone.owned - kept, kept)
     if not kept:
         a.epsilon_transitions[a.initial].discard(gone.entry)
         return
-    for s in kept:
-        if a.final_labels.get(s) == lid:
-            del a.final_labels[s]
+    for s in kept & a.final_labels.keys():
+        if lid in a.final_labels[s]:
+            _unlabel(a.final_labels, s, lid)
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
-    """New generation without the pattern: its finals go, and so do its
-    states that no other label of its machine owns. A duplicate literal on
-    its own chain takes a removed trie label's final over. Surviving state
-    ids are unchanged. The next free state id is one above the highest state, as the loader
-    derives it, so ids removed from the top are given out again; a scan
-    cannot confuse them, since it refuses a carry of another generation."""
+    """New generation without the pattern: its label leaves its finals, and
+    its states that no other label of its machine owns go. Surviving state
+    ids are unchanged. The next free state id is one above the highest
+    state, as the loader derives it, so ids removed from the top are given
+    out again; a scan cannot confuse them, since it refuses a carry of
+    another generation."""
     if label not in p.label_ids:
         raise UnknownLabelError(label)
     lid = p.label_ids[label]
@@ -346,7 +322,7 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     del directory[lid], label_ids[label]
     trie = p.trie
     if gone.entry == trie:
-        if _prune(union, directory, gone):
+        if _prune(union, gone, lid):
             trie = _find_trie(union, directory)
     else:
         _drop(union, directory, gone, lid)
@@ -362,14 +338,14 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
 def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
     """The stand-alone machine of one pattern: its own states, the edges
     between them and its own finals, renumbered to dense ids. Finals
-    carry label 0 (single-pattern convention)."""
+    accept label 0 alone (single-pattern convention)."""
     if label_id not in p.directory:
         raise UnknownLabelError(label_id)
     entry, finals = p.directory[label_id], p.automaton.final_labels
     out = Automaton(set(), 0, {}, {}, {})
     remap = _graft(out, p.automaton, entry.owned, 0, 0, clip=True)
     for s in entry.owned & finals.keys():
-        if finals[s] != label_id:
+        if label_id not in finals[s]:
             del out.final_labels[remap[s]]
     out.initial = remap[entry.entry]
     return out
@@ -396,8 +372,7 @@ def _is_trie(a: Automaton, entry: int, labels: dict[int, PatternEntry]) -> bool:
         row = a.byte_transitions.get(s)
         if a.epsilon_transitions.get(s) or not (row or s in a.final_labels):
             return False
-        if s in a.final_labels:
-            ends.append(a.final_labels[s])
+        ends.extend(a.final_labels.get(s, ()))
         for succ in (row or {}).values():
             if len(succ) != 1 or succ & seen:
                 return False
@@ -426,7 +401,8 @@ def _owners(a: Automaton, entry: int, labels: list[tuple[int, str]],
             preds.setdefault(t, []).append(s)
     owned: dict[int, set[int]] = {lid: set() for lid, _ in labels}
     for f in states & a.finals:
-        owned.get(a.final_labels[f], set()).add(f)
+        for lid in a.final_labels[f]:
+            owned.get(lid, set()).add(f)
     for mine in owned.values():
         stack = list(mine)
         while stack:
@@ -461,9 +437,9 @@ def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
 
 
 def wrap_machine(machine: Automaton, labels: list[str]) -> Pfsm:
-    """A union holding `machine` as one machine whose finals labeled k
-    report labels[k]: its initial state and the states on its paths to a
-    final, as `assemble` keeps them."""
+    """A union holding `machine` as one machine whose finals accepting
+    label k report labels[k]: its initial state and the states on its
+    paths to a final, as `assemble` keeps them."""
     union = Automaton({0}, 0, {}, {}, {})
     remap = _graft(union, machine, reachable(machine, machine.initial), 1, 0)
     for s, t in remap.items():
@@ -477,8 +453,8 @@ def wrap_machine(machine: Automaton, labels: list[str]) -> Pfsm:
 def validate_pfsm(p: Pfsm) -> list[str]:
     """Automaton invariants plus union-machine bookkeeping invariants:
     machines partition the non-initial states, no edge leaves its machine,
-    every final carries a label of its machine and lies on that label's
-    states, and `trie` is the lowest-numbered literal-trie machine."""
+    every label of a final is one of its machine's and owns the final,
+    and `trie` is the lowest-numbered literal-trie machine."""
     problems = validate(p.automaton)
     a = p.automaton
     machines = _machines(p.directory)
@@ -500,15 +476,16 @@ def validate_pfsm(p: Pfsm) -> list[str]:
                 problems.append(f"pattern {owner[s]!r} state {s} has edges "
                                 f"leaving the pattern, to {sorted(outside)}")
         for f in sorted(owner.keys() & a.finals):
-            lid = a.final_labels[f]
-            if lid not in labels:
-                other = p.directory.get(lid)
-                text = other.label if other else lid
-                problems.append(f"final {f} is labeled {text!r} but owned by "
-                                f"pattern {owner[f]!r}")
-            elif f not in labels[lid].owned:
-                problems.append(f"final {f} of pattern {labels[lid].label!r} "
-                                f"is not among its states")
+            for lid in sorted(a.final_labels[f]):
+                if lid not in labels:
+                    other = p.directory.get(lid)
+                    text = other.label if other else lid
+                    problems.append(f"final {f} is labeled {text!r} but owned "
+                                    f"by pattern {owner[f]!r}")
+                elif f not in labels[lid].owned:
+                    problems.append(f"final {f} of pattern "
+                                    f"{labels[lid].label!r} is not among its "
+                                    f"states")
     if seen.keys() | {a.initial} != a.states:
         problems.append("pattern directory does not partition the non-initial states")
     if a.byte_transitions.get(a.initial):

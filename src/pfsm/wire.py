@@ -4,16 +4,21 @@ active sets.
 Both are a header line, then one directive per line, split on whitespace;
 blank lines and lines starting with `#` are skipped:
 
-    PFSM-AUT v1                     PFSM-ACT v1
-    state <id> [initial] [final <label>]
-    trans <from> 0x<HH> <to>        gen <generation>
-    eps <from> <to>                 active <state> <tag>,<tag>,...
+    PFSM-AUT v2                     PFSM-ACT v1
+    state <id> [initial]            gen <generation>
+    final <state> <label>           active <state> <tag>,<tag>,...
+    trans <from> 0x<HH> <to>
+    eps <from> <to>
     pattern <label> <entry state>
 
 Every integer has one spelling: ASCII decimal digits with no sign, `_` or
 leading zero; a byte is `0x` and two upper-case hex digits. A state is
-declared once and a tag is listed once per state. An error about a line
-names it (`line N:`).
+declared once, a (state, label) pair is listed once and a tag is listed
+once per state. An error about a line names it (`line N:`).
+
+A `final` line makes a state accept a label, the rest of the line; a
+state accepts each label it is listed with, so one DFA state may end
+several patterns.
 
 A `pattern` line names a label and its machine's entry state. Lines that
 name one entry share that machine (the literal trie is one): its states
@@ -24,8 +29,8 @@ it, so a sink state costs no live tags. Machines may not share states, an
 edge may not leave its machine, and a final must carry a label of its own
 machine. A dump without `pattern` lines is a plain machine; its initial
 state and the states on its paths to a final load as one machine that
-keeps its final labels, or, with no final state, the dump is the empty
-union.
+keeps the labels of its finals, or, with no final state, the dump is the
+empty union.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .automaton import Automaton, validate
 from .engine import ActiveSet
 from .union import Pfsm, assemble, validate_pfsm, wrap_machine
 
-AUTOMATON_HEADER = "PFSM-AUT v1"
+AUTOMATON_HEADER = "PFSM-AUT v2"
 ACTIVESET_HEADER = "PFSM-ACT v1"
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
@@ -87,13 +92,11 @@ def dump_pfsm(p: Pfsm) -> str:
                              f"empty or has irregular whitespace")
     a = p.automaton
     lines = [AUTOMATON_HEADER]
-    for s in sorted(a.states):
-        line = f"state {s}"
-        if s == a.initial:
-            line += " initial"
-        if s in a.final_labels:
-            line += f" final {p.label_text(a.final_labels[s])}"
-        lines.append(line)
+    lines += (f"state {s} initial" if s == a.initial else f"state {s}"
+              for s in sorted(a.states))
+    lines += (f"final {s} {p.label_text(lid)}"
+              for s, labels in sorted(a.final_labels.items())
+              for lid in sorted(labels))
     for s, table in sorted(a.byte_transitions.items()):
         lines += (f"trans {s} 0x{byte:02X} {t}"
                   for byte in sorted(table) for t in sorted(table[byte]))
@@ -115,12 +118,12 @@ def load_pfsm(text: str) -> Pfsm:
 
     A plain automaton dump without `pattern` lines (an externally produced
     machine) is wrapped as one machine, of its initial state and the
-    states on its paths to a final, that keeps its final labels, listed in
-    the order they first appear. A dump with no `pattern` line and no final
-    state is the empty union.
+    states on its paths to a final, that keeps the labels of its finals,
+    numbered in the order they first appear. A dump with no `pattern` line
+    and no final state is the empty union.
     """
     a = Automaton(set(), None, {}, {}, {})   # no initial state yet
-    final_texts: dict[int, str] = {}
+    finals: dict[tuple[int, str], None] = {}  # (state, label) in line order
     entries: dict[str, int] = {}              # pattern label -> entry state
 
     def directive(tokens: list[str]) -> None:
@@ -136,11 +139,14 @@ def load_pfsm(text: str) -> Pfsm:
                     raise ValueError("second initial state")
                 a.initial, rest = s, rest[1:]
             if rest:
-                if rest[0] != "final":
-                    raise ValueError(f"unknown marker {rest[0]!r}")
-                if len(rest) < 2:
-                    raise ValueError("final without label")
-                final_texts[s] = " ".join(rest[1:])
+                raise ValueError(f"unknown marker {rest[0]!r}")
+        elif kind == "final":
+            if len(tokens) < 3:
+                raise ValueError("final without label")
+            pair = (_int(tokens[1], "final state"), " ".join(tokens[2:]))
+            if pair in finals:
+                raise ValueError(f"final {pair[0]} {pair[1]!r} listed twice")
+            finals[pair] = None
         elif kind == "trans":
             frm, byte, to = tokens[1:]
             table = a.byte_transitions.setdefault(_int(frm, "transition source"), {})
@@ -165,12 +171,17 @@ def load_pfsm(text: str) -> Pfsm:
     _read(text, AUTOMATON_HEADER, AutomatonFormatError, directive)
     if a.initial is None:
         raise AutomatonFormatError("no initial state declared")
+    labels = list(entries or dict.fromkeys(label for _, label in finals))
+    label_ids = {label: lid for lid, label in enumerate(labels)}
+    for f, label in finals:
+        if label not in label_ids:
+            raise AutomatonFormatError(f"final {f} labeled {label!r} which has "
+                                       f"no pattern line")
+        a.final_labels[f] = a.final_labels.get(f, frozenset()) | {label_ids[label]}
+    _check(validate(a))
     if not entries:
-        ids = {t: k for k, t in enumerate(dict.fromkeys(final_texts.values()))}
-        a.final_labels.update((f, ids[t]) for f, t in final_texts.items())
-        _check(validate(a))
-        if ids:
-            return wrap_machine(a, list(ids))
+        if labels:
+            return wrap_machine(a, labels)
         if a.states != {a.initial}:
             raise AutomatonFormatError("a dump with no pattern line and no "
                                        "final state is the empty union: it "
@@ -179,12 +190,6 @@ def load_pfsm(text: str) -> Pfsm:
         _check(validate_pfsm(p))
         return p
 
-    label_ids = {label: lid for lid, label in enumerate(entries)}
-    for f, label in final_texts.items():
-        if label not in label_ids:
-            raise AutomatonFormatError(f"final {f} labeled {label!r} which has "
-                                       f"no pattern line")
-        a.final_labels[f] = label_ids[label]
     for label, entry in entries.items():
         if entry not in a.states:
             raise AutomatonFormatError(f"pattern {label!r} entry state {entry} "

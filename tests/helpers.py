@@ -25,47 +25,70 @@ FIG2_MATCHES = {
 # A plain PFSM-AUT dump (no `pattern` lines) whose finals carry two
 # labels: it loads as one machine that keeps both, so scanning `ab`
 # reports `a` at (0, 0) and `b` at (1, 1).
-PLAIN_TWO_LABEL_DUMP = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final a\n"
-                        "state 2 final b\ntrans 0 0x61 1\ntrans 0 0x62 2\n")
+PLAIN_TWO_LABEL_DUMP = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\n"
+                        "final 1 a\nfinal 2 b\ntrans 0 0x61 1\n"
+                        "trans 0 0x62 2\n")
 
-# PFSM-AUT dumps the union loader must refuse, with a fragment of the
-# error: pattern x's final state 2 has an edge back into q0, a pattern
-# line whose entry state is not an integer, pattern b's final labeled
-# with pattern a's text, a pattern entry that is not a state, a final
-# label on the ancillary initial state, and two with a machine that
-# patterns a and b share: pattern c's final labeled b, and an edge from
-# b's final into pattern c's machine.
+# A plain dump of the DFA of the patterns `a*b` and `ab` over {a, b}: its
+# state 4, reached by `ab`, accepts both labels.
+PLAIN_SHARED_FINAL_DUMP = (
+    "PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\nstate 4\n"
+    "final 3 a*b\nfinal 4 ab\nfinal 4 a*b\ntrans 0 0x61 1\ntrans 0 0x62 3\n"
+    "trans 1 0x61 2\ntrans 1 0x62 4\ntrans 2 0x61 2\ntrans 2 0x62 3\n")
+
+# PFSM-AUT dumps the loader must refuse, with a fragment of the error:
+# pattern x's final state 2 has an edge back into q0, a pattern line whose
+# entry state is not an integer, pattern b's final labeled with pattern
+# a's text, a pattern entry that is not a state, a final label on the
+# ancillary initial state, and two with a machine that patterns a and b
+# share: pattern c's final labeled b, and an edge from b's final into
+# pattern c's machine. Then four faults of `final` lines and the header:
+# a (state, label) pair listed twice, a final without a label, a final
+# naming an undeclared state, and a dump in the retired v1 format.
 BAD_PFSM_DUMPS = [
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
      "state 2 has edges leaving the pattern, to [0]"),
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\neps 0 1\n"
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\neps 0 1\n"
      "pattern x abc\n",
      "malformed pattern line 'pattern x abc'"),
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a\nstate 3\n"
-     "state 4 final a\ntrans 1 0x61 2\ntrans 3 0x62 4\neps 0 1\neps 0 3\n"
-     "pattern a 1\npattern b 3\n",
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\nstate 4\n"
+     "final 2 a\nfinal 4 a\ntrans 1 0x61 2\ntrans 3 0x62 4\neps 0 1\n"
+     "eps 0 3\npattern a 1\npattern b 3\n",
      "final 4 is labeled 'a' but owned by pattern 'b'"),
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1 final a\neps 0 1\n"
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 a\neps 0 1\n"
      "pattern a 1\npattern b 5\n",
      "pattern 'b' entry state 5 is not a state of the machine"),
-    ("PFSM-AUT v1\nstate 0 initial final x\nstate 1\neps 0 1\npattern x 1\n",
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 0 x\neps 0 1\n"
+     "pattern x 1\n",
      "ancillary initial state is final"),
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a\n"
-     "state 3 final b\nstate 5\nstate 6 final b\ntrans 1 0x61 2\n"
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\nstate 5\n"
+     "state 6\nfinal 2 a\nfinal 3 b\nfinal 6 b\ntrans 1 0x61 2\n"
      "trans 1 0x62 3\ntrans 5 0x63 6\neps 0 1\neps 0 5\npattern a 1\n"
      "pattern b 1\npattern c 5\n",
      "final 6 is labeled 'b' but owned by pattern 'c'"),
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a\n"
-     "state 3 final b\nstate 4\nstate 5 final c\ntrans 1 0x61 2\n"
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\nstate 4\n"
+     "state 5\nfinal 2 a\nfinal 3 b\nfinal 5 c\ntrans 1 0x61 2\n"
      "trans 1 0x62 3\ntrans 3 0x63 5\ntrans 4 0x63 5\neps 0 1\neps 0 4\n"
      "pattern a 1\npattern b 1\npattern c 4\n",
      "patterns 'b' and 'c' of different machines share state 5"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\nfinal 1 x\n"
+     "trans 0 0x61 1\n",
+     "line 5: final 1 'x' listed twice"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1\ntrans 0 0x61 1\n",
+     "line 4: final without label"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\nfinal 7 y\n"
+     "trans 0 0x61 1\n",
+     "final state 7 not in state set"),
+    ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\ntrans 0 0x61 1\n",
+     "line 1: bad header 'PFSM-AUT v1', expected 'PFSM-AUT v2'"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-labeled-by-other-pattern", "entry-not-a-state",
                      "final-initial-state", "final-labeled-by-other-machine",
-                     "edge-into-other-machine"]
+                     "edge-into-other-machine", "final-pair-twice",
+                     "final-without-label", "final-of-undeclared-state",
+                     "v1-header"]
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:
@@ -142,10 +165,16 @@ def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
                  max_input: int = 64, forms=("dfa", "nfa", "mixed"),
                  max_alphabet: int = 4):
     """A random (pfsm, [(label id, ast)], input, form) quadruple. The "eps"
-    form puts epsilon edges into every NFA (`random_hops`)."""
+    form puts epsilon edges into every NFA (`random_hops`). Half the sets
+    of two or more patterns end with a literal word under two labels,
+    which in every form but "eps" share one final of the trie."""
     alphabet = gen_alphabet(rng, max_alphabet)
     n_patterns = rng.randint(1, max_patterns)
     asts = [gen_ast(rng, alphabet, depth) for _ in range(n_patterns)]
+    if n_patterns > 1 and rng.random() < 0.5:
+        word = concat([Literal(rng.choice(alphabet))
+                       for _ in range(rng.randint(1, 3))])
+        asts[-2:] = [word, word]
     form = rng.choice(forms)
     machines = []
     for i, ast in enumerate(asts):

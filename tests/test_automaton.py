@@ -26,7 +26,7 @@ def small_automaton(rng: random.Random, n: int = 6):
             epsilon[s] = {rng.randrange(n) for _ in range(rng.randint(1, 2))}
     finals = {s for s in range(n) if rng.random() < 0.3}
     return Automaton(set(range(n)), 0, byte_transitions, epsilon,
-                     {f: 0 for f in finals})
+                     dict.fromkeys(finals, frozenset({0})))
 
 
 def bfs_epsilon_reach(a, seeds):
@@ -138,9 +138,14 @@ def test_dump_parse_roundtrip():
 @pytest.mark.parametrize("text, fragment", [
     ("", "empty"),
     ("WRONG v9\nstate 0 initial", "header"),
-    ("PFSM-AUT v1\nstate 0", "no initial state"),
-    ("PFSM-AUT v1\nstate 0 initial\ntrans 0 zz 0", "line 3"),
-    ("PFSM-AUT v1\nstate 0 initial\nstate 1 final", "final without label"),
+    pytest.param("PFSM-AUT v2\nstate 0", "no initial state",
+                 id="no-initial-state"),
+    pytest.param("PFSM-AUT v2\nstate 0 initial\ntrans 0 zz 0", "line 3",
+                 id="bad-byte-line-3"),
+    pytest.param("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1",
+                 "final without label", id="final-without-label"),
+    pytest.param("PFSM-AUT v2\nstate 0 initial\nstate 1 final x",
+                 "unknown marker 'final'", id="final-on-state-line"),
 ])
 def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(AutomatonFormatError, match=fragment):

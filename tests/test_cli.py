@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_PATTERNS,
-                     PLAIN_TWO_LABEL_DUMP)
+                     PLAIN_SHARED_FINAL_DUMP, PLAIN_TWO_LABEL_DUMP)
 
+from pfsm import validate_pfsm
 from pfsm.cli import main
+from pfsm.wire import dump_pfsm, load_pfsm
 
 FIG2_TSV = """\
 a*c\t0\t2\taac
@@ -211,7 +213,7 @@ def test_compile_dump_load_match(runner, tmp_path):
     result = runner.invoke(main, ["compile", *fig1_args(), "--form", "dfa",
                                   "-o", str(dump)])
     assert result.exit_code == 0, result.output
-    assert dump.read_text().startswith("PFSM-AUT v1\n")
+    assert dump.read_text().startswith("PFSM-AUT v2\n")
     match = runner.invoke(main, ["match", "--automaton", str(dump),
                                  "--text", "aacacab"])
     assert match.exit_code == 0
@@ -229,14 +231,37 @@ def test_match_plain_dump_reports_each_label(runner, tmp_path):
 
 @pytest.mark.parametrize("form", ["nfa", "dfa"])
 def test_match_form_beside_automaton_is_usage_error(runner, tmp_path, form):
-    # The dump fixes each pattern's form, so an explicit --form, even the
-    # default one, would be ignored and is refused.
+    # `match` compiles every pattern in the one form it scans, so it has no
+    # --form option, beside --automaton or beside -e.
     dump = tmp_path / "machine.aut"
     runner.invoke(main, ["compile", *fig1_args(), "-o", str(dump)])
+    for source in (["--automaton", str(dump)], fig1_args()):
+        result = runner.invoke(main, ["match", *source, "--form", form,
+                                      "--text", "aacacab"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--form" in result.output
+
+
+def test_match_plain_dfa_with_a_two_label_state(runner, tmp_path):
+    # The DFA of a*b and ab loads as it is: one machine whose state 4
+    # accepts both labels. It reports both where they end, as the oracle
+    # does for the two patterns, and its dump loads back to the same bytes.
+    p = load_pfsm(PLAIN_SHARED_FINAL_DUMP)
+    assert validate_pfsm(p) == [] and len(p.automaton.states) == 1 + 5
+    assert len({e.entry for e in p.directory.values()}) == 1
+    assert frozenset({0, 1}) in p.automaton.final_labels.values()
+    text = dump_pfsm(p)
+    assert dump_pfsm(load_pfsm(text)) == text
+    dump = tmp_path / "shared.aut"
+    dump.write_text(PLAIN_SHARED_FINAL_DUMP)
+    data = "abaabbab"
     result = runner.invoke(main, ["match", "--automaton", str(dump),
-                                  "--form", form, "--text", "aacacab"])
-    assert result.exit_code == 2
-    assert "--form" in result.output
+                                  "--text", data])
+    oracle = runner.invoke(main, ["oracle", "-e", "a*b", "-e", "ab",
+                                  "--text", data])
+    assert result.exit_code == oracle.exit_code == 0, result.output
+    assert "a*b\t0\t1\tab\nab\t0\t1\tab\n" in result.output
+    assert result.output == oracle.output
 
 
 @pytest.mark.parametrize("text, fragment", BAD_PFSM_DUMPS, ids=BAD_PFSM_DUMP_IDS)
@@ -254,7 +279,6 @@ def test_compile_roundtrip_is_byte_identical(runner, tmp_path):
     second = tmp_path / "b.aut"
     runner.invoke(main, ["compile", *fig1_args(), "-o", str(first)])
     # compile from the dump itself: load, dump again
-    from pfsm.wire import dump_pfsm, load_pfsm
     assert dump_pfsm(load_pfsm(first.read_text())) == first.read_text()
     runner.invoke(main, ["compile", *fig1_args(), "-o", str(second)])
     assert first.read_text() == second.read_text()

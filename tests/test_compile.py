@@ -7,11 +7,14 @@ import warnings
 import pytest
 from helpers import all_strings, gen_ast, nfa_accepts, random_hops
 
+from pfsm import find_matches
+from pfsm.automaton import Automaton
 from pfsm.compile import (NullablePatternWarning, StateCeilingExceeded,
                           compile_nfa, compile_pattern, nfa_to_dfa,
                           read_pattern_file)
 from pfsm.oracle import accepts
 from pfsm.syntax import nullable, parse_regex
+from pfsm.union import wrap_machine
 
 AB = [ord("a"), ord("b")]
 AC = [ord("a"), ord("c")]
@@ -86,6 +89,18 @@ def test_subset_construction_preserves_language(pattern, alphabet):
             assert len(succ) == 1
     for s in all_strings(alphabet, 6):
         assert nfa_accepts(nfa, s) == nfa_accepts(dfa, s), s
+
+
+def test_subset_keeps_every_label_of_its_members():
+    # Both NFA states reached on `a` are final, for labels 0 and 1: their
+    # DFA state accepts both, so the DFA reports both labels at `a`.
+    nfa = Automaton({0, 1, 2}, 0, {0: {0x61: {1, 2}}}, {},
+                    {1: frozenset({0}), 2: frozenset({1})})
+    dfa = nfa_to_dfa(nfa)
+    assert dfa.final_labels == {1: frozenset({0, 1})}
+    p = wrap_machine(dfa, ["x", "y"])
+    assert [(p.label_text(m.label), m.start, m.end)
+            for m in find_matches(p, b"a")] == [("x", 0, 0), ("y", 0, 0)]
 
 
 def test_subset_construction_state_bound():

@@ -100,7 +100,7 @@ def test_nfa_duplicate_final_states_dedupe(engine):
     from pfsm.automaton import Automaton
     from pfsm.union import build_pfsm
     machine = Automaton(set(range(3)), 0, {0: {ord("a"): {1, 2}}}, {},
-                        {1: 0, 2: 0})
+                        {1: frozenset({0}), 2: frozenset({0})})
     p = build_pfsm([("dup", machine)])
     deduped = find_matches(p, b"xax")
     assert [(m.start, m.end) for m in deduped] == [(1, 1)]

@@ -35,7 +35,7 @@ def test_fig1_structure():
     for lid, entry in p.directory.items():
         finals = entry.owned & a.finals
         assert finals
-        assert all(a.final_labels[f] == lid for f in finals)
+        assert all(a.final_labels[f] == {lid} for f in finals)
     assert validate_pfsm(p) == []
 
 
@@ -63,8 +63,8 @@ def test_duplicate_label_rejected():
 
 
 @pytest.mark.parametrize("machine", [
-    Automaton({0, 1}, 0, {0: {ord("a"): {5}}}, {}, {1: 0}),
-    Automaton({0, 1}, 7, {0: {ord("a"): {1}}}, {}, {1: 0}),
+    Automaton({0, 1}, 0, {0: {ord("a"): {5}}}, {}, {1: frozenset({0})}),
+    Automaton({0, 1}, 7, {0: {ord("a"): {1}}}, {}, {1: frozenset({0})}),
 ], ids=["edge-to-undeclared-state", "initial-outside-states"])
 def test_undeclared_state_names_the_pattern(machine):
     with pytest.raises(ValueError, match="pattern 'bad': state [57] "):
@@ -296,7 +296,7 @@ def test_dump_load_roundtrip_after_live_updates():
 def test_load_plain_automaton_without_directory():
     machine = compile_pattern("a*c", "dfa")
     single = build_pfsm([("a*c", machine)])
-    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final a*c\n"
+    text = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 a*c\n"
             "trans 0 0x61 1\ntrans 0 0x63 2\ntrans 1 0x61 1\ntrans 1 0x63 2\n")
     loaded = load_pfsm(text)
     assert match_texts(find_matches(loaded, b"aac"), loaded) \
@@ -322,9 +322,8 @@ def _literal_pfsm(pairs):
 
 def test_literals_share_one_prefix_trie():
     # abc and abd branch at ab; ab ends on an inner node; the second
-    # label of abc keeps its own chain, since a state carries one label.
-    # A machine of ab with epsilon edges is no literal and is grafted as a
-    # machine of its own.
+    # label of abc joins the first on abc's final. A machine of ab with
+    # epsilon edges is no literal and is grafted as a machine of its own.
     pairs = [("abc", b"abc"), ("abd", b"abd"), ("ab", b"ab"),
              ("again", b"abc"), ("b", b"b")]
     p = build_pfsm([(label, literal_machine(w)) for label, w in pairs]
@@ -332,12 +331,17 @@ def test_literals_share_one_prefix_trie():
     assert validate_pfsm(p) == []
     trie = p.trie
     assert [p.directory[lid].entry == trie for lid in p.live_labels()] \
-        == [True, True, True, False, True, False]
-    # q0, the trie's root, a, ab, abc, abd and b; abc's own chain; ab's
-    # three states, a fresh initial state and the hop before its final.
-    assert len(p.automaton.states) == 1 + 6 + 4 + 5
-    assert p.directory[p.label_ids["ab"]].owned \
-        < p.directory[p.label_ids["abc"]].owned
+        == [True, True, True, True, True, False]
+    # q0; the trie's root, a, ab, abc, abd and b; ab's three states, a
+    # fresh initial state and the hop before its final.
+    assert len(p.automaton.states) == 1 + 6 + 5
+    abc, again = (p.directory[p.label_ids[k]] for k in ("abc", "again"))
+    assert abc.owned == again.owned
+    assert {p.automaton.final_labels[s] for s in abc.owned
+            if s in p.automaton.finals} == {frozenset({p.label_ids["ab"]}),
+                                            frozenset({p.label_ids["abc"],
+                                                       p.label_ids["again"]})}
+    assert p.directory[p.label_ids["ab"]].owned < abc.owned
     got = match_texts(find_matches(p, b"abcabd"), p)
     assert got == {("abc", 0, 2), ("again", 0, 2), ("ab", 0, 1), ("eps", 0, 1),
                    ("b", 1, 1), ("ab", 3, 4), ("eps", 3, 4), ("b", 4, 4),
@@ -376,7 +380,8 @@ def test_prefix_word_removal_equals_fresh_build(gone):
 def test_trie_size_follows_the_live_words():
     # 1,000 rounds of removing one word and adding a new one leave the
     # machine as large as a fresh build of the live words. Words repeat:
-    # when a word's trie label goes, its twin's chain rejoins the trie.
+    # a repeated word adds its label to the trie final its twin ends on,
+    # and the final stays while either label is live.
     rng = random.Random("trie-rounds")
     alphabet = list(b"abc")
     live = dict(gen_literal_set(rng, alphabet, max_words=12))
@@ -455,16 +460,21 @@ def test_add_after_load_of_a_trimmed_trie():
 
 
 def test_trie_goes_with_its_last_word():
-    # A duplicate keeps its own chain until its twin's trie label goes;
-    # then it takes over that final and its chain goes, which leaves the
-    # machine a fresh build of it would be. Removing every trie word
-    # removes the trie, and the next literal starts a new one.
+    # Three labels of one word share its chain and its final; removing two
+    # of them leaves the machine a fresh build of the third would be.
+    # Removing every trie word removes the trie, and the next literal
+    # starts a new one.
     p = _literal_pfsm([("x", b"ab"), ("y", b"ab"), ("z", b"ab")])
-    assert len(p.automaton.states) == 1 + 3 * 3
+    assert validate_pfsm(p) == []
+    assert len(p.automaton.states) == 1 + 3
+    assert list(p.automaton.final_labels.values()) == [frozenset({0, 1, 2})]
+    assert match_texts(find_matches(p, b"ab"), p) \
+        == {("x", 0, 1), ("y", 0, 1), ("z", 0, 1)}
     q = remove_pattern(p, "x")
     assert validate_pfsm(q) == [] and q.trie == p.trie
     assert q.directory[q.label_ids["y"]].entry == q.trie
-    assert len(q.automaton.states) == 1 + 2 * 3
+    assert len(q.automaton.states) == 1 + 3
+    assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
     q = remove_pattern(q, "z")
     assert dump_pfsm(q) == dump_pfsm(_literal_pfsm([("y", b"ab")]))
     q = add_pattern(q, "w", literal_machine(b"ac"))
@@ -478,8 +488,8 @@ def test_trie_goes_with_its_last_word():
 def test_remove_label_of_shared_plain_machine():
     # A plain dump's DFA for a*b (label x) and a*c (label y) shares the
     # a-loop: removing x keeps y's states and drops x's final.
-    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
-            "state 3 final y\ntrans 0 0x61 1\ntrans 0 0x62 2\n"
+    text = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
+            "final 2 x\nfinal 3 y\ntrans 0 0x61 1\ntrans 0 0x62 2\n"
             "trans 0 0x63 3\ntrans 1 0x61 1\ntrans 1 0x62 2\n"
             "trans 1 0x63 3\n")
     p = load_pfsm(text)
@@ -499,8 +509,8 @@ def test_remove_label_of_shared_plain_machine():
 def test_removal_drops_what_the_entry_no_longer_reaches():
     # State 2 leads to no final, so the loader drops it; removing x then
     # drops x's final, the one state y does not own.
-    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\nstate 2\n"
-            "state 3 final y\ntrans 0 0x61 1\ntrans 1 0x62 2\n"
+    text = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
+            "final 1 x\nfinal 3 y\ntrans 0 0x61 1\ntrans 1 0x62 2\n"
             "trans 0 0x63 3\n")
     p = load_pfsm(text)
     assert dump_pfsm(load_pfsm(dump_pfsm(p))) == dump_pfsm(p)
@@ -515,9 +525,8 @@ def test_removal_drops_what_the_entry_no_longer_reaches():
 def test_shared_machine_left_as_a_trie_becomes_the_trie():
     # y is `a`, x is `b+`: removing x leaves a one-edge chain, which the
     # loader of its dump would take for the trie, so the removal does too.
-    text = ("PFSM-AUT v1\nstate 0 initial\nstate 1 final y\n"
-            "state 2 final x\ntrans 0 0x61 1\ntrans 0 0x62 2\n"
-            "trans 2 0x62 2\n")
+    text = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 1 y\n"
+            "final 2 x\ntrans 0 0x61 1\ntrans 0 0x62 2\ntrans 2 0x62 2\n")
     p = load_pfsm(text)
     assert p.trie is None
     q = remove_pattern(p, "x")

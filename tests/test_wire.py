@@ -19,7 +19,7 @@ from pfsm.syntax import parse_regex
 from pfsm.wire import (ActiveSetFormatError, AutomatonFormatError,
                        dump_active_set, dump_pfsm, load_active_set, load_pfsm)
 
-AUT = ("PFSM-AUT v1\nstate 0 initial\nstate 1\nstate 2 final x\n"
+AUT = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
        "trans 1 0x61 2\neps 0 1\npattern x 1\n")
 ACT = "PFSM-ACT v1\ngen 1\nactive 3 1\n"
 
@@ -30,14 +30,35 @@ active_sets = st.builds(
                     max_size=5))
 
 
+def plain_dump(a: Automaton, texts: list[str]) -> str:
+    """A plain dump of `a` whose finals accepting label k name texts[k]."""
+    lines = ["PFSM-AUT v2"]
+    lines += (f"state {s}" + " initial" * (s == a.initial)
+              for s in sorted(a.states))
+    lines += (f"final {s} {texts[k]}"
+              for s, labels in sorted(a.final_labels.items())
+              for k in sorted(labels))
+    lines += (f"trans {s} 0x{b:02X} {t}"
+              for s, table in sorted(a.byte_transitions.items())
+              for b, succ in sorted(table.items()) for t in sorted(succ))
+    return "\n".join(lines) + "\n"
+
+
 def machines(seed: int):
-    """A random machine, then the same machine after one pattern is
-    removed and a new one added."""
+    """A random machine; the same machine after one pattern is removed and
+    a new one added; and the load of a plain dump of a random machine with
+    a final that accepts two labels."""
     rng = random.Random(seed)
     p = gen_instance(rng, max_patterns=3, depth=4, max_input=0)[0]
     q = remove_pattern(p, rng.choice(sorted(p.label_ids)))
     added = compile_nfa(gen_ast(rng, gen_alphabet(rng), 3))
-    return p, add_pattern(q, "added", added)
+    plain = compile_nfa(gen_ast(rng, gen_alphabet(rng), 3))
+    both = rng.choice(sorted(plain.finals))
+    plain.final_labels = {f: frozenset({0, 1}) if f == both
+                          else frozenset({rng.randrange(2)})
+                          for f in plain.finals}
+    return (p, add_pattern(q, "added", added),
+            load_pfsm(plain_dump(plain, ["x", "y z"])))
 
 
 def integer_spans(line: str) -> list[tuple[int, int, bool]]:
@@ -47,8 +68,8 @@ def integer_spans(line: str) -> list[tuple[int, int, bool]]:
     if kind == "trans":
         return [(t.start(), t.end(), k == 2) for k, t in enumerate(tokens)
                 if k > 0]
-    picks = {"state": [1], "eps": [1, 2], "pattern": [-1], "gen": [1],
-             "active": [1]}[kind]
+    picks = {"state": [1], "final": [1], "eps": [1, 2], "pattern": [-1],
+             "gen": [1], "active": [1]}[kind]
     spans = [(tokens[k].start(), tokens[k].end(), False) for k in picks]
     if kind == "active":
         tags = tokens[2]
@@ -163,7 +184,7 @@ def test_plain_dump_keeps_each_final_label():
 def test_loader_drops_a_state_on_no_path_to_a_final():
     # build_pfsm grafts the machine's unreachable state 2 as union state 3;
     # the loader drops it, so the dump loads and scans as the built machine.
-    m = Automaton({0, 1, 2}, 0, {0: {0x61: {1}}}, {}, {1: 0})
+    m = Automaton({0, 1, 2}, 0, {0: {0x61: {1}}}, {}, {1: frozenset({0})})
     p = build_pfsm([("x", m)])
     assert validate_pfsm(p) == [] and p.automaton.states == {0, 1, 2, 3}
     q = load_pfsm(dump_pfsm(p))
@@ -176,13 +197,11 @@ def complete_dfa_dump(word: bytes) -> str:
     """A plain dump of the complete DFA of `word`: every state has an
     edge on every byte, and a sink state takes each byte that leaves it."""
     sink = len(word) + 1
-    states = [f"state {s}" for s in range(sink + 1)]
-    states[0] += " initial"
-    states[len(word)] += f" final {word.decode()}"
-    trans = [f"trans {s} 0x{b:02X} "
-             f"{s + 1 if s < len(word) and b == word[s] else sink}"
-             for s in range(sink + 1) for b in range(256)]
-    return "\n".join(["PFSM-AUT v1", *states, *trans]) + "\n"
+    trans = {s: {b: {s + 1 if s < len(word) and b == word[s] else sink}
+                 for b in range(256)} for s in range(sink + 1)}
+    dfa = Automaton(set(trans), 0, trans, {},
+                    {len(word): frozenset({0})})
+    return plain_dump(dfa, [word.decode()])
 
 
 def test_complete_dfa_loads_without_its_sink():
@@ -203,7 +222,7 @@ def test_empty_machine_roundtrips():
     # A dump with no pattern line and no final state is the empty union.
     empty = remove_pattern(build_pfsm([("x", compile_pattern("x"))]), "x")
     text = dump_pfsm(empty)
-    assert text == "PFSM-AUT v1\nstate 0 initial\n"
+    assert text == "PFSM-AUT v2\nstate 0 initial\n"
     loaded = load_pfsm(text)
     assert loaded.directory == {} and loaded.automaton.states == {0}
     assert dump_pfsm(loaded) == text
