@@ -110,19 +110,45 @@ def reachable(a: Automaton, start: int) -> set[int]:
     return seen
 
 
-def useful(a: Automaton, start: int) -> set[int]:
-    """The states on a path from start to a final state, by byte and
-    epsilon edges, and start itself."""
-    seen = reachable(a, start)
+def predecessors(a: Automaton,
+                 states) -> tuple[dict[int, list[int]], set[int]]:
+    """The byte and epsilon edges between `states`, as each target's list
+    of sources, and the states with an edge leaving `states`; each row is
+    read once."""
+    trans, eps = a.byte_transitions, a.epsilon_transitions
     preds: dict[int, list[int]] = {}
-    for s in seen:
-        for t in successors(a, s):
-            preds.setdefault(t, []).append(s)
-    stack = list(seen & a.finals)
-    out = {start, *stack}
+    exits: set[int] = set()
+    for s in states:
+        if s in trans:
+            for succ in trans[s].values():
+                for t in succ:
+                    if t in states:
+                        preds.setdefault(t, []).append(s)
+                    else:
+                        exits.add(s)
+        for t in eps.get(s, ()):
+            if t in states:
+                preds.setdefault(t, []).append(s)
+            else:
+                exits.add(s)
+    return preds, exits
+
+
+def walk_back(preds: dict[int, list[int]], seeds) -> set[int]:
+    """The seeds and every state with a path to one, over the edges that
+    `preds` (target -> sources) records."""
+    out = set(seeds)
+    stack = list(out)
     while stack:
         for s in preds.get(stack.pop(), ()):
             if s not in out:
                 out.add(s)
                 stack.append(s)
     return out
+
+
+def useful(a: Automaton, start: int) -> set[int]:
+    """The states on a path from start to a final state, by byte and
+    epsilon edges, and start itself."""
+    seen = reachable(a, start)
+    return walk_back(predecessors(a, seen)[0], seen & a.finals) | {start}

@@ -20,29 +20,33 @@ and abort).
 Generations share structure. Once grafted, a state's byte table and
 epsilon set are never mutated, trie tables included: an update copies the
 top-level containers (state set, final labels, the two transition dicts)
-and the ancillary state's epsilon set, and a trie insert or prune copies
-the one table it edits, that of the node a word branches from or that
-its pruned branch hangs from. Old generations therefore stay valid, and
-an update costs O(states) pointer copies rather than a copy of every
-edge. A trie remove takes the label off its final; a final left with no
-label stops being final, and the branch nodes that no longer lead to a
-final go, so memory follows the live words. Removing a label of any other
-machine takes it off its finals and drops the states no other label of
-the machine owns. A final's label set is a frozenset, replaced rather
-than edited, so generations share it too. Any machine but the trie that
-several labels share comes from a dump, and the loader keeps only the
-states on a path from an entry to a final, so every state left still lies
-on one of its labels' paths. The directory is the only home of label text
-and, with its text index `label_ids`, is copied the same way: a removed
-label drops out of every later generation. Label ids are never reused; a
-label removed and added again gets a new one.
+and the ancillary state's epsilon set, and then only the tables it edits:
+that of the trie node a word branches from, or those with edges into the
+states a remove drops. Old generations therefore stay valid, and an
+update costs O(states) pointer copies rather than a copy of every edge. A
+final's label set is a frozenset, replaced rather than edited.
+
+One rule removes a label from any machine, trie or not, reading only the
+label's own states: the label leaves its finals (a final left with no
+label stops being final), and of its states only those still final or
+leading, inside its own states, to a final or to another label's states
+stay, with the entry while another label shares the machine. Edges into
+a dropped state come only from the label's own states, since whatever
+leads to a state of a label's path lies on that path too. This needs each
+state of a shared machine to lie on a path to a final: only the trie and
+loaded machines are shared, and the loader keeps only such states. So
+memory follows the live patterns. The directory is the only home of label
+text and, with its text index `label_ids`, is copied the same way: a
+removed label drops out of every later generation. Label ids are never
+reused; a label removed and added again gets a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Automaton, reachable, successors, useful, validate
+from .automaton import (Automaton, predecessors, reachable, successors,
+                        useful, validate, walk_back)
 
 
 class DuplicateLabelError(ValueError):
@@ -227,92 +231,58 @@ def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
                 p.next_label_id + 1, trie)
 
 
-def _unlabel(finals: dict[int, frozenset[int]], s: int, lid: int) -> None:
-    """Take lid off state s's labels; s stops being final with its last."""
-    rest = finals[s] - {lid}
-    if rest:
-        finals[s] = rest
-    else:
-        del finals[s]
-
-
-def _prune(a: Automaton, gone: PatternEntry, lid: int) -> bool:
-    """Take trie label lid off its final. If no label is left there, the
-    nodes of the path that no longer lead to a final go, and the one table
-    they hang from is copied. Returns True when the whole trie went."""
-    trans, finals = a.byte_transitions, a.final_labels
-    path = [gone.entry]
-    while step := [u for succ in trans.get(path[-1], {}).values()
-                   for u in succ if u in gone.owned]:
-        (s,) = step
-        path.append(s)
-    _unlabel(finals, path[-1], lid)
-    if path[-1] in finals:
-        return False
-    cut = len(path)                         # path[cut:] goes
-    if not trans.get(path[-1]):
-        cut -= 1
-        while cut and path[cut - 1] not in finals and len(trans[path[cut - 1]]) == 1:
-            cut -= 1
-    for s in path[cut:]:
-        a.states.discard(s)
-        trans.pop(s, None)
-    if cut == 0:
-        a.epsilon_transitions[a.initial].discard(gone.entry)
-        return True
-    if cut < len(path):
-        parent, child = path[cut - 1], path[cut]
-        row = {b: succ for b, succ in trans[parent].items() if child not in succ}
-        if row:
-            trans[parent] = row
-        else:
-            del trans[parent]
-    return False
-
-
 def _cut(a: Automaton, doomed, sources) -> None:
     """Delete the `doomed` states from `a` with their own edges, and the
     edges into them from `sources`."""
+    a.states -= doomed
     for s in doomed:
-        a.states.discard(s)
         a.byte_transitions.pop(s, None)
         a.epsilon_transitions.pop(s, None)
         a.final_labels.pop(s, None)
     for s in sources:
         table = a.byte_transitions.get(s)
-        if table and any(succ & doomed for succ in table.values()):
-            a.byte_transitions[s] = {b: succ - doomed for b, succ
-                                     in table.items() if succ - doomed}
+        if table and not all(map(doomed.isdisjoint, table.values())):
+            row = {b: succ if doomed.isdisjoint(succ) else succ - doomed
+                   for b, succ in table.items() if not succ <= doomed}
+            if row:
+                a.byte_transitions[s] = row
+            else:
+                del a.byte_transitions[s]
         succ = a.epsilon_transitions.get(s)
-        if succ and succ & doomed:
+        if succ and not doomed.isdisjoint(succ):
             a.epsilon_transitions[s] = succ - doomed
 
 
-def _drop(a: Automaton, directory: dict[int, PatternEntry], gone: PatternEntry,
-          lid: int) -> None:
-    """Take label lid off its finals and drop the states of `gone` that no
-    label of its machine left in `directory` owns, with the edges into
-    them; the machine and its q0 edge go with its last label. The other
-    labels keep their states: each lies on one of its label's paths to a
-    final, since the loader trims what leads to no final."""
-    kept = frozenset().union(*(e.owned for e in directory.values()
-                               if e.entry == gone.entry))
-    _cut(a, gone.owned - kept, kept)
-    if not kept:
+def _drop(a: Automaton, gone: PatternEntry, lid: int, shared: bool) -> None:
+    """Remove label lid by the module's one rule, reading only the states
+    of `gone`: its finals lose lid, and a state of `gone` stays if it is
+    still final or leads, inside `gone`, to a final or out of `gone`. The
+    entry stays while another label `shared` the machine; otherwise the
+    machine and its q0 edge go."""
+    finals, owned = a.final_labels, gone.owned
+    if not shared:
+        _cut(a, owned, ())
         a.epsilon_transitions[a.initial].discard(gone.entry)
         return
-    for s in kept & a.final_labels.keys():
-        if lid in a.final_labels[s]:
-            _unlabel(a.final_labels, s, lid)
+    preds, seeds = predecessors(a, owned)   # seeds: the exits of `gone`
+    for s in owned & finals.keys():
+        rest = finals[s] - {lid}
+        if rest:
+            finals[s] = rest
+            seeds.add(s)
+        else:
+            del finals[s]
+    kept = walk_back(preds, seeds) | {gone.entry}
+    _cut(a, owned - kept, kept)
 
 
 def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     """New generation without the pattern: its label leaves its finals, and
-    its states that no other label of its machine owns go. Surviving state
-    ids are unchanged. The next free state id is one above the highest
-    state, as the loader derives it, so ids removed from the top are given
-    out again; a scan cannot confuse them, since it refuses a carry of
-    another generation."""
+    its states that lie on no other label's path go. Surviving state ids
+    are unchanged. The next free state id is one above the highest state,
+    as the loader derives it, so ids removed from the top are given out
+    again; a scan cannot confuse them, since it refuses a carry of another
+    generation."""
     if label not in p.label_ids:
         raise UnknownLabelError(label)
     lid = p.label_ids[label]
@@ -320,14 +290,13 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     union = _next_generation(p.automaton)
     directory, label_ids = dict(p.directory), dict(p.label_ids)
     del directory[lid], label_ids[label]
+    entry = gone.entry
+    shared = any(True for e in directory.values() if e.entry == entry)
+    _drop(union, gone, lid, shared)
     trie = p.trie
-    if gone.entry == trie:
-        if _prune(union, gone, lid):
-            trie = _find_trie(union, directory)
-    else:
-        _drop(union, directory, gone, lid)
-        if gone.entry in union.states and (trie is None or gone.entry < trie):
-            trie = _find_trie(union, directory)   # what is left may be a trie
+    # Look again when the trie went, or what is left may be a lower one.
+    if (trie is None or entry < trie) if shared else entry == trie:
+        trie = _find_trie(union, directory)
     next_id = p.next_state_id
     if next_id - 1 not in union.states:
         next_id = max(union.states) + 1
@@ -395,22 +364,12 @@ def _owners(a: Automaton, entry: int, labels: list[tuple[int, str]],
     the states on its paths to its finals. States on no label's path go
     with the last label; they lead only to finals of other machines, which
     `validate_pfsm` refuses."""
-    preds: dict[int, list[int]] = {}
-    for s in states:
-        for t in successors(a, s):
-            preds.setdefault(t, []).append(s)
-    owned: dict[int, set[int]] = {lid: set() for lid, _ in labels}
+    preds, _ = predecessors(a, states)
+    ends: dict[int, list[int]] = {lid: [] for lid, _ in labels}
     for f in states & a.finals:
         for lid in a.final_labels[f]:
-            owned.get(lid, set()).add(f)
-    for mine in owned.values():
-        stack = list(mine)
-        while stack:
-            for s in preds.get(stack.pop(), ()):
-                if s not in mine:
-                    mine.add(s)
-                    stack.append(s)
-        mine.add(entry)
+            ends.get(lid, []).append(f)
+    owned = {lid: walk_back(preds, fs) | {entry} for lid, fs in ends.items()}
     owned[labels[-1][0]] |= states - set().union(*owned.values())
     return {lid: PatternEntry(text, entry, frozenset(owned[lid]))
             for lid, text in labels}

@@ -63,6 +63,11 @@ def _int(token: str, what: str, spelling: re.Pattern = _DECIMAL) -> int:
     return int(token, 0)
 
 
+def _malformed(tokens: list[str]) -> ValueError:
+    """The error for a directive line with too few or too many fields."""
+    return ValueError(f"malformed {tokens[0]} line {' '.join(tokens)!r}")
+
+
 def _read(text: str, header: str, error: type[ValueError], directive) -> None:
     """Check the header of `text`, then pass each directive line's tokens
     to `directive`; a ValueError it raises becomes `error`, prefixed with
@@ -129,6 +134,8 @@ def load_pfsm(text: str) -> Pfsm:
     def directive(tokens: list[str]) -> None:
         kind = tokens[0]
         if kind == "state":
+            if len(tokens) < 2:
+                raise _malformed(tokens)
             sid, *rest = tokens[1:]
             s = _int(sid, "state")
             if s in a.states:
@@ -148,18 +155,22 @@ def load_pfsm(text: str) -> Pfsm:
                 raise ValueError(f"final {pair[0]} {pair[1]!r} listed twice")
             finals[pair] = None
         elif kind == "trans":
+            if len(tokens) != 4:
+                raise _malformed(tokens)
             frm, byte, to = tokens[1:]
             table = a.byte_transitions.setdefault(_int(frm, "transition source"), {})
             table.setdefault(_int(byte, "byte", _BYTE), set()).add(
                 _int(to, "transition target"))
         elif kind == "eps":
+            if len(tokens) != 3:
+                raise _malformed(tokens)
             frm, to = tokens[1:]
             a.epsilon_transitions.setdefault(_int(frm, "epsilon source"),
                                              set()).add(_int(to, "epsilon target"))
         elif kind == "pattern":
             line = " ".join(tokens)
             if len(tokens) < 3:
-                raise ValueError(f"malformed pattern line {line!r}")
+                raise _malformed(tokens)
             label = " ".join(tokens[1:-1])
             if label in entries:
                 raise ValueError(f"duplicate pattern label {label!r}")
@@ -229,6 +240,8 @@ def load_active_set(text: str) -> ActiveSet:
             raise ValueError(f"active state {state} listed twice")
         tags = aset.tags[state] = set()
         for token in tokens[2].split(","):
+            if not token:
+                raise ValueError(f"active state {state} lists an empty tag")
             tag = _int(token, f"active state {state} carries tag")
             if tag in tags:
                 raise ValueError(f"active state {state} lists tag {tag} twice")

@@ -44,7 +44,10 @@ PLAIN_SHARED_FINAL_DUMP = (
 # share: pattern c's final labeled b, and an edge from b's final into
 # pattern c's machine. Then four faults of `final` lines and the header:
 # a (state, label) pair listed twice, a final without a label, a final
-# naming an undeclared state, and a dump in the retired v1 format.
+# naming an undeclared state, and a dump in the retired v1 format. Last,
+# three directive lines with a field too few or too many: a `trans` line
+# without its target, an `eps` line with a second target and a `state`
+# line without its id.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -82,13 +85,50 @@ BAD_PFSM_DUMPS = [
      "final state 7 not in state set"),
     ("PFSM-AUT v1\nstate 0 initial\nstate 1 final x\ntrans 0 0x61 1\n",
      "line 1: bad header 'PFSM-AUT v1', expected 'PFSM-AUT v2'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\ntrans 0 0x61\nfinal 1 x\n",
+     "line 4: malformed trans line 'trans 0 0x61'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\neps 0 1 1\n",
+     "line 5: malformed eps line 'eps 0 1 1'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate\n",
+     "line 3: malformed state line 'state'"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-labeled-by-other-pattern", "entry-not-a-state",
                      "final-initial-state", "final-labeled-by-other-machine",
                      "edge-into-other-machine", "final-pair-twice",
                      "final-without-label", "final-of-undeclared-state",
-                     "v1-header"]
+                     "v1-header", "trans-field-missing", "eps-field-extra",
+                     "state-without-id"]
+
+
+def plain_dump(a: Automaton, texts: list[str]) -> str:
+    """A plain dump of `a` whose finals accepting label k name texts[k]."""
+    lines = ["PFSM-AUT v2"]
+    lines += (f"state {s}" + " initial" * (s == a.initial)
+              for s in sorted(a.states))
+    lines += (f"final {s} {texts[k]}"
+              for s, labels in sorted(a.final_labels.items())
+              for k in sorted(labels))
+    lines += (f"trans {s} 0x{b:02X} {t}"
+              for s, table in sorted(a.byte_transitions.items())
+              for b, succ in sorted(table.items()) for t in sorted(succ))
+    return "\n".join(lines) + "\n"
+
+
+def joined_dfa(asts: list[Node]) -> Automaton:
+    """The subset-construction DFA of the patterns' machines joined under
+    one initial state: a final accepts label k if it ends asts[k]."""
+    joined = Automaton({0}, 0, {}, {0: set()}, {})
+    for k, ast in enumerate(asts):
+        nfa, base = compile_nfa(ast), max(joined.states) + 1
+        joined.states |= {base + s for s in nfa.states}
+        joined.epsilon_transitions[0].add(base + nfa.initial)
+        for s, table in nfa.byte_transitions.items():
+            joined.byte_transitions[base + s] = {
+                b: {base + t for t in succ} for b, succ in table.items()}
+        for s in nfa.finals:
+            joined.final_labels[base + s] = frozenset({k})
+    return nfa_to_dfa(joined)
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:

@@ -6,14 +6,15 @@ import re
 import pytest
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
                      FIG2_MATCHES, FIG1_PATTERNS, build_fig1, gen_alphabet,
-                     gen_instance, gen_literal_set, literal_machine,
-                     match_texts, with_epsilon)
+                     gen_ast, gen_instance, gen_literal_set, joined_dfa,
+                     literal_machine, match_texts, plain_dump, with_epsilon)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
                   epsilon_closure)
 from pfsm.automaton import Automaton
 from pfsm.compile import compile_pattern
+from pfsm.oracle import all_matches
 from pfsm.union import DuplicateLabelError, UnknownLabelError
 from pfsm.wire import AutomatonFormatError
 
@@ -372,6 +373,9 @@ def test_prefix_word_removal_equals_fresh_build(gone):
         assert match_texts(find_matches(q, data), q) \
             == match_texts(find_matches(fresh, data), fresh), trial
         assert len(q.automaton.states) == len(fresh.automaton.states), trial
+        # No node keeps an empty byte table.
+        assert len(q.automaton.byte_transitions) \
+            == len(fresh.automaton.byte_transitions), trial
         back = add_pattern(q, victim[0], literal_machine(victim[1]))
         assert match_texts(find_matches(back, data), back) \
             == match_texts(find_matches(p, data), p), trial
@@ -535,3 +539,41 @@ def test_shared_machine_left_as_a_trie_becomes_the_trie():
     assert load_pfsm(dump_pfsm(q)).trie == q.trie
     grown = add_pattern(q, "ab", literal_machine(b"ab"))
     assert grown.directory[grown.label_ids["ab"]].entry == q.trie
+
+
+def test_removal_keeps_the_entry_of_a_label_without_finals():
+    # b names x's entry but has no final: removing x leaves b the entry
+    # alone, not the a-loop that leads back to it and to no final.
+    text = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
+            "final 3 x\ntrans 1 0x61 2\ntrans 2 0x61 1\ntrans 2 0x62 3\n"
+            "eps 0 1\npattern x 1\npattern b 1\n")
+    q = remove_pattern(load_pfsm(text), "x")
+    assert validate_pfsm(q) == []
+    assert q.automaton.states == {0, 1}
+    assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_removals_from_a_shared_dfa(seed):
+    # The DFA of 2-4 random patterns, loaded from a plain dump, is one
+    # machine whose states its labels share. Each removal leaves a valid
+    # machine that reports the oracle's matches of the live labels and
+    # holds no state that leads to no final: its dump loads back as is.
+    rng = random.Random(seed)
+    for _ in range(25):
+        alphabet = gen_alphabet(rng, 3)
+        asts = [gen_ast(rng, alphabet, 3) for _ in range(rng.randint(2, 4))]
+        texts = [f"p{k}" for k in range(len(asts))]
+        p = load_pfsm(plain_dump(joined_dfa(asts), texts))
+        assert len({e.entry for e in p.directory.values()}) == 1
+        data = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        order = sorted(p.label_ids)
+        rng.shuffle(order)
+        for label in order:
+            p = remove_pattern(p, label)
+            assert validate_pfsm(p) == []
+            live = [(texts.index(x), asts[texts.index(x)]) for x in p.label_ids]
+            assert match_texts(find_matches(p, data), p) \
+                == {(texts[k], i, j) for k, i, j in all_matches(live, data)}
+            text = dump_pfsm(p)
+            assert dump_pfsm(load_pfsm(text)) == text

@@ -5,7 +5,8 @@ import random
 import re
 
 import pytest
-from helpers import PLAIN_TWO_LABEL_DUMP, gen_alphabet, gen_ast, gen_instance
+from helpers import (PLAIN_TWO_LABEL_DUMP, gen_alphabet, gen_ast,
+                     gen_instance, plain_dump)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,20 +29,6 @@ active_sets = st.builds(
     st.dictionaries(st.integers(0, 10**6),
                     st.sets(st.integers(0, 10**12), min_size=1, max_size=4),
                     max_size=5))
-
-
-def plain_dump(a: Automaton, texts: list[str]) -> str:
-    """A plain dump of `a` whose finals accepting label k name texts[k]."""
-    lines = ["PFSM-AUT v2"]
-    lines += (f"state {s}" + " initial" * (s == a.initial)
-              for s in sorted(a.states))
-    lines += (f"final {s} {texts[k]}"
-              for s, labels in sorted(a.final_labels.items())
-              for k in sorted(labels))
-    lines += (f"trans {s} 0x{b:02X} {t}"
-              for s, table in sorted(a.byte_transitions.items())
-              for b, succ in sorted(table.items()) for t in sorted(succ))
-    return "\n".join(lines) + "\n"
 
 
 def machines(seed: int):
@@ -137,25 +124,56 @@ def test_active_set_respelled_integer_is_refused(aset, data):
                                ActiveSetFormatError, data)
 
 
-@pytest.mark.parametrize("load, error, text, line, bad", [
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 0_2"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans +1 0x61 2"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 61 2"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6_1 2"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 02"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6a 2"),
-    (load_pfsm, AutomatonFormatError, AUT, "pattern x 1", "pattern x ١"),
-    (load_active_set, ActiveSetFormatError, ACT, "gen 1", "gen 1_0"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active +3 1"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 1,1"),
+DECIMAL = "does not match 0|[1-9][0-9]*"
+BYTE = "does not match 0x[0-9A-F]{2}"
+
+
+@pytest.mark.parametrize("load, error, text, line, bad, message", [
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 0_2",
+     f"transition target 0_2 {DECIMAL}"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans +1 0x61 2",
+     f"transition source +1 {DECIMAL}"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 61 2",
+     f"byte 61 {BYTE}"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6_1 2",
+     f"byte 0x6_1 {BYTE}"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 02",
+     f"transition target 02 {DECIMAL}"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6a 2",
+     f"byte 0x6a {BYTE}"),
+    (load_pfsm, AutomatonFormatError, AUT, "pattern x 1", "pattern x ١",
+     f"malformed pattern line 'pattern x ١': entry state ١ {DECIMAL}"),
+    (load_active_set, ActiveSetFormatError, ACT, "gen 1", "gen 1_0",
+     f"generation 1_0 {DECIMAL}"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active +3 1",
+     f"active state +3 {DECIMAL}"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 1,1",
+     "active state 3 lists tag 1 twice"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61",
+     "malformed trans line 'trans 1 0x61'"),
+    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 2 2",
+     "malformed trans line 'trans 1 0x61 2 2'"),
+    (load_pfsm, AutomatonFormatError, AUT, "eps 0 1", "eps 0",
+     "malformed eps line 'eps 0'"),
+    (load_pfsm, AutomatonFormatError, AUT, "eps 0 1", "eps 0 1 1",
+     "malformed eps line 'eps 0 1 1'"),
+    (load_pfsm, AutomatonFormatError, AUT, "state 1", "state",
+     "malformed state line 'state'"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 1,",
+     "active state 3 lists an empty tag"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 ,",
+     "active state 3 lists an empty tag"),
 ], ids=["underscore", "plus", "byte-without-0x", "byte-underscore",
         "leading-zero", "lower-case-hex", "arabic-indic",
-        "gen-underscore", "active-plus", "tag-twice"])
-def test_one_line_respelled_is_refused(load, error, text, line, bad):
-    # Each bad line, put in place of a good one, is the only fault.
+        "gen-underscore", "active-plus", "tag-twice", "trans-field-missing",
+        "trans-field-extra", "eps-field-missing", "eps-field-extra",
+        "state-without-id", "tag-empty-last", "tag-empty-only"])
+def test_one_line_respelled_is_refused(load, error, text, line, bad, message):
+    # Each bad line, put in place of a good one, is the only fault, and the
+    # error names its line.
     assert load(text) is not None
     lineno = text.splitlines().index(line) + 1
-    with pytest.raises(error, match=f"^line {lineno}: "):
+    with pytest.raises(error, match=f"^line {lineno}: {re.escape(message)}$"):
         load(text.replace(line, bad))
 
 
