@@ -21,14 +21,17 @@ and `find_matches` is tested against. That routine computes the same
 cycle with three changes:
 
 - Seed rows. Steps 1-3 for the start region depend only on the byte, so
-  `seed_row[byte]`, the epsilon-closed byte-`byte` targets of the start
-  region, is built on first use (at most 256 per scan). Only starts that
-  survive their first byte are seeded.
-- Anchored masks. A live state holds `(lo, mask)`: bit i of `mask` is the
-  tag `lo + i`, and `lo` is the state's oldest tag. A value is passed on
-  by reference; merging two shifts the younger mask onto the older
-  anchor, and a label's final masks are ORed, which reports each
-  (label, start) once. A lone tag never widens however long it lives.
+  each scan first builds every byte's seed row, the epsilon-closed byte
+  targets of the start region, in one pass over the start region's byte
+  tables. Only starts that survive their first byte are seeded.
+- Counted anchored masks. A live state holds `(lo, mask, count)`: bit i
+  of `mask` is the tag `lo + i`, `lo` is the state's oldest tag and
+  `count` is the number of set bits. A value is passed on by reference;
+  merging two shifts the younger mask onto the older anchor and counts
+  the result once, and a label's final masks are ORed, which reports
+  each (label, start) once. The cycle's pair total moves with each edit,
+  so no cycle counts its masks. A lone tag never widens however long it
+  lives.
 - Rows from the machine's own tables. A state's successors are read from
   `byte_transitions`; only targets that have epsilon edges are closed.
 """
@@ -39,7 +42,7 @@ import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .automaton import Automaton, epsilon_closure, step
+from .automaton import Automaton, epsilon_closure
 from .union import Pfsm
 
 
@@ -225,23 +228,24 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
     stats = EngineStats()
     active = _scan(pfsm.automaton, data, window, active, sink, base, stats)
     return stats, ActiveSet(pfsm.generation,
-                            {s: set(_tags(*v)) for s, v in active.items()})
+                            {s: set(_tags(v)) for s, v in active.items()})
 
 
-_mask = itemgetter(1)
+_count = itemgetter(2)
 
 
-def _anchor(tags) -> tuple[int, int]:
-    """The anchored mask of a non-empty set of absolute tags."""
+def _anchor(tags) -> tuple[int, int, int]:
+    """The counted anchored mask of a non-empty set of absolute tags."""
     lo = min(tags)
     mask = 0
     for t in tags:
         mask |= 1 << (t - lo)
-    return lo, mask
+    return lo, mask, mask.bit_count()
 
 
-def _tags(lo: int, mask: int) -> list[int]:
-    """The absolute tags of an anchored mask, ascending."""
+def _tags(tagged: tuple[int, int, int]) -> list[int]:
+    """The absolute tags of a counted anchored mask, ascending."""
+    lo, mask, _ = tagged
     out = []
     while mask:
         low = mask & -mask
@@ -250,16 +254,42 @@ def _tags(lo: int, mask: int) -> list[int]:
     return out
 
 
-def _merge(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Union of two anchored masks: the younger is shifted onto the older
-    anchor, so the result is anchored at the oldest tag."""
-    (xlo, xm), (ylo, ym) = x, y
+def _merge(x: tuple[int, int, int],
+           y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Union of two counted anchored masks: the younger is shifted onto
+    the older anchor, so the result is anchored at the oldest tag."""
+    xlo, xm, _ = x
+    ylo, ym, _ = y
     if xlo <= ylo:
-        return xlo, xm | ym << (ylo - xlo)
-    return ylo, ym | xm << (xlo - ylo)
+        m = xm | ym << (ylo - xlo)
+        return xlo, m, m.bit_count()
+    m = ym | xm << (xlo - ylo)
+    return ylo, m, m.bit_count()
 
 
-def _close_masked(a: Automaton, active: dict[int, tuple[int, int]],
+def _closing(a: Automaton) -> set[int]:
+    """The states whose epsilon edges a scan follows. q0's epsilon edges
+    close only the start region, which the seed rows cover: no edge
+    enters q0 (validate_pfsm) and no carry names it (_check_carry), so an
+    epsilon-free union closes nothing per cycle."""
+    return {s for s, succ in a.epsilon_transitions.items()
+            if succ and s != a.initial}
+
+
+def _seed_rows(a: Automaton, start, closing) -> dict[int, tuple[int, ...]]:
+    """Every byte's seed row, the byte targets of the start region, built
+    in one pass over the start region's byte tables and epsilon-closed
+    when the union has closing states. A byte with no row seeds nothing."""
+    rows: dict[int, set[int]] = {}
+    trans = a.byte_transitions
+    for s in start:
+        for byte, succ in trans.get(s, {}).items():
+            rows.setdefault(byte, set()).update(succ)
+    return {byte: tuple(epsilon_closure(a, row) if closing else row)
+            for byte, row in rows.items()}
+
+
+def _close_masked(a: Automaton, active: dict[int, tuple[int, int, int]],
                   work: list[int]):
     """Epsilon-close `active` in place from the states in `work`: every
     state reachable by epsilon edges from one gets its tags too."""
@@ -277,69 +307,71 @@ def _close_masked(a: Automaton, active: dict[int, tuple[int, int]],
 
 
 def _scan(a: Automaton, data: bytes, window, active, sink, base,
-          stats) -> dict[int, tuple[int, int]]:
-    """Run `Engine.feed`'s cycle over `data` on anchored masks, starting
-    from the epsilon closure of `active`; returns the active set at the
-    stop point."""
-    # q0's epsilon edges close only the start region, which the seed rows
-    # cover: no edge enters q0 (validate_pfsm) and no carry names it
-    # (_check_carry), so an epsilon-free union closes nothing per cycle.
-    closing = {s for s, succ in a.epsilon_transitions.items()
-               if succ and s != a.initial}
+          stats) -> dict[int, tuple[int, int, int]]:
+    """Run `Engine.feed`'s cycle over `data` on counted anchored masks,
+    starting from the epsilon closure of `active`; returns the active set
+    at the stop point."""
+    closing = _closing(a)
     _close_masked(a, active, [s for s in active if s in closing])
     trans = a.byte_transitions
     finals = a.final_labels
+    final_states = finals.keys()
     start = epsilon_closure(a, {a.initial})
     n_start = len(start)
-    seed_rows: dict[int, tuple[int, ...]] = {}
     seeded = range(window[0], window[1] + 1) if window is not None else ()
+    rows = _seed_rows(a, start, closing) if seeded else {}
     last = window[1] if window is not None else base
     per_cycle = stats.per_cycle_pairs
-    pairs = sum(map(int.bit_count, map(_mask, active.values())))
+    pairs = sum(map(_count, active.values()))
     for pos, byte in enumerate(data, base):
-        nxt: dict[int, tuple[int, int]] = {}
+        # `now` is the pair total of `nxt`, kept as values land in it.
+        nxt: dict[int, tuple[int, int, int]] = {}
+        now = 0
         for s, tagged in active.items():
             table = trans.get(s)
             if table:
                 for t in table.get(byte, ()):
                     cur = nxt.get(t)
-                    nxt[t] = tagged if cur is None else _merge(cur, tagged)
+                    if cur is None:
+                        nxt[t] = tagged
+                        now += tagged[2]
+                    else:
+                        merged = nxt[t] = _merge(cur, tagged)
+                        now += merged[2] - cur[2]
         if closing:
             _close_masked(a, nxt, [t for t in nxt if t in closing])
+            now = sum(map(_count, nxt.values()))
         if pos in seeded:
             # The start region, tagged pos, joins the active set (steps
             # 1+2) and steps on the byte (3+4): its closed targets are the
-            # byte's seed row. Every other tag is older than pos.
+            # byte's seed row. Every other tag is older than pos, so each
+            # seeded target gains one pair.
             pairs += n_start
-            row = seed_rows.get(byte)
-            if row is None:
-                row = seed_rows[byte] = tuple(
-                    epsilon_closure(a, step(a, start, byte)))
-            fresh = (pos, 1)
+            row = rows.get(byte, ())
+            now += len(row)
+            fresh = (pos, 1, 1)
             for t in row:
                 cur = nxt.get(t)
                 if cur is None:
                     nxt[t] = fresh
                 else:
-                    lo, m = cur
-                    nxt[t] = lo, m | 1 << (pos - lo)
+                    lo, m, c = cur
+                    nxt[t] = lo, m | 1 << (pos - lo), c + 1
 
-        hit = finals.keys() & nxt.keys()
-        if hit:
-            by_label: dict[int, tuple[int, int]] = {}
-            for t in hit:
+        if not final_states.isdisjoint(nxt):
+            by_label: dict[int, tuple[int, int, int]] = {}
+            for t in final_states & nxt.keys():
                 for label in finals[t]:
                     cur = by_label.get(label)
                     by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
             found = sorted((start_tag, label)
                            for label, tagged in by_label.items()
-                           for start_tag in _tags(*tagged))
+                           for start_tag in _tags(tagged))
             stats.matches_emitted += len(found)
             if sink is not None:
                 for start_tag, label in found:
                     sink(Match(label, start_tag, pos))
-        now = sum(map(int.bit_count, map(_mask, nxt.values())))
-        per_cycle.append(max(pairs, now))
+        per_cycle.append(pairs if pairs > now else now)
         pairs = now
         active = nxt
         if not active and pos >= last:

@@ -176,10 +176,13 @@ def _append(union: Automaton, directory: dict[int, PatternEntry],
             machine: Automaton, trie: int | None) -> tuple[int, int | None]:
     """Put machine into union as label id lid: a literal joins the trie
     at `trie`, anything else is grafted at state id base behind a new q0
-    edge (the first literal so becomes the trie). Returns the next free
-    state id and the trie's entry."""
+    edge (the first literal so becomes the trie). A machine with no final
+    could never match and is refused. Returns the next free state id and
+    the trie's entry."""
     if label in label_ids:
         raise DuplicateLabelError(f"duplicate label {label!r}")
+    if not machine.final_labels:
+        raise ValueError(f"pattern {label!r} has no final state")
     word = _literal_word(machine)
     if word is not None and trie is not None:
         path, base = _insert(union, trie, word, base, lid)

@@ -119,7 +119,9 @@ def load_pfsm(text: str) -> Pfsm:
     entry state share its machine: each of their labels owns the states
     on its paths from the entry to its finals. A state on no path from an
     entry to a final is dropped, with the edges into it. The literal trie
-    is the lowest-numbered machine shaped as one.
+    is the lowest-numbered machine shaped as one. A pattern that could
+    never match, because no `final` line names its label or its entry
+    reaches none of its finals, is refused.
 
     A plain automaton dump without `pattern` lines (an externally produced
     machine) is wrapped as one machine, of its initial state and the
@@ -207,6 +209,13 @@ def load_pfsm(text: str) -> Pfsm:
                                        f"is not a state of the machine")
     p = assemble(a, list(entries.items()))
     _check(validate_pfsm(p))
+    named = {label for _, label in finals}
+    accepted = set().union(*p.automaton.final_labels.values())
+    for label, lid in p.label_ids.items():
+        if lid not in accepted:
+            raise AutomatonFormatError(
+                f"pattern {label!r} has no final line" if label not in named
+                else f"pattern {label!r} reaches none of its finals")
     return p
 
 

@@ -44,10 +44,12 @@ PLAIN_SHARED_FINAL_DUMP = (
 # share: pattern c's final labeled b, and an edge from b's final into
 # pattern c's machine. Then four faults of `final` lines and the header:
 # a (state, label) pair listed twice, a final without a label, a final
-# naming an undeclared state, and a dump in the retired v1 format. Last,
+# naming an undeclared state, and a dump in the retired v1 format. Then
 # three directive lines with a field too few or too many: a `trans` line
 # without its target, an `eps` line with a second target and a `state`
-# line without its id.
+# line without its id. Last, two patterns that could never match: b
+# shares x's entry but has no final, and y's one final is not reached
+# from y's entry.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -91,6 +93,13 @@ BAD_PFSM_DUMPS = [
      "line 5: malformed eps line 'eps 0 1 1'"),
     ("PFSM-AUT v2\nstate 0 initial\nstate\n",
      "line 3: malformed state line 'state'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
+     "final 3 x\ntrans 1 0x61 2\ntrans 2 0x61 1\ntrans 2 0x62 3\n"
+     "eps 0 1\npattern x 1\npattern b 1\n",
+     "pattern 'b' has no final line"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
+     "final 3 y\ntrans 1 0x61 2\neps 0 1\npattern y 1\n",
+     "pattern 'y' reaches none of its finals"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-labeled-by-other-pattern", "entry-not-a-state",
@@ -98,7 +107,8 @@ BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "edge-into-other-machine", "final-pair-twice",
                      "final-without-label", "final-of-undeclared-state",
                      "v1-header", "trans-field-missing", "eps-field-extra",
-                     "state-without-id"]
+                     "state-without-id", "pattern-without-final",
+                     "final-not-reached"]
 
 
 def plain_dump(a: Automaton, texts: list[str]) -> str:

@@ -8,14 +8,15 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
                      build_fig1_mixed, engine_segment, gen_instance,
                      gen_literal_instance, loglog_slope, match_texts)
 
-from pfsm import build_pfsm, compile_pattern, step
+from pfsm import build_pfsm, compile_pattern, epsilon_closure, step
 from pfsm.engine import (ActiveSet, Engine, EngineStats,
-                         GenerationMismatchError, Match, _scan, find_matches,
-                         format_match_jsonl, format_match_tsv, run,
-                         run_segment)
+                         GenerationMismatchError, Match, _anchor, _closing,
+                         _scan, _seed_rows, find_matches, format_match_jsonl,
+                         format_match_tsv, run, run_segment)
 from pfsm.oracle import all_matches
 from pfsm.union import remove_pattern
-from pfsm.wire import ActiveSetFormatError, dump_active_set, load_active_set
+from pfsm.wire import (ActiveSetFormatError, dump_active_set, dump_pfsm,
+                       load_active_set, load_pfsm)
 
 # These tests scan through run/find_matches, the fast path that the
 # reference Engine is checked against below; this single-valued
@@ -203,10 +204,7 @@ def test_fast_path_equals_engine(form):
     # epsilon edges behind the initial state.
     rng = random.Random(f"fast-vs-engine/{form}")
     for trial in range(200):
-        if form == "literal":
-            p, _, data, _ = gen_literal_instance(rng, max_input=40)
-        else:
-            p, _, data, _ = gen_instance(rng, max_input=40, forms=(form,))
+        p, data = _random_pfsm(rng, form)
         cut = rng.randint(0, len(data))
         carry = None
         for base, seg in ((0, data[:cut]), (cut, data[cut:])):
@@ -225,6 +223,55 @@ def test_fast_path_equals_engine(form):
             carry = snap
 
 
+def _random_pfsm(rng, form):
+    """A random instance of `form`, as test_fast_path_equals_engine draws
+    them: (pfsm, input)."""
+    if form == "literal":
+        p, _, data, _ = gen_literal_instance(rng, max_input=40)
+    else:
+        p, _, data, _ = gen_instance(rng, max_input=40, forms=(form,))
+    return p, data
+
+
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "literal"])
+def test_scan_carries_each_mask_count(form):
+    # Every live value the scan leaves is (lo, mask, count) with count the
+    # mask's set bits, on random windows over random prefixes of the
+    # input, with and without carried tags.
+    rng = random.Random(f"counted-masks/{form}")
+    for trial in range(200):
+        p, data = _random_pfsm(rng, form)
+        base = rng.randint(0, 4)
+        carry = _random_carry(rng, p, ActiveSet(p.generation, {}), base) \
+            if base else ActiveSet(p.generation, {})
+        seg = data[:rng.randint(0, len(data))]
+        active = {s: _anchor(tags) for s, tags in carry.tags.items()}
+        active = _scan(p.automaton, seg, _random_window(rng, base, len(seg)),
+                       active, None, base, EngineStats())
+        for s, (lo, mask, count) in active.items():
+            assert count == mask.bit_count(), (trial, s)
+
+
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "literal"])
+def test_seed_rows_are_the_closed_start_steps(form):
+    # The rows built in one pass over the start region's tables hold, for
+    # every byte, exactly the epsilon-closed byte targets of the start
+    # region; a byte without a row seeds nothing. The eps form is checked
+    # also as loaded back from its dump.
+    rng = random.Random(f"seed-rows/{form}")
+    for trial in range(50):
+        p = _random_pfsm(rng, form)[0]
+        machines = [p.automaton]
+        if form == "eps":
+            machines.append(load_pfsm(dump_pfsm(p)).automaton)
+        for a in machines:
+            start = epsilon_closure(a, {a.initial})
+            rows = _seed_rows(a, start, _closing(a))
+            for byte in range(256):
+                want = epsilon_closure(a, step(a, start, byte))
+                assert set(rows.get(byte, ())) == want, (trial, byte)
+
+
 @pytest.mark.parametrize("form", ["nfa", "dfa"])
 def test_lone_tag_never_widens(form):
     # The one tag seeded at the 'a' stays anchored at its start with a
@@ -233,7 +280,7 @@ def test_lone_tag_never_widens(form):
     p = build_pfsm([("gap", compile_pattern("a[^x]*b", form))])
     active = _scan(p.automaton, b"a" + b"c" * 5000, (0, 0), {}, None, 0,
                    EngineStats())
-    assert list(active.values()) == [(0, 1)]
+    assert list(active.values()) == [(0, 1, 1)]
 
 
 @pytest.mark.slow

@@ -79,6 +79,18 @@ def test_undeclared_state_names_the_pattern(machine):
     assert ("bad", 4, 6) in match_texts(find_matches(fixed, FIG1_INPUT), fixed)
 
 
+def test_machine_without_final_names_the_pattern():
+    # A machine with no final could never match: build and add refuse it
+    # by its label, and the failed add leaves p as it was.
+    machine = Automaton({0, 1}, 0, {0: {ord("a"): {1}}}, {}, {})
+    with pytest.raises(ValueError, match="pattern 'none' has no final state"):
+        build_pfsm([("none", machine)])
+    p = build_fig1("dfa")
+    with pytest.raises(ValueError, match="pattern 'none' has no final state"):
+        add_pattern(p, "none", machine)
+    assert match_texts(find_matches(p, FIG1_INPUT), p) == FIG2_MATCHES
+
+
 def test_extract_unknown_id_names_the_id():
     p = build_fig1("dfa")
     with pytest.raises(UnknownLabelError) as exc:
@@ -539,18 +551,6 @@ def test_shared_machine_left_as_a_trie_becomes_the_trie():
     assert load_pfsm(dump_pfsm(q)).trie == q.trie
     grown = add_pattern(q, "ab", literal_machine(b"ab"))
     assert grown.directory[grown.label_ids["ab"]].entry == q.trie
-
-
-def test_removal_keeps_the_entry_of_a_label_without_finals():
-    # b names x's entry but has no final: removing x leaves b the entry
-    # alone, not the a-loop that leads back to it and to no final.
-    text = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
-            "final 3 x\ntrans 1 0x61 2\ntrans 2 0x61 1\ntrans 2 0x62 3\n"
-            "eps 0 1\npattern x 1\npattern b 1\n")
-    q = remove_pattern(load_pfsm(text), "x")
-    assert validate_pfsm(q) == []
-    assert q.automaton.states == {0, 1}
-    assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
 
 
 @pytest.mark.parametrize("seed", range(8))
