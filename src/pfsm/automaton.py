@@ -16,9 +16,10 @@ from dataclasses import dataclass
 class Automaton:
     states: set[int]
     initial: int
-    # state -> byte -> successor set
-    byte_transitions: dict[int, dict[int, set[int]]]
-    # state -> successor set
+    # state -> byte -> successor set; the builders freeze every set and
+    # share one object among the bytes of a row that have equal successors
+    byte_transitions: dict[int, dict[int, frozenset[int]]]
+    # state -> successor set, mutable
     epsilon_transitions: dict[int, set[int]]
     # final state -> the non-empty set of label ids it accepts; the only
     # record of which states are final

@@ -9,6 +9,10 @@ bytes. A literal's machine is a one-path chain.
 nfa_to_dfa is epsilon-closure subset construction under the fixed state
 ceiling DEFAULT_STATE_CEILING (10,000 states); overflow raises
 StateCeilingExceeded.
+
+Both constructions give every byte successor set as a frozenset, shared by
+the bytes of a row that have equal successors; nfa_to_dfa shares one set
+per target state across the whole machine.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .syntax import (Alt, ByteClass, Concat, Empty, Literal, Node, Opt, Plus,
                      Star, nullable, parse_regex)
 
 DEFAULT_STATE_CEILING = 10_000
+_EMPTY: frozenset[int] = frozenset()
 
 
 class StateCeilingExceeded(RuntimeError):
@@ -73,12 +78,32 @@ def compile_nfa(ast: Node) -> Automaton:
         raise TypeError(f"unknown node {node!r}")
 
     first, last, null = positions(ast)
-    byte_transitions: dict[int, dict[int, set[int]]] = {}
+    # Bytes with the same successors share one frozenset in a row. A row
+    # with one target, as every row of a literal, is one call. In a wider
+    # row a target that reads one byte grows that byte's set, the first
+    # that reads several gives them one set, and a later one grows each
+    # set of the row once.
+    byte_transitions: dict[int, dict[int, frozenset[int]]] = {}
     for q, targets in [(0, first), *follow.items()]:
-        row: dict[int, set[int]] = {}
-        for p in sorted(targets):
-            for byte in reads[p]:
-                row.setdefault(byte, set()).add(p)
+        if len(targets) == 1:
+            (p,) = targets
+            row = dict.fromkeys(reads[p], frozenset(targets))
+        else:
+            row = {}
+            for p in sorted(targets):
+                into = reads[p]
+                if len(into) == 1:
+                    row[into[0]] = row.get(into[0], _EMPTY) | {p}
+                elif not row:
+                    row = dict.fromkeys(into, frozenset((p,)))
+                else:
+                    grown: dict[frozenset[int], frozenset[int]] = {}
+                    for byte in into:
+                        old = row.get(byte, _EMPTY)
+                        new = grown.get(old)
+                        if new is None:
+                            new = grown[old] = old | {p}
+                        row[byte] = new
         if row:
             byte_transitions[q] = row
     finals = dict.fromkeys(last | {0} if null else last, frozenset({0}))
@@ -97,7 +122,8 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
     start = frozenset(epsilon_closure(nfa, {nfa.initial}))
     ids: dict[frozenset[int], int] = {start: 0}
     worklist = [start]
-    byte_transitions: dict[int, dict[int, set[int]]] = {}
+    byte_transitions: dict[int, dict[int, frozenset[int]]] = {}
+    single: dict[int, frozenset[int]] = {}      # subset id -> {id}, shared
 
     while worklist:
         subset = worklist.pop()
@@ -113,7 +139,10 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
                     raise StateCeilingExceeded(ceiling)
                 ids[target] = len(ids)
                 worklist.append(target)
-            byte_transitions.setdefault(sid, {}).setdefault(byte, set()).add(ids[target])
+            tid = ids[target]
+            if tid not in single:
+                single[tid] = frozenset((tid,))
+            byte_transitions.setdefault(sid, {})[byte] = single[tid]
 
     finals = nfa.final_labels
     final_labels = {sid: labels for subset, sid in ids.items()

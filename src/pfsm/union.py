@@ -24,7 +24,12 @@ and the ancillary state's epsilon set, and then only the tables it edits:
 that of the trie node a word branches from, or those with edges into the
 states a remove drops. Old generations therefore stay valid, and an
 update costs O(states) pointer copies rather than a copy of every edge. A
-final's label set is a frozenset, replaced rather than edited.
+final's label set is a frozenset, replaced rather than edited, and so is
+every byte successor set: the type enforces the rule for them. Within a
+row, the bytes with equal successors share one frozenset, so a `[^x]`
+row holds one or two sets rather than 255. A graft remaps each source
+set once, a removal cuts each set of a row once, and `assemble` freezes
+the rows of a loaded machine.
 
 One rule removes a label from any machine, trie or not, reading only the
 label's own states: the label leaves its finals (a final left with no
@@ -89,23 +94,54 @@ class Pfsm:
         return sorted(self.directory)
 
 
+def _share_row(table: dict, image) -> dict[int, frozenset[int]]:
+    """`table` with each successor set object replaced by its `image`,
+    computed once per object; equal images share one frozenset and empty
+    ones are dropped."""
+    images: dict[int, frozenset[int]] = {}  # id(successor set) -> its image
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    row = {}
+    for b, succ in table.items():
+        key = id(succ)
+        new = images.get(key)
+        if new is None:
+            new = image(succ)
+            new = images[key] = shared.setdefault(new, new)
+        if new:
+            row[b] = new
+    return row
+
+
 def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
            clip: bool = False) -> dict[int, int]:
     """Copy `states` of src, with their edges, into dst, renumbered as
     base, base+1, ... in sorted order; finals accept label_id alone. An
     edge leaving `states` is dropped when `clip` is set and raises
-    KeyError otherwise. Returns the renumbering."""
+    KeyError otherwise. Each successor set object of src, frozen or not,
+    is remapped once, into a frozenset that every equal image shares.
+    Returns the renumbering."""
     remap = {s: base + i for i, s in enumerate(sorted(states))}
     labels = frozenset({label_id})
+    new_id, keys = remap.__getitem__, remap.keys()
+    # `_share_row`'s loop, inlined over the whole machine: every add
+    # runs it on each edge.
+    images: dict[int, frozenset[int]] = {}  # id(successor set) -> its image
+    shared: dict[frozenset[int], frozenset[int]] = {}
     for s, t in remap.items():
         dst.states.add(t)
         table = src.byte_transitions.get(s)
-        if table and clip:
-            table = {b: kept for b, succ in table.items()
-                     if (kept := succ & remap.keys())}
         if table:
-            dst.byte_transitions[t] = {b: {remap[u] for u in succ}
-                                       for b, succ in table.items()}
+            row = {}
+            for b, succ in table.items():
+                key = id(succ)
+                image = images.get(key)
+                if image is None:
+                    image = frozenset(map(new_id, succ & keys if clip else succ))
+                    image = images[key] = shared.setdefault(image, image)
+                if image:
+                    row[b] = image
+            if row:
+                dst.byte_transitions[t] = row
         succ = src.epsilon_transitions.get(s)
         if succ and clip:
             succ = succ & remap.keys()
@@ -162,9 +198,9 @@ def _insert(a: Automaton, root: int, word: bytes, base: int,
         a.final_labels[end] = a.final_labels.get(end, frozenset()) | {lid}
         return path, base
     fresh = range(base, base + len(word) - i)
-    trans[path[-1]] = {**trans.get(path[-1], {}), word[i]: {base}}
+    trans[path[-1]] = {**trans.get(path[-1], {}), word[i]: frozenset((base,))}
     for s, byte in zip(fresh, word[i + 1:]):
-        trans[s] = {byte: {s + 1}}
+        trans[s] = {byte: frozenset((s + 1,))}
     a.states.update(fresh)
     a.final_labels[fresh[-1]] = frozenset({lid})
     path.extend(fresh)
@@ -236,7 +272,11 @@ def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
 
 def _cut(a: Automaton, doomed, sources) -> None:
     """Delete the `doomed` states from `a` with their own edges, and the
-    edges into them from `sources`."""
+    edges into them from `sources`, cutting each successor set object of
+    a row once."""
+    def cut(succ: frozenset[int]) -> frozenset[int]:
+        return succ if doomed.isdisjoint(succ) else succ - doomed
+
     a.states -= doomed
     for s in doomed:
         a.byte_transitions.pop(s, None)
@@ -245,8 +285,7 @@ def _cut(a: Automaton, doomed, sources) -> None:
     for s in sources:
         table = a.byte_transitions.get(s)
         if table and not all(map(doomed.isdisjoint, table.values())):
-            row = {b: succ if doomed.isdisjoint(succ) else succ - doomed
-                   for b, succ in table.items() if not succ <= doomed}
+            row = _share_row(table, cut)
             if row:
                 a.byte_transitions[s] = row
             else:
@@ -383,7 +422,10 @@ def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
     (label, entry state) pairs in label-id order: labels that name one
     entry share the machine of the states on a path from that entry to a
     final, and the entry. Every other state but the initial one is
-    dropped from `a`, with the edges into it, so no state leads nowhere."""
+    dropped from `a`, with the edges into it, so no state leads nowhere.
+    Each row of `a` is frozen first, its equal successor sets shared."""
+    for s, table in a.byte_transitions.items():
+        a.byte_transitions[s] = _share_row(table, frozenset)
     machines: dict[int, list[tuple[int, str]]] = {}
     for lid, (label, entry) in enumerate(patterns):
         machines.setdefault(entry, []).append((lid, label))

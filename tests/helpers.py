@@ -141,6 +141,15 @@ def joined_dfa(asts: list[Node]) -> Automaton:
     return nfa_to_dfa(joined)
 
 
+def assert_rows_frozen_and_shared(a: Automaton) -> None:
+    """Every byte successor set of `a` is a frozenset, and in each row the
+    bytes with equal successors share one object."""
+    for s, row in a.byte_transitions.items():
+        assert all(type(succ) is frozenset for succ in row.values()), s
+        assert len({id(succ) for succ in row.values()}) \
+            == len(set(row.values())), s
+
+
 def nfa_accepts(a: Automaton, s: bytes) -> bool:
     """Membership by direct closure/step simulation of the automaton."""
     current = epsilon_closure(a, {a.initial})

@@ -5,7 +5,8 @@ import random
 import warnings
 
 import pytest
-from helpers import all_strings, gen_ast, nfa_accepts, random_hops
+from helpers import (all_strings, assert_rows_frozen_and_shared, gen_ast,
+                     nfa_accepts, random_hops)
 
 from pfsm import find_matches
 from pfsm.automaton import Automaton
@@ -101,6 +102,32 @@ def test_subset_keeps_every_label_of_its_members():
     p = wrap_machine(dfa, ["x", "y"])
     assert [(p.label_text(m.label), m.start, m.end)
             for m in find_matches(p, b"a")] == [("x", 0, 0), ("y", 0, 0)]
+
+
+@pytest.mark.parametrize("pattern", ["[^x]*", "a[^x]*b", "a[^x]*x",
+                                     "ab[^c]*de", "a[^x]*[^y]*b"])
+def test_negated_class_row_shares_its_successor_sets(pattern):
+    # A `[^x]*` gap's rows read 255 bytes or more, and bytes with equal
+    # successors share one frozenset: the gap's own set, and the set with
+    # the next position on the bytes that also leave the gap.
+    nfa = compile_nfa(parse_regex(pattern))
+    assert_rows_frozen_and_shared(nfa)
+    rows = nfa.byte_transitions.values()
+    assert max(map(len, rows)) >= 255
+    if "[^y]" not in pattern:
+        assert all(len({id(succ) for succ in row.values()}) <= 2
+                   for row in rows)
+
+
+@pytest.mark.parametrize("pattern", ["a[^x]*b", "(a|[^b])*c", "x[^y][^z]*y"])
+def test_subset_construction_shares_one_set_per_target(pattern):
+    # Every edge into one DFA state holds the same frozenset, so a state
+    # whose 255 edges enter one state holds one set, not 255.
+    dfa = nfa_to_dfa(compile_nfa(parse_regex(pattern)))
+    sets = [succ for row in dfa.byte_transitions.values()
+            for succ in row.values()]
+    assert all(type(succ) is frozenset for succ in sets)
+    assert len({id(succ) for succ in sets}) == len(set(sets))
 
 
 def test_subset_construction_state_bound():

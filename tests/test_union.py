@@ -5,16 +5,18 @@ import re
 
 import pytest
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
-                     FIG2_MATCHES, FIG1_PATTERNS, build_fig1, gen_alphabet,
-                     gen_ast, gen_instance, gen_literal_set, joined_dfa,
-                     literal_machine, match_texts, plain_dump, with_epsilon)
+                     FIG2_MATCHES, FIG1_PATTERNS, assert_rows_frozen_and_shared,
+                     build_fig1, gen_alphabet, gen_ast, gen_instance,
+                     gen_literal_set, joined_dfa, literal_machine, match_texts,
+                     plain_dump, with_epsilon)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
                   epsilon_closure)
 from pfsm.automaton import Automaton
-from pfsm.compile import compile_pattern
+from pfsm.compile import compile_nfa, compile_pattern, nfa_to_dfa
 from pfsm.oracle import all_matches
+from pfsm.syntax import parse_regex
 from pfsm.union import DuplicateLabelError, UnknownLabelError
 from pfsm.wire import AutomatonFormatError
 
@@ -577,3 +579,105 @@ def test_random_removals_from_a_shared_dfa(seed):
                 == {(texts[k], i, j) for k, i, j in all_matches(live, data)}
             text = dump_pfsm(p)
             assert dump_pfsm(load_pfsm(text)) == text
+
+
+GAPPED = ["ab[^c]*de", "a[^x]*b", "[^a]+b", "abc", "abd", "x(y|[^z])*z"]
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa", "eps"])
+def test_successor_sets_stay_frozen_and_shared(form):
+    # After a build, each add, a load and each removal, every byte
+    # successor set of the union is a frozenset, and in each row the bytes
+    # with equal successors share one object.
+    machines = [(pat, compile_pattern(pat, "dfa" if form == "dfa" else "nfa"))
+                for pat in GAPPED]
+    if form == "eps":
+        machines = [(pat, with_epsilon(m, m.states - {m.initial}))
+                    for pat, m in machines]
+    p = build_pfsm(machines[:3])
+    assert_rows_frozen_and_shared(p.automaton)
+    for label, m in machines[3:]:
+        p = add_pattern(p, label, m)
+        assert_rows_frozen_and_shared(p.automaton)
+    loaded = load_pfsm(dump_pfsm(p))
+    for q in (p, loaded):
+        for label in GAPPED:
+            q = remove_pattern(q, label)
+            assert_rows_frozen_and_shared(q.automaton)
+    assert_rows_frozen_and_shared(loaded.automaton)
+
+
+def test_removal_from_a_shared_dfa_keeps_rows_shared():
+    # One DFA for three gapped patterns, loaded from a plain dump, shares
+    # its states among the labels; each removal cuts a `[^x]` row once per
+    # successor set, so the row keeps one object per distinct set.
+    asts = [parse_regex(pat) for pat in ("a[^x]*b", "a[^x]*c", "[^a]b")]
+    texts = ["p0", "p1", "p2"]
+    p = load_pfsm(plain_dump(joined_dfa(asts), texts))
+    assert len({e.entry for e in p.directory.values()}) == 1
+    data = b"axbacb" + bytes(range(40, 120))
+    for label in ["p1", "p0", "p2"]:
+        assert_rows_frozen_and_shared(p.automaton)
+        assert max(len({id(succ) for succ in row.values()})
+                   for row in p.automaton.byte_transitions.values()) <= 4
+        live = [(texts.index(x), asts[texts.index(x)]) for x in p.label_ids]
+        assert match_texts(find_matches(p, data), p) \
+            == {(texts[k], i, j) for k, i, j in all_matches(live, data)}
+        p = remove_pattern(p, label)
+    assert p.automaton.states == {p.initial}
+
+
+def test_removal_shares_the_equal_rests_of_a_row():
+    # x and y share one loaded machine whose entry reads `a` into x's and
+    # y's finals and `b` into x's. Removing y drops y's final, and both
+    # bytes then hold one set.
+    p = load_pfsm("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\n"
+                  "final 1 x\nfinal 2 y\ntrans 0 0x61 1\ntrans 0 0x61 2\n"
+                  "trans 0 0x62 1\n")
+    q = remove_pattern(p, "y")
+    (entry,) = q.automaton.epsilon_transitions[q.initial]
+    row = q.automaton.byte_transitions[entry]
+    assert row.keys() == {0x61, 0x62} and row[0x61] is row[0x62]
+    assert row[0x61] == q.automaton.finals
+    assert match_texts(find_matches(q, b"ab"), q) == {("x", 0, 0), ("x", 1, 1)}
+
+
+def _plain_sets(machine: Automaton) -> Automaton:
+    """The machine with one plain `set` per (state, byte)."""
+    return Automaton(set(machine.states), machine.initial,
+                     {s: {b: set(succ) for b, succ in row.items()}
+                      for s, row in machine.byte_transitions.items()},
+                     {s: set(succ) for s, succ
+                      in machine.epsilon_transitions.items()},
+                     dict(machine.final_labels))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hand_built_machine_with_plain_sets_matches_the_oracle(seed):
+    # A machine built by hand may hold a plain `set` per byte; it builds,
+    # its grafted rows are frozen and shared, and it matches as the
+    # oracle does, alone, added, and with another pattern removed.
+    rng = random.Random(seed)
+    for _ in range(10):
+        alphabet = gen_alphabet(rng)
+        asts = [parse_regex("a[^b]*c")]
+        asts += [gen_ast(rng, alphabet, 4) for _ in range(rng.randint(1, 3))]
+        machines = []
+        for k, ast in enumerate(asts):
+            nfa = compile_nfa(ast)
+            machine = rng.choice([nfa, nfa_to_dfa(nfa), with_epsilon(
+                nfa, [s for s in nfa.states if s != nfa.initial])])
+            machines.append((f"p{k}", _plain_sets(machine)))
+        data = bytes(rng.choice(alphabet + [ord("c")])
+                     for _ in range(rng.randint(0, 32)))
+        p = build_pfsm(machines[:-1])
+        p = add_pattern(p, *machines[-1])
+        for gone in (None, "p0"):
+            if gone:
+                p = remove_pattern(p, gone)
+            assert validate_pfsm(p) == []
+            assert_rows_frozen_and_shared(p.automaton)
+            live = [(f"p{k}", ast) for k, ast in enumerate(asts)
+                    if f"p{k}" != gone]
+            assert match_texts(find_matches(p, data), p) \
+                == set(all_matches(live, data))
