@@ -12,7 +12,8 @@ StateCeilingExceeded.
 
 Both constructions give every byte successor set as a frozenset, shared by
 the bytes of a row that have equal successors; nfa_to_dfa shares one set
-per target state across the whole machine.
+per target state across the whole machine, and closes each distinct
+outgoing set once.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
     byte_transitions: dict[int, dict[int, frozenset[int]]] = {}
     single: dict[int, frozenset[int]] = {}      # subset id -> {id}, shared
 
+    closed: dict[frozenset[int], frozenset[int]] = {}  # outgoing -> {tid}
     while worklist:
         subset = worklist.pop()
         sid = ids[subset]
@@ -133,16 +135,20 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
             for byte, succ in nfa.byte_transitions.get(s, {}).items():
                 outgoing.setdefault(byte, set()).update(succ)
         for byte, succ in outgoing.items():
-            target = frozenset(epsilon_closure(nfa, succ))
-            if target not in ids:
-                if len(ids) >= ceiling:
-                    raise StateCeilingExceeded(ceiling)
-                ids[target] = len(ids)
-                worklist.append(target)
-            tid = ids[target]
-            if tid not in single:
-                single[tid] = frozenset((tid,))
-            byte_transitions.setdefault(sid, {})[byte] = single[tid]
+            key = frozenset(succ)
+            hit = closed.get(key)
+            if hit is None:
+                target = frozenset(epsilon_closure(nfa, succ))
+                if target not in ids:
+                    if len(ids) >= ceiling:
+                        raise StateCeilingExceeded(ceiling)
+                    ids[target] = len(ids)
+                    worklist.append(target)
+                tid = ids[target]
+                if tid not in single:
+                    single[tid] = frozenset((tid,))
+                hit = closed[key] = single[tid]
+            byte_transitions.setdefault(sid, {})[byte] = hit
 
     finals = nfa.final_labels
     final_labels = {sid: labels for subset, sid in ids.items()

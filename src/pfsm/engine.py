@@ -34,13 +34,22 @@ cycle with three changes:
   lives.
 - Rows from the machine's own tables. A state's successors are read from
   `byte_transitions`; only targets that have epsilon edges are closed.
+- Output linear in the matches reported. A cycle counts its matches from
+  the merged masks' counts and extracts tags only for a sink. A mask is
+  read in one pass over `bin(mask)`, not peeled a bit at a time; one
+  label's tags come out in order, so only several labels ending on one
+  byte are sorted. `run` asks for no carried set, so the last byte's
+  masks are never turned into tag sets that nobody reads.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from .automaton import Automaton, epsilon_closure
 from .union import Pfsm
@@ -50,11 +59,18 @@ class GenerationMismatchError(ValueError):
     """Active set refers to a different structural generation of the machine."""
 
 
-@dataclass(frozen=True, order=True)
-class Match:
+class Match(NamedTuple):
+    """Pattern `label` matched bytes `start` to `end`, both inclusive.
+
+    A `Match` is a tuple: it equals, sorts and hashes as the plain tuple
+    `(label, start, end)`.
+    """
     label: int
     start: int
     end: int
+
+
+_by_start_label = itemgetter(1, 0)
 
 
 @dataclass
@@ -145,7 +161,7 @@ class Engine:
                 final_tags.setdefault(label, set()).update(tags)
         emitted = sorted((Match(label, t, pos)
                           for label, tags in final_tags.items() for t in tags),
-                         key=lambda m: (m.start, m.label))
+                         key=_by_start_label)
         if self.sink is not None:
             for m in emitted:
                 self.sink(m)
@@ -200,13 +216,14 @@ def _check_carry(pfsm: Pfsm, carried: ActiveSet,
 def run(pfsm: Pfsm, data: bytes, sink=None) -> EngineStats:
     """Scan the whole input, reinitializing at every position."""
     stats, _ = run_segment(pfsm, data, (0, len(data) - 1) if data else None,
-                           None, sink)
+                           None, sink, carry_out=False)
     return stats
 
 
 def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
-                carry_in: ActiveSet | None, sink=None, *,
-                base: int = 0) -> tuple[EngineStats, ActiveSet]:
+                carry_in: ActiveSet | None, sink=None, *, base: int = 0,
+                carry_out: bool = True
+                ) -> tuple[EngineStats, ActiveSet | None]:
     """Scan `data` reinitializing only at positions inside `window`.
 
     Positions are absolute: data[0] sits at position `base`, and window
@@ -214,7 +231,8 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
     carried tag must be a start position before the input: in [0, base).
     Processing stops early once the window is exhausted and no states
     remain active (nothing further can be activated). Returns the stats and
-    the carried active set at the stop point.
+    the carried active set at the stop point, or None in its place when
+    `carry_out` is false.
     """
     if window is not None:
         lo, hi = window
@@ -227,6 +245,8 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
                   in _check_carry(pfsm, carry_in, base).items()}
     stats = EngineStats()
     active = _scan(pfsm.automaton, data, window, active, sink, base, stats)
+    if not carry_out:
+        return stats, None
     return stats, ActiveSet(pfsm.generation,
                             {s: set(_tags(v)) for s, v in active.items()})
 
@@ -243,15 +263,19 @@ def _anchor(tags) -> tuple[int, int, int]:
     return lo, mask, mask.bit_count()
 
 
-def _tags(tagged: tuple[int, int, int]) -> list[int]:
-    """The absolute tags of a counted anchored mask, ascending."""
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _tags(tagged: tuple[int, int, int]) -> Iterable[int]:
+    """The absolute tags of a counted anchored mask, ascending.
+
+    One pass over the mask's width: `bin(mask)`, lowest bit first, as 0/1
+    bytes that select from the tag range. Peeling the lowest bit off one
+    at a time would cost O(width) per tag on a Python int.
+    """
     lo, mask, _ = tagged
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(lo + low.bit_length() - 1)
-        mask ^= low
-    return out
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)
+    return compress(range(lo, lo + len(bits)), bits)
 
 
 def _merge(x: tuple[int, int, int],
@@ -364,12 +388,17 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
                 for label in finals[t]:
                     cur = by_label.get(label)
                     by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
-            found = sorted((start_tag, label)
-                           for label, tagged in by_label.items()
-                           for start_tag in _tags(tagged))
-            stats.matches_emitted += len(found)
-            if sink is not None:
-                for start_tag, label in found:
+            stats.matches_emitted += sum(map(_count, by_label.values()))
+            if sink is not None and len(by_label) == 1:
+                # One label's tags come out ascending: no sort.
+                [(label, tagged)] = by_label.items()
+                for start_tag in _tags(tagged):
+                    sink(Match(label, start_tag, pos))
+            elif sink is not None:
+                for start_tag, label in sorted(
+                        (start_tag, label)
+                        for label, tagged in by_label.items()
+                        for start_tag in _tags(tagged)):
                     sink(Match(label, start_tag, pos))
         per_cycle.append(pairs if pairs > now else now)
         pairs = now

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .engine import ActiveSet, Match, find_matches, run_segment
 from .union import Pfsm, build_pfsm, extract_pattern
@@ -115,7 +116,8 @@ def run_lazy_partitioned(p: Pfsm, data: bytes,
         return []
     out: list[Match] = []
     for lo, hi in segments(plan, len(data)):
-        run_segment(p, data[lo:], (lo, hi), None, out.append, base=lo)
+        run_segment(p, data[lo:], (lo, hi), None, out.append, base=lo,
+                    carry_out=False)
     return _merge([out])
 
 
@@ -150,4 +152,4 @@ def _merge(batches: list[list[Match]]) -> list[Match]:
     workers hold disjoint labels, lazy workers disjoint starts and chained
     workers disjoint ends."""
     return sorted((m for batch in batches for m in batch),
-                  key=lambda m: (m.end, m.start, m.label))
+                  key=itemgetter(2, 1, 0))

@@ -352,6 +352,17 @@ def adversarial_scan_seconds(r: int, n: int, repeats: int = 3) -> float:
     return best_scan_seconds(p, b"a" * n, repeats)
 
 
+def peel_tags(lo: int, mask: int) -> list[int]:
+    """The tags of an anchored mask, ascending, by peeling the lowest set
+    bit off one at a time: the reference that `engine._tags` is held to."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(lo + low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def loglog_slope(xs: list[float], ts: list[float]) -> float:
     """Least-squares slope of log(t) against log(x)."""
     return statistics.linear_regression([math.log(x) for x in xs],

@@ -2,17 +2,22 @@
 snapshot/restore, and randomized equivalence with the brute-force oracle."""
 
 import random
+import time
+from collections import deque
 
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
-                     build_fig1_mixed, engine_segment, gen_instance,
-                     gen_literal_instance, loglog_slope, match_texts)
+                     build_fig1_mixed, engine_matches, engine_segment,
+                     gen_instance, gen_literal_instance, loglog_slope,
+                     match_texts, peel_tags)
 
+import pfsm.engine
 from pfsm import build_pfsm, compile_pattern, epsilon_closure, step
 from pfsm.engine import (ActiveSet, Engine, EngineStats,
                          GenerationMismatchError, Match, _anchor, _closing,
-                         _scan, _seed_rows, find_matches, format_match_jsonl,
-                         format_match_tsv, run, run_segment)
+                         _scan, _seed_rows, _tags, find_matches,
+                         format_match_jsonl, format_match_tsv, run,
+                         run_segment)
 from pfsm.oracle import all_matches
 from pfsm.union import remove_pattern
 from pfsm.wire import (ActiveSetFormatError, dump_active_set, dump_pfsm,
@@ -294,6 +299,44 @@ def test_lone_long_lived_tag_scans_in_linear_time():
     assert slope <= 1.4, (slope, times)
 
 
+def test_tags_equal_the_bit_peeling_reference():
+    # Widths from 1 to 70k bits: full, half, a few tags, and 1/64 dense.
+    rng = random.Random(22)
+    masks = []
+    for w in (1, 2, 3, 7, 8, 9, 63, 64, 65, 255, 256, 257, 2047, 2048, 2049,
+              4096, 70_000):
+        top = 1 << (w - 1)
+        masks += [(1 << w) - 1, top | rng.getrandbits(w), top | 1,
+                  top | sum(1 << rng.randrange(w)
+                            for _ in range(rng.randint(0, 20))),
+                  top | sum(1 << rng.randrange(w) for _ in range(w // 64))]
+    for mask in masks:
+        lo = rng.choice([0, rng.randrange(10**6), 10**6])
+        assert list(_tags((lo, mask, mask.bit_count()))) == \
+            peel_tags(lo, mask), (lo, mask.bit_length(), mask.bit_count())
+
+
+@pytest.mark.slow
+def test_dense_tag_extraction_is_linear_in_width():
+    # Peeling one bit at a time costs O(width) per tag, so a dense mask
+    # would read a slope near 1.7 here. The tags are consumed one at a
+    # time, as a sink takes them, so no list of 64k ints is timed.
+    ws = [8192, 16384, 32768, 65536]
+
+    def seconds(w):
+        tagged = (0, (1 << w) - 1, w)
+        best = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            deque(_tags(tagged), maxlen=0)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    times = [seconds(w) for w in ws]
+    slope = loglog_slope(ws, times)
+    assert slope <= 1.2, (slope, times)
+
+
 def test_far_carry_keeps_its_absolute_tag():
     # A tag carried a million positions keeps its start, and the carried
     # set the scan returns still goes through the wire format. The DFA
@@ -406,3 +449,65 @@ def test_match_output_formats():
     assert format_match_jsonl(m, p, FIG1_INPUT) == \
         '{"label": "a*c", "start": 0, "end": 2, "match": "aac"}'
 
+
+
+def _no_sink_case(name):
+    if name == "adversarial":
+        pats = [("a*" + c, "a*" + c) for c in "bcde"]
+        return build_pfsm([(label, compile_pattern(pat, "dfa"))
+                           for label, pat in pats]), b"a" * 4095 + b"b"
+    if name == "literals":
+        # "twin" is a second label on the word "he": one final, two labels.
+        pats = [("he", "he"), ("she", "she"), ("his", "his"),
+                ("hers", "hers"), ("twin", "he")]
+        return build_pfsm([(label, compile_pattern(pat))
+                           for label, pat in pats]), b"ushers his shehers"
+    return build_fig1("dfa"), FIG1_INPUT
+
+
+@pytest.mark.parametrize("case", ["adversarial", "literals", "fig1"])
+def test_run_without_sink_extracts_no_tags(case, monkeypatch):
+    # Without a sink the count comes from the masks, and `run` asks for
+    # no carried set, which would extract the tags of the last live states.
+    p, data = _no_sink_case(case)
+    want = len(find_matches(p, data))
+    assert want > 0
+
+    def refuse(tagged):
+        raise AssertionError("tags extracted")
+
+    monkeypatch.setattr(pfsm.engine, "_tags", refuse)
+    assert run(p, data).matches_emitted == want
+    with pytest.raises(AssertionError, match="tags extracted"):
+        run_segment(p, data, (0, len(data) - 1), None)
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
+@pytest.mark.parametrize("n", [4, 600])
+def test_labels_ending_on_one_byte_sort_by_start_then_label(form, n):
+    # Over a^n b the three labels end together with interleaved starts:
+    # (aa)*b at every even start, a*b at every start, a(aa)*b at every
+    # odd one. At n = 600 each label holds hundreds of tags.
+    p = build_pfsm([(pat, compile_pattern(pat, form))
+                    for pat in ("(aa)*b", "a*b", "a(aa)*b")])
+    data = b"a" * n + b"b"
+    got = find_matches(p, data)
+    want = sorted([(1, s, n) for s in range(n + 1)]
+                  + [(0, s, n) for s in range(0, n + 1, 2)]
+                  + [(2, s, n) for s in range(1, n + 1, 2)],
+                  key=lambda m: (m[1], m[0]))
+    assert got == want
+    assert got == engine_matches(p, data)
+
+
+def test_match_sorts_compares_and_hashes_as_its_fields():
+    ms = [Match(label, start, end) for label in (2, 0, 1)
+          for start in (3, 0) for end in (5, 4)]
+    assert sorted(ms) == sorted(ms, key=lambda m: (m.label, m.start, m.end))
+    assert Match(1, 2, 3) < Match(1, 3, 0) < Match(2, 0, 0)
+    assert Match(1, 2, 3) == Match(1, 2, 3) != Match(1, 2, 4)
+    assert hash(Match(1, 2, 3)) == hash(Match(1, 2, 3))
+    assert len(set(ms + ms)) == len(ms)
+    # A Match is the plain tuple (label, start, end).
+    assert Match(1, 2, 3) == (1, 2, 3)
+    assert hash(Match(1, 2, 3)) == hash((1, 2, 3))
