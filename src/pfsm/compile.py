@@ -22,7 +22,7 @@ import warnings
 
 from .automaton import Automaton, epsilon_closure
 from .syntax import (Alt, ByteClass, Concat, Empty, Literal, Node, Opt, Plus,
-                     Star, nullable, parse_regex)
+                     Star, parse_regex)
 
 DEFAULT_STATE_CEILING = 10_000
 _EMPTY: frozenset[int] = frozenset()
@@ -162,15 +162,16 @@ def compile_pattern(pattern: str | bytes, form: str = "nfa") -> Automaton:
     """Parse and compile one pattern.
 
     form: "nfa", the Glushkov machine, or "dfa", its subset construction
-    (over the state ceiling raises StateCeilingExceeded).
+    (over the state ceiling raises StateCeilingExceeded). A pattern that
+    matches the empty string, which is when the Glushkov machine's initial
+    state is final, gives a NullablePatternWarning.
     """
-    ast = parse_regex(pattern)
-    if nullable(ast):
+    nfa = compile_nfa(parse_regex(pattern))
+    if 0 in nfa.final_labels:
         warnings.warn(
             f"pattern {pattern!r} matches the empty string; "
             "zero-length matches are never reported",
             NullablePatternWarning, stacklevel=2)
-    nfa = compile_nfa(ast)
     if form == "nfa":
         return nfa
     if form == "dfa":

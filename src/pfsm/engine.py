@@ -18,7 +18,7 @@ them.
 `Engine` runs those four steps literally, with a `set` of tags per state;
 it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
-cycle with three changes:
+cycle with four changes:
 
 - Seed rows. Steps 1-3 for the start region depend only on the byte, so
   each scan first builds every byte's seed row, the epsilon-closed byte

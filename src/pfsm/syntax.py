@@ -98,23 +98,6 @@ def alternation(choices: list) -> Node:
     return Alt(tuple(choices))
 
 
-def nullable(node: Node) -> bool:
-    """True iff the empty string belongs to the node's language."""
-    if isinstance(node, Empty):
-        return True
-    if isinstance(node, (Literal, ByteClass)):
-        return False
-    if isinstance(node, Concat):
-        return all(nullable(p) for p in node.parts)
-    if isinstance(node, Alt):
-        return any(nullable(c) for c in node.choices)
-    if isinstance(node, (Star, Opt)):
-        return True
-    if isinstance(node, Plus):
-        return nullable(node.child)
-    raise TypeError(f"unknown node {node!r}")
-
-
 class _Parser:
     def __init__(self, data: bytes):
         self.data = data

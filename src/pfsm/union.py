@@ -4,13 +4,14 @@ initial state, with live add/remove.
 The ancillary initial state has one epsilon edge per machine, to the
 machine's entry state. A machine usually holds one pattern; labels that
 share an entry share its machine. Literal patterns share one such machine,
-a prefix trie: the first literal's chain becomes the trie, and each later
-literal walks it from the entry and branches off with fresh states, its
-last node final for its label. A final state carries a set of labels, so
-a literal whose last node is already final adds its label to that node. A
-label owns the states on its paths from its machine's entry to its finals
-(a trie label, its path from the entry to its final), and only labels of
-one machine share states.
+a prefix trie. A literal joins it in one walk that reads the literal's
+chain, proving it one, and descends the trie while the bytes match; the
+rest of the word branches off with fresh states, its last node final for
+its label. The first literal does the same from a fresh root. A final
+state carries a set of labels, so a literal whose last node is already
+final adds its label to that node. A label owns the states on its paths
+from its machine's entry to its finals (a trie label, its path from the
+entry to its final), and only labels of one machine share states.
 
 Every structural change bumps the generation counter and produces a new
 Pfsm value; surviving state ids never change, so a scanner holding an
@@ -152,17 +153,25 @@ def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
     return remap
 
 
-def _literal_word(machine: Automaton) -> bytes | None:
-    """The word of a literal machine: no epsilon edges and one final, its
-    states one acyclic path of one-byte edges from the initial state to
-    that final, as both forms of a literal pattern are. None for any
-    other machine."""
+def _join_trie(a: Automaton, machine: Automaton, trie: int | None,
+               base: int, lid: int) -> tuple[list[int], int] | None:
+    """Add `machine` to the trie at `trie` as label lid, if it is a literal:
+    no epsilon edges and one final, its states one acyclic path of one-byte
+    edges from the initial state to that final, as both forms of a literal
+    pattern are. One walk reads the chain and descends the trie while the
+    bytes match; the rest of the word branches off with fresh states base,
+    base+1, ..., and lid joins the last node's labels. With no trie yet, a
+    fresh root at base starts one. Returns the path from the root and the
+    next free state id, or None, touching nothing, for any other machine."""
     trans, s = machine.byte_transitions, machine.initial
     if len(machine.final_labels) != 1 or len(trans.get(s, ())) != 1 \
             or any(machine.epsilon_transitions.values()):
         return None
     (final,) = machine.final_labels
-    path, word = {s}, []
+    rows = a.byte_transitions
+    if trie is None:
+        trie, base = base, base + 1
+    path, seen, rest = [trie], {s}, []
     while s != final:
         row = trans.get(s)
         if not row or len(row) != 1:
@@ -171,72 +180,57 @@ def _literal_word(machine: Automaton) -> bytes | None:
         if len(succ) != 1:
             return None
         (s,) = succ
-        if s in path:
+        if s in seen:
             return None
-        path.add(s)
-        word.append(byte)
-    if trans.get(final) or path != machine.states:
+        seen.add(s)
+        node = None if rest else rows.get(path[-1], {}).get(byte)
+        if node:
+            path.extend(node)               # a trie row has one successor
+        else:
+            rest.append(byte)
+    if trans.get(final) or seen != machine.states:
         return None
-    return bytes(word)
-
-
-def _insert(a: Automaton, root: int, word: bytes, base: int,
-            lid: int) -> tuple[list[int], int]:
-    """Walk `word` down the trie at `root`, branch off with fresh states
-    base, base+1, ... and add lid to the last node's labels. Returns the
-    path from the root and the next free state id."""
-    trans = a.byte_transitions
-    path = [root]
-    for i, byte in enumerate(word):
-        row = trans.get(path[-1])
-        succ = row.get(byte) if row else None
-        if not succ:
-            break
-        path.extend(succ)                   # a trie row has one successor
-    else:
-        end = path[-1]
-        a.final_labels[end] = a.final_labels.get(end, frozenset()) | {lid}
-        return path, base
-    fresh = range(base, base + len(word) - i)
-    trans[path[-1]] = {**trans.get(path[-1], {}), word[i]: frozenset((base,))}
-    for s, byte in zip(fresh, word[i + 1:]):
-        trans[s] = {byte: frozenset((s + 1,))}
-    a.states.update(fresh)
-    a.final_labels[fresh[-1]] = frozenset({lid})
-    path.extend(fresh)
-    return path, fresh.stop
+    if rest:
+        fresh = range(base, base + len(rest))
+        rows[path[-1]] = {**rows.get(path[-1], {}), rest[0]: frozenset((base,))}
+        for t, byte in zip(fresh, rest[1:]):
+            rows[t] = {byte: frozenset((t + 1,))}
+        path.extend(fresh)
+        base = fresh.stop
+    a.states.update(path)
+    end = path[-1]
+    a.final_labels[end] = a.final_labels.get(end, frozenset()) | {lid}
+    return path, base
 
 
 def _append(union: Automaton, directory: dict[int, PatternEntry],
             label_ids: dict[str, int], base: int, lid: int, label: str,
             machine: Automaton, trie: int | None) -> tuple[int, int | None]:
-    """Put machine into union as label id lid: a literal joins the trie
-    at `trie`, anything else is grafted at state id base behind a new q0
-    edge (the first literal so becomes the trie). A machine with no final
-    could never match and is refused. Returns the next free state id and
-    the trie's entry."""
+    """Put machine into union as label id lid, behind a q0 edge to its
+    entry: a literal joins the trie at `trie` (the first literal starts
+    it), anything else is grafted at state id base. A machine with no
+    final could never match and is refused. Returns the next free state id
+    and the trie's entry."""
     if label in label_ids:
         raise DuplicateLabelError(f"duplicate label {label!r}")
     if not machine.final_labels:
         raise ValueError(f"pattern {label!r} has no final state")
-    word = _literal_word(machine)
-    if word is not None and trie is not None:
-        path, base = _insert(union, trie, word, base, lid)
-        directory[lid] = PatternEntry(label, trie, frozenset(path))
-        label_ids[label] = lid
-        return base, trie
-    try:
-        remap = _graft(union, machine, machine.states, base, lid)
-        entry = remap[machine.initial]
-    except KeyError as exc:
-        raise ValueError(f"pattern {label!r}: state {exc.args[0]} is used "
-                         f"but not in the machine's state set") from None
+    joined = _join_trie(union, machine, trie, base, lid)
+    if joined:
+        owned, base = joined
+        entry = trie = owned[0]
+    else:
+        try:
+            remap = _graft(union, machine, machine.states, base, lid)
+            entry = remap[machine.initial]
+        except KeyError as exc:
+            raise ValueError(f"pattern {label!r}: state {exc.args[0]} is used "
+                             f"but not in the machine's state set") from None
+        owned, base = remap.values(), base + len(remap)
     union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
-    directory[lid] = PatternEntry(label, entry, frozenset(remap.values()))
+    directory[lid] = PatternEntry(label, entry, frozenset(owned))
     label_ids[label] = lid
-    if word is not None and trie is None:
-        trie = entry
-    return base + len(remap), trie
+    return base, trie
 
 
 def _next_generation(a: Automaton) -> Automaton:

@@ -284,6 +284,29 @@ def test_compile_roundtrip_is_byte_identical(runner, tmp_path):
     assert first.read_text() == second.read_text()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
+@pytest.mark.parametrize("name", ["fig1", "mixed"])
+def test_compile_dump_equals_the_pinned_dump(runner, name, form):
+    # The pinned dumps fix state numbering, trie sharing and edge order.
+    # `mixed` has literals that share prefixes, one word under two labels
+    # and a regex grafted between literals.
+    result = runner.invoke(main, ["compile", "--form", form, "--patterns",
+                                  str(GOLDEN / f"{name}.patterns")])
+    assert result.exit_code == 0, result.output
+    want = (GOLDEN / f"{name}.{form}.dump").read_text()
+    if result.output != want:
+        # Name the first differing line: a full diff of the long dumps is slow.
+        got, pinned = result.output.splitlines(), want.splitlines()
+        k = next((k for k, (g, w) in enumerate(zip(got, pinned)) if g != w),
+                 min(len(got), len(pinned)))
+        pytest.fail(f"dump differs from {name}.{form}.dump at line {k + 1}: "
+                    f"got {got[k:k + 1]}, pinned {pinned[k:k + 1]}")
+    assert dump_pfsm(load_pfsm(want)) == want
+
+
 def test_compile_empty_pattern_file(runner, tmp_path):
     patterns = tmp_path / "empty.txt"
     patterns.write_text("# nothing here\n")

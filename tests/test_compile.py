@@ -14,7 +14,7 @@ from pfsm.compile import (NullablePatternWarning, StateCeilingExceeded,
                           compile_nfa, compile_pattern, nfa_to_dfa,
                           read_pattern_file)
 from pfsm.oracle import accepts
-from pfsm.syntax import nullable, parse_regex
+from pfsm.syntax import parse_regex
 from pfsm.union import wrap_machine
 
 AB = [ord("a"), ord("b")]
@@ -49,7 +49,7 @@ def test_nfa_shape_position_automaton():
                     into.setdefault(t, set()).add(byte)
             for t, read in into.items():
                 assert reads.setdefault(t, read) == read, (pattern, s, t)
-        assert (0 in nfa.finals) == nullable(ast)
+        assert (0 in nfa.finals) == accepts(ast, b"")
 
 
 def test_star_language_by_enumeration():
@@ -162,11 +162,15 @@ def test_triple_oracle_agreement_on_random_trees():
 
 
 def test_nullable_pattern_warns():
-    with pytest.warns(NullablePatternWarning):
-        compile_pattern("a*")
+    # The warning is the only nullability test: it reads the Glushkov
+    # machine's initial state.
+    for pattern in ("a*", "a?b?", "(a|)", ""):
+        with pytest.warns(NullablePatternWarning):
+            compile_pattern(pattern)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compile_pattern("a+")
+        for pattern in ("a+", "a*c", "(a|)b"):
+            compile_pattern(pattern)
 
 
 def test_read_pattern_file():

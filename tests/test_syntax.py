@@ -2,8 +2,10 @@
 
 import pytest
 
+from pfsm.compile import compile_nfa
+from pfsm.oracle import accepts
 from pfsm.syntax import (Alt, ByteClass, Concat, Empty, Literal, Opt, Plus,
-                         RegexSyntaxError, Star, nullable, parse_regex)
+                         RegexSyntaxError, Star, parse_regex)
 
 
 def test_single_literal():
@@ -84,11 +86,19 @@ def test_syntax_errors_carry_offset(pattern, offset, fragment):
 
 
 def test_nullable():
-    assert nullable(parse_regex("a*"))
-    assert nullable(parse_regex("a?b?"))
-    assert nullable(parse_regex("(a|)"))
-    assert not nullable(parse_regex("a*c"))
-    assert not nullable(parse_regex("a+"))
+    # A parsed tree is nullable iff its Glushkov machine's state 0 is final;
+    # the oracle's verdict on the empty string is the reference.
+    def nullable(pattern):
+        ast = parse_regex(pattern)
+        initial_final = 0 in compile_nfa(ast).final_labels
+        assert initial_final == accepts(ast, b""), pattern
+        return initial_final
+
+    assert nullable("a*")
+    assert nullable("a?b?")
+    assert nullable("(a|)")
+    assert not nullable("a*c")
+    assert not nullable("a+")
 
 
 def test_pattern_as_bytes():

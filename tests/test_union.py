@@ -81,6 +81,58 @@ def test_undeclared_state_names_the_pattern(machine):
     assert ("bad", 4, 6) in match_texts(find_matches(fixed, FIG1_INPUT), fixed)
 
 
+A, B, C = ord("a"), ord("b"), ord("c")
+FINAL = frozenset({0})
+UNDECLARED = "pattern 'x': state 1 is used but not in the machine's state set"
+
+
+# Chains one fault away from a literal. The first two use a state outside
+# their state set and are refused; the rest are no literal and are grafted
+# as machines of their own, beside a trie left as it was.
+@pytest.mark.parametrize("machine, refused", [
+    (Automaton({0}, 0, {0: {A: {1}}}, {}, {1: FINAL}), True),
+    (Automaton({0, 2}, 0, {0: {A: {1}}, 1: {B: {2}}}, {}, {2: FINAL}), True),
+    (Automaton({0, 1, 2, 3}, 0, {0: {A: {1}}, 1: {B: {2}}, 2: {C: {1}}}, {},
+               {3: FINAL}), False),
+    (Automaton({0, 1, 2}, 0, {0: {A: {1}}, 1: {B: {2}}}, {}, {1: FINAL}),
+     False),
+    (Automaton({0, 1, 2}, 0, {0: {A: {1}}}, {}, {1: FINAL}), False),
+    (Automaton({0, 1, 2, 3}, 0, {0: {A: {1}}, 2: {B: {3}}}, {1: {2}},
+               {3: FINAL}), False),
+    (Automaton({0, 1, 2, 3}, 0, {0: {A: {1, 2}}, 1: {B: {3}}, 2: {B: {3}}},
+               {}, {3: FINAL}), False),
+], ids=["chain-to-undeclared-final", "chain-through-undeclared-state",
+        "cycle-before-the-final", "final-with-an-out-edge",
+        "unreachable-extra-state", "epsilon-edge-on-the-chain",
+        "two-target-set"])
+@pytest.mark.parametrize("words", [[], [b"ab", b"abc", b"b"]],
+                         ids=["no-trie", "trie"])
+def test_non_literal_chain_is_refused_or_grafted(machine, refused, words):
+    p = build_pfsm([(w.decode(), literal_machine(w)) for w in words])
+    before = dump_pfsm(p)
+    if refused:
+        with pytest.raises(ValueError, match=re.escape(UNDECLARED)):
+            build_pfsm([(w.decode(), literal_machine(w)) for w in words]
+                       + [("x", machine)])
+        with pytest.raises(ValueError, match=re.escape(UNDECLARED)):
+            add_pattern(p, "x", machine)
+        assert dump_pfsm(p) == before
+        return
+    grown = add_pattern(p, "x", machine)
+    assert dump_pfsm(p) == before
+    assert grown.trie == p.trie
+    entry = grown.directory[grown.label_ids["x"]]
+    assert entry.entry != grown.trie and entry.n_states == len(machine.states)
+    a, old = grown.automaton, p.automaton
+    assert a.states == old.states | entry.owned
+    assert entry.owned.isdisjoint(old.states)
+    for s in old.states - {old.initial}:
+        assert a.byte_transitions.get(s) == old.byte_transitions.get(s)
+        assert a.final_labels.get(s) == old.final_labels.get(s)
+    assert a.epsilon_transitions[a.initial] \
+        == old.epsilon_transitions.get(old.initial, set()) | {entry.entry}
+
+
 def test_machine_without_final_names_the_pattern():
     # A machine with no final could never match: build and add refuse it
     # by its label, and the failed add leaves p as it was.
