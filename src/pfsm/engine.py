@@ -18,12 +18,18 @@ them.
 `Engine` runs those four steps literally, with a `set` of tags per state;
 it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
-cycle with four changes:
+cycle with five changes:
 
 - Seed rows. Steps 1-3 for the start region depend only on the byte, so
   each scan first builds every byte's seed row, the epsilon-closed byte
   targets of the start region, in one pass over the start region's byte
-  tables. Only starts that survive their first byte are seeded.
+  tables. Only starts that survive their first byte are seeded, and each
+  target comes with the byte table the next cycle would read it by.
+- Next-byte seeding. A seeded target that is not final and has no edge
+  on the next byte would die on it unread, so it is not stored: one
+  membership test in its table. The last seeded position stores its
+  whole row, so the stop point and the carried set are the reference's,
+  and the pair counts count every target, stored or not.
 - Counted anchored masks. A live state holds `(lo, mask, count)`: bit i
   of `mask` is the tag `lo + i`, `lo` is the state's oldest tag and
   `count` is the number of set bits. A value is passed on by reference;
@@ -45,9 +51,9 @@ cycle with four changes:
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, count, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -84,7 +90,11 @@ class ActiveSet:
 
 @dataclass
 class EngineStats:
-    """What a scan measured: active (state, tag) pairs per cycle, matches."""
+    """What a scan measured: active (state, tag) pairs per cycle, matches.
+
+    `per_cycle_pairs` counts the reference `Engine`'s pairs, so it
+    includes the seeds that the fast scan drops because they cannot step
+    on the next byte."""
     per_cycle_pairs: list[int] = field(default_factory=list)
     matches_emitted: int = 0
 
@@ -300,16 +310,28 @@ def _closing(a: Automaton) -> set[int]:
             if succ and s != a.initial}
 
 
-def _seed_rows(a: Automaton, start, closing) -> dict[int, tuple[int, ...]]:
+# The byte table of a final seed entry: a final is seeded whatever byte
+# follows, since it reports its match on the byte that seeds it.
+_ANY_BYTE = range(256)
+
+
+def _seed_rows(a: Automaton, start, closing
+               ) -> dict[int, tuple[tuple[int, Container[int]], ...]]:
     """Every byte's seed row, the byte targets of the start region, built
     in one pass over the start region's byte tables and epsilon-closed
-    when the union has closing states. A byte with no row seeds nothing."""
+    when the union has closing states. A byte with no row seeds nothing.
+
+    Each entry is `(state, table)`: the state's own `byte_transitions`
+    row, or `_ANY_BYTE` for a final, so the scan can ask whether a seed
+    steps on the next byte with one membership check."""
     rows: dict[int, set[int]] = {}
     trans = a.byte_transitions
     for s in start:
         for byte, succ in trans.get(s, {}).items():
             rows.setdefault(byte, set()).update(succ)
-    return {byte: tuple(epsilon_closure(a, row) if closing else row)
+    finals = a.final_labels
+    return {byte: tuple((t, _ANY_BYTE if t in finals else trans.get(t, ()))
+                        for t in (epsilon_closure(a, row) if closing else row))
             for byte, row in rows.items()}
 
 
@@ -334,7 +356,9 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
           stats) -> dict[int, tuple[int, int, int]]:
     """Run `Engine.feed`'s cycle over `data` on counted anchored masks,
     starting from the epsilon closure of `active`; returns the active set
-    at the stop point."""
+    at the stop point. Below the window's last position a seed is stored
+    only if it is final or steps on the next byte; the pair counts are the
+    reference's all the same."""
     closing = _closing(a)
     _close_masked(a, active, [s for s in active if s in closing])
     trans = a.byte_transitions
@@ -347,7 +371,9 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
     last = window[1] if window is not None else base
     per_cycle = stats.per_cycle_pairs
     pairs = sum(map(_count, active.values()))
-    for pos, byte in enumerate(data, base):
+    # `ahead` is the byte after `pos`; past the input's end nothing reads it.
+    for pos, byte, ahead in zip(count(base), data,
+                                chain(islice(data, 1, None), (0,))):
         # `now` is the pair total of `nxt`, kept as values land in it.
         nxt: dict[int, tuple[int, int, int]] = {}
         now = 0
@@ -369,12 +395,20 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
             # The start region, tagged pos, joins the active set (steps
             # 1+2) and steps on the byte (3+4): its closed targets are the
             # byte's seed row. Every other tag is older than pos, so each
-            # seeded target gains one pair.
+            # seeded target gains one pair, counted whether it is stored
+            # or not. Only a target that is final or steps on the next
+            # byte is stored: any other dies on that byte unread. The last
+            # seeded position stores its whole row, so the stop point and
+            # the carried set are the reference's.
             pairs += n_start
             row = rows.get(byte, ())
             now += len(row)
+            if pos == last:
+                row = [(t, _ANY_BYTE) for t, _ in row]
             fresh = (pos, 1, 1)
-            for t in row:
+            for t, table in row:
+                if ahead not in table:
+                    continue
                 cur = nxt.get(t)
                 if cur is None:
                     nxt[t] = fresh

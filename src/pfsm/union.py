@@ -162,9 +162,12 @@ def _join_trie(a: Automaton, machine: Automaton, trie: int | None,
     bytes match; the rest of the word branches off with fresh states base,
     base+1, ..., and lid joins the last node's labels. With no trie yet, a
     fresh root at base starts one. Returns the path from the root and the
-    next free state id, or None, touching nothing, for any other machine."""
+    next free state id, or None, touching nothing, for any other machine.
+    A chain has one (state, byte) edge per state but its final, so any
+    other count is refused before the walk."""
     trans, s = machine.byte_transitions, machine.initial
     if len(machine.final_labels) != 1 or len(trans.get(s, ())) != 1 \
+            or sum(map(len, trans.values())) != len(machine.states) - 1 \
             or any(machine.epsilon_transitions.values()):
         return None
     (final,) = machine.final_labels

@@ -3,13 +3,14 @@ snapshot/restore, and randomized equivalence with the brute-force oracle."""
 
 import random
 import time
-from collections import deque
+from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
                      build_fig1_mixed, engine_matches, engine_segment,
                      gen_instance, gen_literal_instance, loglog_slope,
-                     match_texts, peel_tags)
+                     match_texts, peel_tags, with_epsilon)
 
 import pfsm.engine
 from pfsm import build_pfsm, compile_pattern, epsilon_closure, step
@@ -19,6 +20,7 @@ from pfsm.engine import (ActiveSet, Engine, EngineStats,
                          format_match_jsonl, format_match_tsv, run,
                          run_segment)
 from pfsm.oracle import all_matches
+from pfsm.parallel import PartitionPlan, run_partitioned
 from pfsm.union import remove_pattern
 from pfsm.wire import (ActiveSetFormatError, dump_active_set, dump_pfsm,
                        load_active_set, load_pfsm)
@@ -261,8 +263,9 @@ def test_scan_carries_each_mask_count(form):
 def test_seed_rows_are_the_closed_start_steps(form):
     # The rows built in one pass over the start region's tables hold, for
     # every byte, exactly the epsilon-closed byte targets of the start
-    # region; a byte without a row seeds nothing. The eps form is checked
-    # also as loaded back from its dump.
+    # region; a byte without a row seeds nothing. Each entry carries the
+    # state's own byte table, or one that holds every byte for a final.
+    # The eps form is checked also as loaded back from its dump.
     rng = random.Random(f"seed-rows/{form}")
     for trial in range(50):
         p = _random_pfsm(rng, form)[0]
@@ -274,7 +277,83 @@ def test_seed_rows_are_the_closed_start_steps(form):
             rows = _seed_rows(a, start, _closing(a))
             for byte in range(256):
                 want = epsilon_closure(a, step(a, start, byte))
-                assert set(rows.get(byte, ())) == want, (trial, byte)
+                row = rows.get(byte, ())
+                assert {t for t, _ in row} == want, (trial, byte)
+                for t, table in row:
+                    steps = set(range(256)) if t in a.final_labels else \
+                        set(a.byte_transitions.get(t, ()))
+                    assert set(table) == steps, (trial, byte, t)
+
+
+class _CountingRows(dict):
+    """A `byte_transitions` mapping that counts its `get` calls per state."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = Counter()
+
+    def get(self, s, default=None):
+        self.reads[s] += 1
+        return super().get(s, default)
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
+def test_seed_that_cannot_step_on_the_next_byte_is_never_stored(form):
+    # Over "ac" * 1000 every 'a' seeds the `a` state of `ab`, which is not
+    # final and has no edge on the 'c' after it. Stored, it would be looked
+    # up on that 'c' and die: so it is never stored, and its table is read
+    # once, by the seed rows. The pair counts still count it.
+    p = build_pfsm([("ab", compile_pattern("ab", form))])
+    a = p.automaton
+    (a_state,) = step(a, epsilon_closure(a, {a.initial}), ord("a"))
+    rows = _CountingRows(a.byte_transitions)
+    data = b"ac" * 1000
+    window = (0, len(data) - 1)
+    stats = EngineStats()
+    _scan(replace(a, byte_transitions=rows), data, window, {}, None, 0, stats)
+    assert rows.reads[a_state] <= 1
+    want = engine_segment(p, data, window, None)[1]
+    assert stats.per_cycle_pairs == want.per_cycle_pairs
+
+
+def _ab(form):
+    """`ab` alone, in one form; "eps" puts every state but the initial one
+    behind an epsilon edge."""
+    m = compile_pattern("ab", "nfa" if form == "eps" else form)
+    if form == "eps":
+        m = with_epsilon(m, m.states - {m.initial})
+    return build_pfsm([("ab", m)])
+
+
+# The last seeded position stores its whole row, next byte or not: a window
+# or a segment that ends on the 'a' of "ab" must keep the 'a' for the 'b'.
+edge_forms = pytest.mark.parametrize("form", ["nfa", "dfa", "eps"])
+
+
+@edge_forms
+def test_lazy_window_ending_on_a_reports_the_match(form):
+    p = _ab(form)
+    assert run_partitioned(p, b"xab", PartitionPlan("lazy", cuts=(2,))) \
+        == find_matches(p, b"xab") == [(0, 1, 2)]
+
+
+@edge_forms
+def test_chained_cut_between_a_and_b_equals_single(form):
+    p = _ab(form)
+    data = b"xabab"
+    assert run_partitioned(p, data, PartitionPlan("chained", cuts=(2, 4))) \
+        == find_matches(p, data) == [(0, 1, 2), (0, 3, 4)]
+
+
+@edge_forms
+def test_segment_ending_on_a_carries_the_a_state(form):
+    p = _ab(form)
+    a = p.automaton
+    seeded = epsilon_closure(a, step(a, epsilon_closure(a, {a.initial}),
+                                     ord("a")))
+    _, carry = run_segment(p, b"xa", (0, 1), None)
+    assert carry.tags == {s: {1} for s in seeded}
+    assert carry == engine_segment(p, b"xa", (0, 1), None)[2]
 
 
 @pytest.mark.parametrize("form", ["nfa", "dfa"])
