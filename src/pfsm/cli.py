@@ -127,6 +127,8 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
               help="Output file (default stdout).")
 def cmd_compile(expressions, patterns_file, form, output):
     """Compile patterns and write the machine interchange dump."""
+    if not (expressions or patterns_file):
+        raise click.UsageError("no patterns given (-e or --patterns)")
     pfsm = _compile_set(_gather_patterns(expressions, patterns_file), form)
     try:
         text = dump_pfsm(pfsm)

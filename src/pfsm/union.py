@@ -95,12 +95,14 @@ class Pfsm:
         return sorted(self.directory)
 
 
-def _share_row(table: dict, image) -> dict[int, frozenset[int]]:
+def _share_row(table: dict, image, memo=None) -> dict[int, frozenset[int]]:
     """`table` with each successor set object replaced by its `image`,
     computed once per object; equal images share one frozenset and empty
-    ones are dropped."""
-    images: dict[int, frozenset[int]] = {}  # id(successor set) -> its image
-    shared: dict[frozenset[int], frozenset[int]] = {}
+    ones are dropped. `memo`, a pair of dicts (id of a successor set -> its
+    image, image -> its shared frozenset), carries this across rows; it
+    may span rows only while every source set stays alive, since an id
+    names an object only during its lifetime."""
+    images, shared = memo or ({}, {})
     row = {}
     for b, succ in table.items():
         key = id(succ)
@@ -123,29 +125,21 @@ def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
     Returns the renumbering."""
     remap = {s: base + i for i, s in enumerate(sorted(states))}
     labels = frozenset({label_id})
-    new_id, keys = remap.__getitem__, remap.keys()
-    # `_share_row`'s loop, inlined over the whole machine: every add
-    # runs it on each edge.
-    images: dict[int, frozenset[int]] = {}  # id(successor set) -> its image
-    shared: dict[frozenset[int], frozenset[int]] = {}
+    new_id, keys, memo = remap.__getitem__, remap.keys(), ({}, {})
+
+    def image(succ) -> frozenset[int]:
+        return frozenset(map(new_id, succ & keys if clip else succ))
+
     for s, t in remap.items():
         dst.states.add(t)
         table = src.byte_transitions.get(s)
         if table:
-            row = {}
-            for b, succ in table.items():
-                key = id(succ)
-                image = images.get(key)
-                if image is None:
-                    image = frozenset(map(new_id, succ & keys if clip else succ))
-                    image = images[key] = shared.setdefault(image, image)
-                if image:
-                    row[b] = image
+            row = _share_row(table, image, memo)
             if row:
                 dst.byte_transitions[t] = row
         succ = src.epsilon_transitions.get(s)
         if succ and clip:
-            succ = succ & remap.keys()
+            succ = succ & keys
         if succ:
             dst.epsilon_transitions[t] = {remap[u] for u in succ}
         if s in src.final_labels:
@@ -437,10 +431,11 @@ def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
                 _find_trie(a, directory))
 
 
-def wrap_machine(machine: Automaton, labels: list[str]) -> Pfsm:
-    """A union holding `machine` as one machine whose finals accepting
-    label k report labels[k]: its initial state and the states on its
-    paths to a final, as `assemble` keeps them."""
+def wrap_machine(machine: Automaton) -> tuple[Automaton, int]:
+    """`machine`'s initial state and the states it reaches, renumbered from
+    1 in sorted order behind a fresh ancillary state 0 whose one epsilon
+    edge enters the machine; finals keep their labels. Returns the union
+    automaton and the machine's entry."""
     union = Automaton({0}, 0, {}, {}, {})
     remap = _graft(union, machine, reachable(machine, machine.initial), 1, 0)
     for s, t in remap.items():
@@ -448,7 +443,7 @@ def wrap_machine(machine: Automaton, labels: list[str]) -> Pfsm:
             union.final_labels[t] = machine.final_labels[s]
     entry = remap[machine.initial]
     union.epsilon_transitions[0] = {entry}
-    return assemble(union, [(label, entry) for label in labels])
+    return union, entry
 
 
 def validate_pfsm(p: Pfsm) -> list[str]:

@@ -30,7 +30,9 @@ edge may not leave its machine, and a final must carry a label of its own
 machine. A dump without `pattern` lines is a plain machine; its initial
 state and the states on its paths to a final load as one machine that
 keeps the labels of its finals, or, with no final state, the dump is the
-empty union.
+empty union. It is checked as a dump with a `pattern` line for each label
+at that machine's entry would be, so a label whose finals the initial
+state never reaches is refused.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ def load_pfsm(text: str) -> Pfsm:
     A plain automaton dump without `pattern` lines (an externally produced
     machine) is wrapped as one machine, of its initial state and the
     states on its paths to a final, that keeps the labels of its finals,
-    numbered in the order they first appear. A dump with no `pattern` line
-    and no final state is the empty union.
+    numbered in the order they first appear, and then loads as if each
+    label had a `pattern` line naming the machine's entry. A dump with no
+    `pattern` line and no final state is the empty union.
     """
     a = Automaton(set(), None, {}, {}, {})   # no initial state yet
     finals: dict[tuple[int, str], None] = {}  # (state, label) in line order
@@ -194,15 +197,12 @@ def load_pfsm(text: str) -> Pfsm:
     _check(validate(a))
     if not entries:
         if labels:
-            return wrap_machine(a, labels)
-        if a.states != {a.initial}:
+            a, entry = wrap_machine(a)
+            entries = dict.fromkeys(labels, entry)
+        elif a.states != {a.initial}:
             raise AutomatonFormatError("a dump with no pattern line and no "
                                        "final state is the empty union: it "
                                        "has no state but the initial one")
-        p = Pfsm(a, {}, {}, 0, a.initial + 1, 0)
-        _check(validate_pfsm(p))
-        return p
-
     for label, entry in entries.items():
         if entry not in a.states:
             raise AutomatonFormatError(f"pattern {label!r} entry state {entry} "

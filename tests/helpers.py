@@ -47,9 +47,12 @@ PLAIN_SHARED_FINAL_DUMP = (
 # naming an undeclared state, and a dump in the retired v1 format. Then
 # three directive lines with a field too few or too many: a `trans` line
 # without its target, an `eps` line with a second target and a `state`
-# line without its id. Last, two patterns that could never match: b
+# line without its id. Then two patterns that could never match: b
 # shares x's entry but has no final, and y's one final is not reached
-# from y's entry.
+# from y's entry. Then four faults of single lines: a second initial
+# state, a label on two `pattern` lines, an unknown directive and a final
+# whose label has no `pattern` line. Last, a plain dump whose label b has
+# its one final where the initial state never reaches.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -100,6 +103,19 @@ BAD_PFSM_DUMPS = [
     ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nstate 3\n"
      "final 3 y\ntrans 1 0x61 2\neps 0 1\npattern y 1\n",
      "pattern 'y' reaches none of its finals"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1 initial\n",
+     "line 3: second initial state"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\neps 0 1\n"
+     "pattern x 1\npattern x 1\n",
+     "line 7: duplicate pattern label 'x'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nedge 0 1\n",
+     "line 4: unknown directive 'edge'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
+     "final 2 y\ntrans 1 0x61 2\neps 0 1\npattern x 1\n",
+     "final 2 labeled 'y' which has no pattern line"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 1 a\n"
+     "final 2 b\ntrans 0 0x61 1\n",
+     "pattern 'b' reaches none of its finals"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-labeled-by-other-pattern", "entry-not-a-state",
@@ -108,7 +124,10 @@ BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-without-label", "final-of-undeclared-state",
                      "v1-header", "trans-field-missing", "eps-field-extra",
                      "state-without-id", "pattern-without-final",
-                     "final-not-reached"]
+                     "final-not-reached", "second-initial-state",
+                     "pattern-label-twice", "unknown-directive",
+                     "final-label-without-pattern",
+                     "plain-final-not-reached"]
 
 
 def plain_dump(a: Automaton, texts: list[str]) -> str:
@@ -122,12 +141,14 @@ def plain_dump(a: Automaton, texts: list[str]) -> str:
     lines += (f"trans {s} 0x{b:02X} {t}"
               for s, table in sorted(a.byte_transitions.items())
               for b, succ in sorted(table.items()) for t in sorted(succ))
+    lines += (f"eps {s} {t}" for s, succ in sorted(a.epsilon_transitions.items())
+              for t in sorted(succ))
     return "\n".join(lines) + "\n"
 
 
-def joined_dfa(asts: list[Node]) -> Automaton:
-    """The subset-construction DFA of the patterns' machines joined under
-    one initial state: a final accepts label k if it ends asts[k]."""
+def joined_nfa(asts: list[Node]) -> Automaton:
+    """The patterns' machines joined under one initial state by epsilon
+    edges: a final accepts label k if it ends asts[k]."""
     joined = Automaton({0}, 0, {}, {0: set()}, {})
     for k, ast in enumerate(asts):
         nfa, base = compile_nfa(ast), max(joined.states) + 1
@@ -138,7 +159,12 @@ def joined_dfa(asts: list[Node]) -> Automaton:
                 b: {base + t for t in succ} for b, succ in table.items()}
         for s in nfa.finals:
             joined.final_labels[base + s] = frozenset({k})
-    return nfa_to_dfa(joined)
+    return joined
+
+
+def joined_dfa(asts: list[Node]) -> Automaton:
+    """The subset-construction DFA of `joined_nfa(asts)`."""
+    return nfa_to_dfa(joined_nfa(asts))
 
 
 def assert_rows_frozen_and_shared(a: Automaton) -> None:
@@ -224,9 +250,11 @@ def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
                  max_input: int = 64, forms=("dfa", "nfa", "mixed"),
                  max_alphabet: int = 4):
     """A random (pfsm, [(label id, ast)], input, form) quadruple. The "eps"
-    form puts epsilon edges into every NFA (`random_hops`). Half the sets
-    of two or more patterns end with a literal word under two labels,
-    which in every form but "eps" share one final of the trie."""
+    form puts epsilon edges into every NFA (`random_hops`); "eps2" applies
+    `random_hops` twice, so some byte edges lead into chains of two epsilon
+    edges. Half the sets of two or more patterns end with a literal word
+    under two labels, which in every form but the eps ones share one final
+    of the trie."""
     alphabet = gen_alphabet(rng, max_alphabet)
     n_patterns = rng.randint(1, max_patterns)
     asts = [gen_ast(rng, alphabet, depth) for _ in range(n_patterns)]
@@ -242,6 +270,8 @@ def gen_instance(rng: random.Random, *, max_patterns: int = 4, depth: int = 5,
             machines.append((f"p{i}", nfa_to_dfa(nfa)))
         elif form == "eps":
             machines.append((f"p{i}", random_hops(rng, nfa)))
+        elif form == "eps2":
+            machines.append((f"p{i}", random_hops(rng, random_hops(rng, nfa))))
         else:
             machines.append((f"p{i}", nfa))
     p = build_pfsm(machines)

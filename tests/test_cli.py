@@ -132,11 +132,34 @@ def test_match_from_pattern_and_input_files(runner, tmp_path):
     assert result.output == FIG2_TSV.replace("a(ca)*b\t", "mine\t")
 
 
-def test_usage_errors_exit_2(runner):
+def test_usage_errors_exit_2(runner, tmp_path):
     assert runner.invoke(main, ["match", "--text", "x"]).exit_code == 2
     assert runner.invoke(main, ["match", "-e", "a"]).exit_code == 2
     assert runner.invoke(main, ["match", "-e", "a", "--text", "x",
                                 "--input", "y"]).exit_code == 2
+    dump = tmp_path / "machine.aut"
+    dump.write_text("PFSM-AUT v2\nstate 0 initial\n")
+    result = runner.invoke(main, ["match", "--automaton", str(dump), "-e", "a",
+                                  "--text", "a"])
+    assert result.exit_code == 2
+    assert "--automaton conflicts with -e/--patterns" in result.output
+
+
+@pytest.mark.parametrize("command", ["match", "compile", "oracle"])
+def test_no_patterns_is_usage_error(runner, command):
+    # Neither -e nor --patterns (nor, for match, --automaton): nothing to
+    # compile, so no command writes an empty union or scans for nothing.
+    text = [] if command == "compile" else ["--text", "a"]
+    result = runner.invoke(main, [command, *text])
+    assert result.exit_code == 2
+    assert "no patterns given" in result.output
+
+
+def test_unreadable_input_exits_1(runner, tmp_path):
+    missing = tmp_path / "missing.txt"
+    result = runner.invoke(main, ["match", "-e", "a", "--input", str(missing)])
+    assert result.exit_code == 1
+    assert f"cannot read {missing}: " in result.output
 
 
 def test_syntax_error_reports_line_and_exits_1(runner, tmp_path):

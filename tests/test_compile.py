@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 from helpers import (all_strings, assert_rows_frozen_and_shared, gen_ast,
-                     nfa_accepts, random_hops)
+                     nfa_accepts, plain_dump, random_hops)
 
 from pfsm import find_matches
 from pfsm.automaton import Automaton
@@ -15,7 +15,7 @@ from pfsm.compile import (NullablePatternWarning, StateCeilingExceeded,
                           read_pattern_file)
 from pfsm.oracle import accepts
 from pfsm.syntax import parse_regex
-from pfsm.union import wrap_machine
+from pfsm.wire import load_pfsm
 
 AB = [ord("a"), ord("b")]
 AC = [ord("a"), ord("c")]
@@ -94,12 +94,13 @@ def test_subset_construction_preserves_language(pattern, alphabet):
 
 def test_subset_keeps_every_label_of_its_members():
     # Both NFA states reached on `a` are final, for labels 0 and 1: their
-    # DFA state accepts both, so the DFA reports both labels at `a`.
+    # DFA state accepts both, so the DFA, loaded from its plain dump,
+    # reports both labels at `a`.
     nfa = Automaton({0, 1, 2}, 0, {0: {0x61: {1, 2}}}, {},
                     {1: frozenset({0}), 2: frozenset({1})})
     dfa = nfa_to_dfa(nfa)
     assert dfa.final_labels == {1: frozenset({0, 1})}
-    p = wrap_machine(dfa, ["x", "y"])
+    p = load_pfsm(plain_dump(dfa, ["x", "y"]))
     assert [(p.label_text(m.label), m.start, m.end)
             for m in find_matches(p, b"a")] == [("x", 0, 0), ("y", 0, 0)]
 

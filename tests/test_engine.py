@@ -201,14 +201,15 @@ def _random_carry(rng, p, carry, base):
     return ActiveSet(carry.generation, tags)
 
 
-@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "literal"])
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "eps2",
+                                  "literal"])
 def test_fast_path_equals_engine(form):
     # Two-segment run_segment against the reference Engine: the same
     # matches in the same order, the same per-cycle pair counts and
     # match count, and the same carried set, on random windows and on
     # carries the first segment left, sometimes with random extra tags.
-    # The literal sets share one prefix trie; only the eps form puts
-    # epsilon edges behind the initial state.
+    # The literal sets share one prefix trie; only the eps forms put
+    # epsilon edges behind the initial state, eps2 in chains of two.
     rng = random.Random(f"fast-vs-engine/{form}")
     for trial in range(200):
         p, data = _random_pfsm(rng, form)
@@ -240,7 +241,8 @@ def _random_pfsm(rng, form):
     return p, data
 
 
-@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "literal"])
+@pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "eps2",
+                                  "literal"])
 def test_scan_carries_each_mask_count(form):
     # Every live value the scan leaves is (lo, mask, count) with count the
     # mask's set bits, on random windows over random prefixes of the
@@ -451,6 +453,21 @@ def test_run_segment_rejects_carried_ancillary_state():
         run_segment(p, b"x", None, carry, [].append, base=5)
 
 
+@pytest.mark.parametrize("state, tags, error, message", [
+    (10**6, {0}, GenerationMismatchError, "active state 1000000 not in machine"),
+    (1, set(), ValueError, "active state 1 carries no tags"),
+], ids=["state-outside-machine", "state-without-tags"])
+def test_run_segment_rejects_carry_naming_a_bad_state(state, tags, error,
+                                                      message):
+    # A carry of this generation that no scan of this machine could leave:
+    # a state the machine lacks, or one of its states with no tag.
+    p = build_fig1("dfa")
+    assert 1 in p.automaton.states
+    carry = ActiveSet(p.generation, {state: tags})
+    with pytest.raises(error, match=message):
+        run_segment(p, b"b", None, carry, base=1)
+
+
 def test_window_bounds_checked():
     p = build_fig1("dfa")
     with pytest.raises(ValueError, match="window"):
@@ -511,6 +528,8 @@ def test_active_set_wire_roundtrip():
 def test_active_set_wire_rejects_garbage():
     with pytest.raises(ActiveSetFormatError):
         load_active_set("nope\n")
+    with pytest.raises(ActiveSetFormatError, match="^missing generation line$"):
+        load_active_set("PFSM-ACT v1\n# no directive\n")
     with pytest.raises(ActiveSetFormatError):
         load_active_set("PFSM-ACT v1\ngen 1\nactive x 1\n")
     with pytest.raises(ActiveSetFormatError, match="generation line"):

@@ -7,8 +7,8 @@ import pytest
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
                      FIG2_MATCHES, FIG1_PATTERNS, assert_rows_frozen_and_shared,
                      build_fig1, gen_alphabet, gen_ast, gen_instance,
-                     gen_literal_set, joined_dfa, literal_machine, match_texts,
-                     plain_dump, with_epsilon)
+                     gen_literal_set, joined_dfa, joined_nfa, literal_machine,
+                     match_texts, plain_dump, random_hops, with_epsilon)
 
 from pfsm import (build_pfsm, add_pattern, remove_pattern, extract_pattern,
                   find_matches, dump_pfsm, load_pfsm, validate_pfsm,
@@ -630,6 +630,31 @@ def test_random_removals_from_a_shared_dfa(seed):
             assert match_texts(find_matches(p, data), p) \
                 == {(texts[k], i, j) for k, i, j in all_matches(live, data)}
             text = dump_pfsm(p)
+            assert dump_pfsm(load_pfsm(text)) == text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_remove_each_label_of_a_shared_epsilon_machine(seed):
+    # Two patterns' NFAs joined under one state by epsilon edges, with
+    # more epsilon hops inside, loaded from a plain dump: one machine that
+    # both labels share. Removing a label keeps the joining state, which
+    # leaves the label's states by its epsilon edge into the other NFA,
+    # and cuts its epsilon edge into the removed label's NFA.
+    rng = random.Random(f"eps-removal/{seed}")
+    texts = ["p0", "p1"]
+    for _ in range(25):
+        alphabet = gen_alphabet(rng, 3)
+        asts = [gen_ast(rng, alphabet, 3) for _ in texts]
+        p = load_pfsm(plain_dump(random_hops(rng, joined_nfa(asts)), texts))
+        assert len({e.entry for e in p.directory.values()}) == 1
+        data = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        for gone, kept in ((0, 1), (1, 0)):
+            q = remove_pattern(p, texts[gone])
+            assert validate_pfsm(q) == []
+            assert match_texts(find_matches(q, data), q) \
+                == {(texts[kept], i, j)
+                    for _, i, j in all_matches([(kept, asts[kept])], data)}
+            text = dump_pfsm(q)
             assert dump_pfsm(load_pfsm(text)) == text
 
 

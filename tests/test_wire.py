@@ -163,11 +163,14 @@ BYTE = "does not match 0x[0-9A-F]{2}"
      "active state 3 lists an empty tag"),
     (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 ,",
      "active state 3 lists an empty tag"),
+    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "gen 2",
+     "malformed line 'gen 2'"),
 ], ids=["underscore", "plus", "byte-without-0x", "byte-underscore",
         "leading-zero", "lower-case-hex", "arabic-indic",
         "gen-underscore", "active-plus", "tag-twice", "trans-field-missing",
         "trans-field-extra", "eps-field-missing", "eps-field-extra",
-        "state-without-id", "tag-empty-last", "tag-empty-only"])
+        "state-without-id", "tag-empty-last", "tag-empty-only",
+        "not-an-active-line"])
 def test_one_line_respelled_is_refused(load, error, text, line, bad, message):
     # Each bad line, put in place of a good one, is the only fault, and the
     # error names its line.
