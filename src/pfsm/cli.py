@@ -4,6 +4,12 @@ Subcommands: match (scan input with patterns or a compiled machine, and
 print each match in the cycle where it ends), compile (write the machine
 interchange dump), oracle (brute-force reference matcher, for debugging).
 
+Patterns come from -e (repeatable) and --patterns, read and checked in one
+place for all three commands. Giving neither option is a usage error; a
+pattern file with no pattern line (only blank or `#` lines) is the empty
+set, so `match` and `oracle` print nothing and `compile` writes the empty
+union.
+
 Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 """
 
@@ -25,10 +31,13 @@ class MatchError(click.ClickException):
     exit_code = 1
 
 
-def _gather_patterns(exprs, patterns_file) -> list[tuple[str, str, str]]:
-    """(where, label, pattern) triples; `where` is `<arg>:k` for the k-th
-    -e pattern and `file:line` for a pattern file entry. A repeated label
-    is an error naming the repeat."""
+def _read_patterns(exprs, patterns_file, parse) -> list:
+    """(label, parse(pattern)) pairs of the -e patterns, then the pattern
+    file's. Errors name `<arg>:k` for the k-th -e pattern or `file:line`:
+    a repeated label, or a pattern `parse` refuses. Neither option given is
+    the one usage error; a file with no pattern line is the empty set."""
+    if not (exprs or patterns_file):
+        raise click.UsageError("no patterns given (-e or --patterns)")
     entries = [(f"<arg>:{k}", e, e) for k, e in enumerate(exprs, start=1)]
     if patterns_file:
         try:
@@ -38,22 +47,16 @@ def _gather_patterns(exprs, patterns_file) -> list[tuple[str, str, str]]:
                                    for label, pattern in read_pattern_file([line]))
         except (OSError, UnicodeDecodeError) as exc:
             raise MatchError(f"cannot read {patterns_file}: {exc}") from exc
-    seen = set()
-    for where, label, _ in entries:
+    seen, parsed = set(), []
+    for where, label, pattern in entries:
         if label in seen:
             raise MatchError(f"{where}: duplicate label {label!r}")
         seen.add(label)
-    return entries
-
-
-def _compile_set(entries, form) -> Pfsm:
-    compiled = []
-    for where, label, pattern in entries:
         try:
-            compiled.append((label, compile_pattern(pattern, form)))
+            parsed.append((label, parse(pattern)))
         except (RegexSyntaxError, StateCeilingExceeded) as exc:
             raise MatchError(f"{where}: pattern {pattern!r}: {exc}") from exc
-    return build_pfsm(compiled)
+    return parsed
 
 
 def _load_machine(exprs, patterns_file, automaton_file) -> Pfsm:
@@ -67,10 +70,7 @@ def _load_machine(exprs, patterns_file, automaton_file) -> Pfsm:
             raise MatchError(f"cannot read {automaton_file}: {exc}") from exc
         except AutomatonFormatError as exc:
             raise MatchError(f"{automaton_file}: {exc}") from exc
-    entries = _gather_patterns(exprs, patterns_file)
-    if not entries:
-        raise click.UsageError("no patterns given (-e, --patterns, or --automaton)")
-    return _compile_set(entries, "nfa")
+    return build_pfsm(_read_patterns(exprs, patterns_file, compile_pattern))
 
 
 def _read_input(text, input_file) -> bytes:
@@ -127,9 +127,8 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
               help="Output file (default stdout).")
 def cmd_compile(expressions, patterns_file, form, output):
     """Compile patterns and write the machine interchange dump."""
-    if not (expressions or patterns_file):
-        raise click.UsageError("no patterns given (-e or --patterns)")
-    pfsm = _compile_set(_gather_patterns(expressions, patterns_file), form)
+    pfsm = build_pfsm(_read_patterns(expressions, patterns_file,
+                                     lambda p: compile_pattern(p, form)))
     try:
         text = dump_pfsm(pfsm)
     except ValueError as exc:
@@ -151,16 +150,8 @@ def cmd_compile(expressions, patterns_file, form, output):
 @click.option("--input", "input_file", type=click.Path(), default=None)
 def cmd_oracle(expressions, patterns_file, text, input_file):
     """Brute-force reference matches (slow; for debugging and validation)."""
-    entries = _gather_patterns(expressions, patterns_file)
-    if not entries:
-        raise click.UsageError("no patterns given")
+    asts = _read_patterns(expressions, patterns_file, parse_regex)
     data = _read_input(text, input_file)
-    asts = []
-    for where, label, pattern in entries:
-        try:
-            asts.append((label, parse_regex(pattern)))
-        except RegexSyntaxError as exc:
-            raise MatchError(f"{where}: pattern {pattern!r}: {exc}") from exc
     # Ties break on the pattern's position in the list, as in `match`.
     rank = {label: k for k, (label, _) in enumerate(asts)}
     found = sorted(all_matches(asts, data),

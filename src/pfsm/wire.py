@@ -91,8 +91,8 @@ def _read(text: str, header: str, error: type[ValueError], directive) -> None:
 
 def dump_pfsm(p: Pfsm) -> str:
     """The machine's dump, states and edges in sorted order. Raises
-    ValueError for a label the loader would not read back unchanged:
-    lines are split on whitespace runs."""
+    ValueError for what the loader would not read back unchanged: a label
+    (lines are split on whitespace runs) or an edge byte outside 0-255."""
     for entry in p.directory.values():
         if not entry.label or " ".join(entry.label.split()) != entry.label:
             raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
@@ -105,8 +105,11 @@ def dump_pfsm(p: Pfsm) -> str:
               for s, labels in sorted(a.final_labels.items())
               for lid in sorted(labels))
     for s, table in sorted(a.byte_transitions.items()):
-        lines += (f"trans {s} 0x{byte:02X} {t}"
-                  for byte in sorted(table) for t in sorted(table[byte]))
+        for byte in sorted(table):
+            if not 0 <= byte <= 255:
+                raise ValueError(f"state {s} has an edge on byte {byte}, "
+                                 f"outside 0-255: it cannot be dumped")
+            lines += (f"trans {s} 0x{byte:02X} {t}" for t in sorted(table[byte]))
     for s, succ in sorted(a.epsilon_transitions.items()):
         lines += (f"eps {s} {t}" for t in sorted(succ))
     lines += (f"pattern {p.directory[lid].label} {p.directory[lid].entry}"

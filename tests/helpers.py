@@ -51,8 +51,10 @@ PLAIN_SHARED_FINAL_DUMP = (
 # shares x's entry but has no final, and y's one final is not reached
 # from y's entry. Then four faults of single lines: a second initial
 # state, a label on two `pattern` lines, an unknown directive and a final
-# whose label has no `pattern` line. Last, a plain dump whose label b has
-# its one final where the initial state never reaches.
+# whose label has no `pattern` line. Then a plain dump whose label b has
+# its one final where the initial state never reaches. Last, two more
+# directive lines a field short: an `eps` line without its target and a
+# `pattern` line without its entry state.
 BAD_PFSM_DUMPS = [
     ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
      "trans 1 0x61 2\ntrans 2 0x62 0\neps 0 1\npattern x 1\n",
@@ -116,6 +118,10 @@ BAD_PFSM_DUMPS = [
     ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 1 a\n"
      "final 2 b\ntrans 0 0x61 1\n",
      "pattern 'b' reaches none of its finals"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\neps 0\n",
+     "line 5: malformed eps line 'eps 0'"),
+    ("PFSM-AUT v2\nstate 0 initial\nstate 1\nfinal 1 x\neps 0 1\npattern x\n",
+     "line 6: malformed pattern line 'pattern x'"),
 ]
 BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-labeled-by-other-pattern", "entry-not-a-state",
@@ -127,7 +133,8 @@ BAD_PFSM_DUMP_IDS = ["edge-leaves-pattern", "non-integer-entry",
                      "final-not-reached", "second-initial-state",
                      "pattern-label-twice", "unknown-directive",
                      "final-label-without-pattern",
-                     "plain-final-not-reached"]
+                     "plain-final-not-reached", "eps-field-missing",
+                     "pattern-field-missing"]
 
 
 def plain_dump(a: Automaton, texts: list[str]) -> str:

@@ -110,6 +110,21 @@ def test_validate_dangling_endpoint():
     assert any("dangling endpoint" in p for p in validate(a))
 
 
+@pytest.mark.parametrize("a, fragment", [
+    (Automaton({0, 1}, 2, {}, {}, {}), "initial state 2 not in state set"),
+    (Automaton({0, 1}, 0, {3: {ord("a"): {1}}}, {}, {}),
+     "transition source 3 not in state set"),
+    (Automaton({0, 1}, 0, {0: {300: {1}}}, {}, {}),
+     "transition byte 300 out of range"),
+    (Automaton({0, 1}, 0, {}, {3: {1}}, {}), "epsilon source 3 not in state set"),
+    (Automaton({0, 1}, 0, {}, {0: {4}}, {}), "dangling epsilon endpoint 4 (from 0)"),
+], ids=["initial-not-a-state", "source-not-a-state", "byte-out-of-range",
+        "epsilon-source-not-a-state", "dangling-epsilon-endpoint"])
+def test_validate_names_each_fault(a, fragment):
+    problems = validate(a)
+    assert len(problems) == 1 and fragment in problems[0], problems
+
+
 def test_determinism_is_derived_not_stored():
     a = Automaton(set(range(2)), 0, {0: {ord("a"): {1}}}, {}, {})
     assert a.deterministic

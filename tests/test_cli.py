@@ -338,6 +338,18 @@ def test_compile_empty_pattern_file(runner, tmp_path):
     assert "state 0 initial" in result.output
 
 
+@pytest.mark.parametrize("command", ["match", "oracle"])
+def test_empty_pattern_file_matches_nothing(runner, tmp_path, command):
+    # A file of only comments is the empty set, as in `compile`: no match
+    # and exit 0, not a usage error.
+    patterns = tmp_path / "empty.txt"
+    patterns.write_text("# nothing here\n\n# nor here\n")
+    result = runner.invoke(main, [command, "--patterns", str(patterns),
+                                  "--text", "aacacab"])
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+
+
 def test_compile_dfa_ceiling_error(runner, monkeypatch):
     import pfsm.compile as compile_mod
     monkeypatch.setattr(compile_mod, "DEFAULT_STATE_CEILING", 2)

@@ -25,18 +25,11 @@ from pfsm.union import remove_pattern
 from pfsm.wire import (ActiveSetFormatError, dump_active_set, dump_pfsm,
                        load_active_set, load_pfsm)
 
-# These tests scan through run/find_matches, the fast path that the
-# reference Engine is checked against below; this single-valued
-# parametrization keeps the "[python]" suffix in their ids.
-python_engine = pytest.mark.parametrize("engine", ["python"])
-
-
-@python_engine
 @pytest.mark.parametrize("build", [lambda: build_fig1("dfa"),
                                    lambda: build_fig1("nfa"),
                                    build_fig1_mixed],
                          ids=["dfa", "nfa", "mixed"])
-def test_fig2_golden(build, engine):
+def test_fig2_golden(build):
     p = build()
     got = find_matches(p, FIG1_INPUT)
     assert match_texts(got, p) == FIG2_MATCHES
@@ -101,8 +94,7 @@ def test_online_emission_order():
     assert match_texts(seen, p) == FIG2_MATCHES
 
 
-@python_engine
-def test_nfa_duplicate_final_states_dedupe(engine):
+def test_nfa_duplicate_final_states_dedupe():
     # Two distinct final states with the same label reached on one span
     # give one (label, start, end) report.
     from pfsm.automaton import Automaton
@@ -114,8 +106,7 @@ def test_nfa_duplicate_final_states_dedupe(engine):
     assert [(m.start, m.end) for m in deduped] == [(1, 1)]
 
 
-@python_engine
-def test_randomized_oracle_equivalence(engine):
+def test_randomized_oracle_equivalence():
     rng = random.Random(4242)
     for _ in range(120):
         p, labeled, data, _ = gen_instance(rng, max_input=48)
@@ -131,8 +122,7 @@ def test_deterministic_output():
         assert find_matches(p, FIG1_INPUT) == first
 
 
-@python_engine
-def test_tag_budget(engine):
+def test_tag_budget():
     rng = random.Random(13)
     for _ in range(60):
         p, _, data, form = gen_instance(rng, max_input=48, forms=("dfa", "nfa"))
@@ -144,8 +134,7 @@ def test_tag_budget(engine):
             assert pairs <= per_tag * (i + 1) + 1, (form, i, pairs)
 
 
-@python_engine
-def test_run_segment_degenerate_window_equals_run(engine):
+def test_run_segment_degenerate_window_equals_run():
     rng = random.Random(3)
     for _ in range(30):
         p, _, data, _ = gen_instance(rng, max_input=32)
@@ -159,8 +148,7 @@ def test_run_segment_degenerate_window_equals_run(engine):
         assert carry.generation == p.generation
 
 
-@python_engine
-def test_run_segment_chained_split(engine):
+def test_run_segment_chained_split():
     p = build_fig1("dfa")
     out1, out2 = [], []
     _, carry = run_segment(p, b"aaca", (0, 3), None, out1.append)
@@ -169,8 +157,7 @@ def test_run_segment_chained_split(engine):
     assert match_texts(out1, p) | match_texts(out2, p) == FIG2_MATCHES
 
 
-@python_engine
-def test_run_segment_empty_window_continuations_only(engine):
+def test_run_segment_empty_window_continuations_only():
     # Seeding a no-reinit run with the carried set reports exactly the
     # continuations a full run would report past the boundary.
     p = build_fig1("dfa")
@@ -485,6 +472,21 @@ def test_snapshot_restore_roundtrip():
     other = Engine(p)
     other.restore(snap)
     assert other.snapshot() == snap
+
+
+def test_carried_pair_count_is_the_snapshots_tag_count():
+    # `pair_count`, which the parallel benchmark reads as a carry's size,
+    # counts the (state, tag) pairs of the reference Engine's snapshot at
+    # every chained cut of Fig. 1.
+    p = build_fig1("dfa")
+    counts = []
+    for cut in range(1, len(FIG1_INPUT)):
+        window = (0, cut - 1)
+        _, carry = run_segment(p, FIG1_INPUT[:cut], window, None)
+        snap = engine_segment(p, FIG1_INPUT[:cut], window, None)[2]
+        assert carry.pair_count() == sum(len(t) for t in snap.tags.values())
+        counts.append(carry.pair_count())
+    assert counts == [3, 4, 5, 4, 5, 5]
 
 
 def test_snapshot_restore_mid_run_preserves_output():

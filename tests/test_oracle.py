@@ -4,9 +4,11 @@ its two independent methods."""
 import random
 
 from helpers import all_strings, gen_alphabet, gen_ast
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfsm import build_pfsm, compile_pattern, find_matches
 from pfsm.oracle import accepts, all_matches, match_ends
 from pfsm.syntax import parse_regex
 
@@ -42,6 +44,23 @@ def test_fig2_triples():
 
 def test_no_patterns():
     assert all_matches([], b"abc") == set()
+
+
+@pytest.mark.filterwarnings("ignore::pfsm.compile.NullablePatternWarning")
+@pytest.mark.parametrize("pattern", ["a|", "(|b)c", "a()b", "(a|)*b",
+                                     "a(|b)(c|)"])
+def test_empty_alternatives_agree(pattern):
+    # An empty branch or group is an `Empty` node, which the position-set
+    # method passes through: its spans equal the interpreter's and the
+    # engine's, in both forms.
+    data = b"abcbcabacbbc"
+    ast = parse_regex(pattern)
+    got = all_matches([(0, ast)], data)
+    assert got == {(0, i, j) for i in range(len(data))
+                   for j in range(i, len(data)) if accepts(ast, data[i:j + 1])}
+    for form in ("nfa", "dfa"):
+        p = build_pfsm([(pattern, compile_pattern(pattern, form))])
+        assert {tuple(m) for m in find_matches(p, data)} == got, form
 
 
 def test_match_ends():

@@ -16,11 +16,6 @@ from pfsm.parallel import (PartitionPlan, PlanError, data_plan, regex_plan,
                            run_partitioned, run_regex_partitioned, segments)
 from pfsm.wire import load_pfsm
 
-# Workers run serially; this single-valued parametrization keeps the
-# "[serial]" suffix in these tests' ids.
-serial = pytest.mark.parametrize("executor", ["serial"])
-
-
 def test_data_plan_segments_cover_and_partition():
     plan = data_plan("chained", 10, 3)
     segs = segments(plan, 10)
@@ -67,8 +62,7 @@ def test_malformed_plans_rejected():
             PartitionPlan(strategy, groups=((0,),), cuts=(4,))
 
 
-@serial
-def test_fig2_regex_partitioned_one_pattern_per_worker(executor):
+def test_fig2_regex_partitioned_one_pattern_per_worker():
     p = build_fig1("dfa")
     got = run_regex_partitioned(p, FIG1_INPUT, regex_plan(p, 3))
     assert match_texts(got, p) == FIG2_MATCHES
@@ -80,8 +74,7 @@ def test_regex_partitioned_single_worker_is_identity():
         == find_matches(p, FIG1_INPUT)
 
 
-@serial
-def test_fig2_lazy_partitioned(executor):
+def test_fig2_lazy_partitioned():
     p = build_fig1("dfa")
     plan = PartitionPlan("lazy", cuts=(4,))  # segments [0,3] and [4,6]
     got = run_lazy_partitioned(p, FIG1_INPUT, plan)
@@ -109,8 +102,7 @@ def test_lazy_single_segment_is_identity():
     assert got == find_matches(p, FIG1_INPUT)
 
 
-@serial
-def test_fig2_chained_partitioned(executor):
+def test_fig2_chained_partitioned():
     p = build_fig1("dfa")
     for cuts in [(4,), (2, 5)]:
         plan = PartitionPlan("chained", cuts=cuts)
@@ -118,8 +110,7 @@ def test_fig2_chained_partitioned(executor):
         assert match_texts(got, p) == FIG2_MATCHES
 
 
-@serial
-def test_chained_frontier_hops_across_every_segment(executor):
+def test_chained_frontier_hops_across_every_segment():
     # A match spanning all four single-byte segments must ride a 3-hop
     # frontier chain into the last worker.
     p = build_pfsm([("aaaa", compile_pattern("aaaa", "dfa"))])
@@ -137,8 +128,7 @@ def test_chained_single_segment_is_identity():
 
 
 @pytest.mark.parametrize("strategy", ["regex", "lazy", "chained"])
-@serial
-def test_randomized_equivalence_with_single_run(strategy, executor):
+def test_randomized_equivalence_with_single_run(strategy):
     rng = random.Random(strategy)  # str seeds do not depend on PYTHONHASHSEED
     for _ in range(25):
         p, _, data, _ = gen_instance(rng, max_input=40)

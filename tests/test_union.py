@@ -1,5 +1,6 @@
 """Union machine assembly, live add/remove, and whole-machine dump/load."""
 
+import dataclasses
 import random
 import re
 
@@ -40,6 +41,36 @@ def test_fig1_structure():
         assert finals
         assert all(a.final_labels[f] == {lid} for f in finals)
     assert validate_pfsm(p) == []
+
+
+def _unown_entry(p):
+    e = p.directory[0]
+    p.directory[0] = dataclasses.replace(e, owned=e.owned - {e.entry})
+
+
+@pytest.mark.parametrize("corrupt, fragment", [
+    (_unown_entry, "pattern 'a*c' entry state not owned"),
+    (lambda p: p.automaton.final_labels.update({6: frozenset({1, 2})}),
+     "final 6 of pattern 'ac' is not among its states"),
+    (lambda p: p.automaton.states.add(99),
+     "pattern directory does not partition the non-initial states"),
+    (lambda p: p.automaton.byte_transitions.update({0: {ord("a"): {1}}}),
+     "ancillary initial state has byte transitions"),
+    (lambda p: p.automaton.epsilon_transitions.update({0: {1}}),
+     "ancillary epsilon edges do not match pattern entries"),
+    (lambda p: setattr(p, "trie", 1), "trie entry 1 is not the lowest-numbered literal-trie machine"),
+], ids=["entry-not-owned", "final-not-among-label-states",
+        "directory-not-partitioning", "q0-byte-edges", "q0-eps-not-entries",
+        "wrong-trie"])
+def test_validate_pfsm_names_each_fault(corrupt, fragment):
+    # a*c at entry 1; ab and ac share the literal trie at entry 4, where
+    # ab's final is state 6 and ac's is state 7.
+    p = build_pfsm([(pat, compile_pattern(pat)) for pat in ("a*c", "ab", "ac")])
+    assert (p.trie, sorted(p.automaton.final_labels)) == (4, [3, 6, 7])
+    assert validate_pfsm(p) == []
+    corrupt(p)
+    problems = validate_pfsm(p)
+    assert any(fragment in problem for problem in problems), problems
 
 
 def test_empty_union_matches_nothing():
@@ -256,6 +287,16 @@ def test_branches_keep_their_own_labels_and_matches():
 def test_dump_refuses_label_that_would_not_load_back(label):
     p = build_pfsm([(label, compile_pattern("ab", "dfa"))])
     with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        dump_pfsm(p)
+
+
+def test_dump_refuses_byte_that_would_not_load_back():
+    # A hand-built machine may step on any int, but a dump writes a byte
+    # as two hex digits: one outside 0-255 is refused, not written.
+    machine = Automaton({0, 1}, 0, {0: {300: frozenset({1})}}, {},
+                        {1: frozenset({0})})
+    p = build_pfsm([("x", machine)])
+    with pytest.raises(ValueError, match="state 1 has an edge on byte 300"):
         dump_pfsm(p)
 
 
