@@ -5,6 +5,9 @@ the derived `deterministic` property tells which discipline an instance obeys.
 State ids are small ints, dense for freshly built machines; the union
 machine may develop holes after live pattern removal (ids of surviving
 states never change).
+
+Epsilon closure, forward reachability and the backward walk to a final
+are one graph search, `_search`, each over its own edge relation.
 """
 
 from __future__ import annotations
@@ -42,17 +45,22 @@ class Automaton:
         return True
 
 
-def epsilon_closure(a: Automaton, seeds: set[int]) -> set[int]:
-    """Least set containing the seeds and closed under epsilon edges."""
-    closure = set(seeds)
+def _search(seeds, step) -> set[int]:
+    """The seeds and every state reached from one by repeated `step`, a
+    function from a state to the states one edge away."""
+    seen = set(seeds)
     stack = list(seeds)
     while stack:
-        s = stack.pop()
-        for t in a.epsilon_transitions.get(s, ()):
-            if t not in closure:
-                closure.add(t)
+        for t in step(stack.pop()):
+            if t not in seen:
+                seen.add(t)
                 stack.append(t)
-    return closure
+    return seen
+
+
+def epsilon_closure(a: Automaton, seeds: set[int]) -> set[int]:
+    """Least set containing the seeds and closed under epsilon edges."""
+    return _search(seeds, lambda s: a.epsilon_transitions.get(s, ()))
 
 
 def step(a: Automaton, sources: set[int], byte: int) -> set[int]:
@@ -100,15 +108,7 @@ def successors(a: Automaton, s: int) -> set[int]:
 def reachable(a: Automaton, start: int) -> set[int]:
     """Every state reachable from start by byte and epsilon edges, start
     included."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in successors(a, s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+    return _search((start,), lambda s: successors(a, s))
 
 
 def predecessors(a: Automaton,
@@ -138,14 +138,7 @@ def predecessors(a: Automaton,
 def walk_back(preds: dict[int, list[int]], seeds) -> set[int]:
     """The seeds and every state with a path to one, over the edges that
     `preds` (target -> sources) records."""
-    out = set(seeds)
-    stack = list(out)
-    while stack:
-        for s in preds.get(stack.pop(), ()):
-            if s not in out:
-                out.add(s)
-                stack.append(s)
-    return out
+    return _search(seeds, lambda t: preds.get(t, ()))
 
 
 def useful(a: Automaton, start: int) -> set[int]:

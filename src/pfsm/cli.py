@@ -8,7 +8,8 @@ Patterns come from -e (repeatable) and --patterns, read and checked in one
 place for all three commands. Giving neither option is a usage error; a
 pattern file with no pattern line (only blank or `#` lines) is the empty
 set, so `match` and `oracle` print nothing and `compile` writes the empty
-union.
+union. A nullable pattern is named on one stderr line,
+`<arg>:k: warning: ...` or `file:line: warning: ...`.
 
 Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 """
@@ -16,6 +17,7 @@ Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 from __future__ import annotations
 
 import sys
+import warnings
 
 import click
 
@@ -34,8 +36,11 @@ class MatchError(click.ClickException):
 def _read_patterns(exprs, patterns_file, parse) -> list:
     """(label, parse(pattern)) pairs of the -e patterns, then the pattern
     file's. Errors name `<arg>:k` for the k-th -e pattern or `file:line`:
-    a repeated label, or a pattern `parse` refuses. Neither option given is
-    the one usage error; a file with no pattern line is the empty set."""
+    a repeated label, or a pattern `parse` refuses. A warning `parse`
+    gives, such as a nullable pattern's, is one stderr line
+    `where: warning: ...`, whatever the warning filters say. Neither option
+    given is the one usage error; a file with no pattern line is the empty
+    set."""
     if not (exprs or patterns_file):
         raise click.UsageError("no patterns given (-e or --patterns)")
     entries = [(f"<arg>:{k}", e, e) for k, e in enumerate(exprs, start=1)]
@@ -53,9 +58,13 @@ def _read_patterns(exprs, patterns_file, parse) -> list:
             raise MatchError(f"{where}: duplicate label {label!r}")
         seen.add(label)
         try:
-            parsed.append((label, parse(pattern)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parsed.append((label, parse(pattern)))
         except (RegexSyntaxError, StateCeilingExceeded) as exc:
             raise MatchError(f"{where}: pattern {pattern!r}: {exc}") from exc
+        for w in caught:
+            click.echo(f"{where}: warning: {w.message}", err=True)
     return parsed
 
 

@@ -78,7 +78,9 @@ def _occupancy(s: bytes) -> dict[int, int]:
 
 def _advance(node: Node, mask: int, occ: dict[int, int]) -> int:
     """Map a bitmask of start positions to the positions reachable after
-    consuming one word of the node's language from each of them."""
+    consuming one word of the node's language from each of them. `x*`
+    grows its start mask by `x` steps to a fixed point; `x+` takes one `x`
+    step first, then grows the same way."""
     if mask == 0:
         return 0
     if isinstance(node, Empty):
@@ -103,16 +105,8 @@ def _advance(node: Node, mask: int, occ: dict[int, int]) -> int:
         for choice in node.choices:
             out |= _advance(choice, mask, occ)
         return out
-    if isinstance(node, Star):
-        reach = mask
-        while True:
-            grown = reach | _advance(node.child, reach, occ)
-            if grown == reach:
-                return reach
-            reach = grown
-    if isinstance(node, Plus):
-        first = _advance(node.child, mask, occ)
-        reach = first
+    if isinstance(node, (Star, Plus)):
+        reach = mask if isinstance(node, Star) else _advance(node.child, mask, occ)
         while True:
             grown = reach | _advance(node.child, reach, occ)
             if grown == reach:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-METACHARS = set(b".()[]|*+?\\")
-
 
 class RegexSyntaxError(ValueError):
     """Pattern rejected by the parser; carries the byte offset of the fault."""
@@ -81,6 +79,10 @@ class Opt:
 
 Node = Empty | Literal | ByteClass | Concat | Alt | Star | Plus | Opt
 
+# quantifier byte -> the node that wraps the atom before it
+QUANTIFIERS = {ord("*"): Star, ord("+"): Plus, ord("?"): Opt}
+METACHARS = set(b".()[]|\\") | QUANTIFIERS.keys()
+
 ANY_BYTE = frozenset(range(256))
 
 
@@ -138,23 +140,13 @@ class _Parser:
 
     def repeat(self) -> Node:
         node = self.atom()
-        while True:
-            b = self.peek()
-            if b == ord("*"):
-                self.take()
-                node = Star(node)
-            elif b == ord("+"):
-                self.take()
-                node = Plus(node)
-            elif b == ord("?"):
-                self.take()
-                node = Opt(node)
-            else:
-                return node
+        while self.peek() in QUANTIFIERS:
+            node = QUANTIFIERS[self.take()](node)
+        return node
 
     def atom(self) -> Node:
         b = self.peek()
-        if b in (ord("*"), ord("+"), ord("?")):
+        if b in QUANTIFIERS:
             self.error("dangling quantifier")
         if b == ord("("):
             open_at = self.pos

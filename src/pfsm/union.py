@@ -115,16 +115,17 @@ def _share_row(table: dict, image, memo=None) -> dict[int, frozenset[int]]:
     return row
 
 
-def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
+def _graft(dst: Automaton, src: Automaton, states, base: int,
+           labels: dict[int, frozenset[int]],
            clip: bool = False) -> dict[int, int]:
     """Copy `states` of src, with their edges, into dst, renumbered as
-    base, base+1, ... in sorted order; finals accept label_id alone. An
-    edge leaving `states` is dropped when `clip` is set and raises
-    KeyError otherwise. Each successor set object of src, frozen or not,
-    is remapped once, into a frozenset that every equal image shares.
+    base, base+1, ... in sorted order. `labels` maps each state of src to
+    be final in dst to its labels there; no other state is final. An edge
+    leaving `states` is dropped when `clip` is set and raises KeyError
+    otherwise. Each successor set object of src, frozen or not, is
+    remapped once, into a frozenset that every equal image shares.
     Returns the renumbering."""
     remap = {s: base + i for i, s in enumerate(sorted(states))}
-    labels = frozenset({label_id})
     new_id, keys, memo = remap.__getitem__, remap.keys(), ({}, {})
 
     def image(succ) -> frozenset[int]:
@@ -142,8 +143,8 @@ def _graft(dst: Automaton, src: Automaton, states, base: int, label_id: int,
             succ = succ & keys
         if succ:
             dst.epsilon_transitions[t] = {remap[u] for u in succ}
-        if s in src.final_labels:
-            dst.final_labels[t] = labels
+        if s in labels:
+            dst.final_labels[t] = labels[s]
     return remap
 
 
@@ -158,7 +159,8 @@ def _join_trie(a: Automaton, machine: Automaton, trie: int | None,
     fresh root at base starts one. Returns the path from the root and the
     next free state id, or None, touching nothing, for any other machine.
     A chain has one (state, byte) edge per state but its final, so any
-    other count is refused before the walk."""
+    other count is refused before the walk; once the walk has met every
+    state, each with one edge, that count leaves the final none."""
     trans, s = machine.byte_transitions, machine.initial
     if len(machine.final_labels) != 1 or len(trans.get(s, ())) != 1 \
             or sum(map(len, trans.values())) != len(machine.states) - 1 \
@@ -185,7 +187,7 @@ def _join_trie(a: Automaton, machine: Automaton, trie: int | None,
             path.extend(node)               # a trie row has one successor
         else:
             rest.append(byte)
-    if trans.get(final) or seen != machine.states:
+    if seen != machine.states:
         return None
     if rest:
         fresh = range(base, base + len(rest))
@@ -218,7 +220,8 @@ def _append(union: Automaton, directory: dict[int, PatternEntry],
         entry = trie = owned[0]
     else:
         try:
-            remap = _graft(union, machine, machine.states, base, lid)
+            remap = _graft(union, machine, machine.states, base,
+                           dict.fromkeys(machine.final_labels, frozenset({lid})))
             entry = remap[machine.initial]
         except KeyError as exc:
             raise ValueError(f"pattern {label!r}: state {exc.args[0]} is used "
@@ -344,11 +347,10 @@ def extract_pattern(p: Pfsm, label_id: int) -> Automaton:
     if label_id not in p.directory:
         raise UnknownLabelError(label_id)
     entry, finals = p.directory[label_id], p.automaton.final_labels
+    ends = {s: frozenset({0}) for s in entry.owned & finals.keys()
+            if label_id in finals[s]}
     out = Automaton(set(), 0, {}, {}, {})
-    remap = _graft(out, p.automaton, entry.owned, 0, 0, clip=True)
-    for s in entry.owned & finals.keys():
-        if label_id not in finals[s]:
-            del out.final_labels[remap[s]]
+    remap = _graft(out, p.automaton, entry.owned, 0, ends, clip=True)
     out.initial = remap[entry.entry]
     return out
 
@@ -437,10 +439,8 @@ def wrap_machine(machine: Automaton) -> tuple[Automaton, int]:
     edge enters the machine; finals keep their labels. Returns the union
     automaton and the machine's entry."""
     union = Automaton({0}, 0, {}, {}, {})
-    remap = _graft(union, machine, reachable(machine, machine.initial), 1, 0)
-    for s, t in remap.items():
-        if s in machine.final_labels:
-            union.final_labels[t] = machine.final_labels[s]
+    remap = _graft(union, machine, reachable(machine, machine.initial), 1,
+                   machine.final_labels)
     entry = remap[machine.initial]
     union.epsilon_transitions[0] = {entry}
     return union, entry

@@ -130,6 +130,8 @@ def test_determinism_is_derived_not_stored():
     assert a.deterministic
     a.epsilon_transitions[0] = {1}
     assert not a.deterministic
+    # Two targets on one byte, no epsilon edge.
+    assert not Automaton({0, 1}, 0, {0: {ord("a"): {0, 1}}}, {}, {}).deterministic
     with pytest.raises(AttributeError):
         a.deterministic = True
 

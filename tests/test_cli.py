@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_PATTERNS,
                      PLAIN_SHARED_FINAL_DUMP, PLAIN_TWO_LABEL_DUMP)
 
-from pfsm import validate_pfsm
+from pfsm import build_pfsm, compile_pattern, validate_pfsm
 from pfsm.cli import main
 from pfsm.wire import dump_pfsm, load_pfsm
 
@@ -350,6 +351,57 @@ def test_empty_pattern_file_matches_nothing(runner, tmp_path, command):
     assert result.output == ""
 
 
+def nullable_warning(where, pattern):
+    return (f"{where}: warning: pattern {pattern!r} matches the empty string; "
+            "zero-length matches are never reported\n")
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "error-filter"])
+@pytest.mark.parametrize("command", ["match", "compile"])
+def test_nullable_pattern_warns_on_one_stderr_line(runner, tmp_path, command,
+                                                   strict):
+    # Each nullable pattern is named once on stderr, where it was given;
+    # stdout and the exit code are those of the same patterns unwarned,
+    # even when warnings are errors.
+    patterns = tmp_path / "nullable.txt"
+    patterns.write_text("# a comment\nb?\nac\n")
+    args = ["-e", "a*", "--patterns", str(patterns)]
+    if command == "match":
+        args += ["--text", "aabac"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if strict else "default")
+        result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == (nullable_warning("<arg>:1", "a*") +
+                             nullable_warning(f"{patterns}:2", "b?"))
+    if command == "match":
+        want = runner.invoke(main, ["oracle", *args]).stdout
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = dump_pfsm(build_pfsm([(p, compile_pattern(p))
+                                         for p in ("a*", "b?", "ac")]))
+    assert result.stdout == want
+
+
+def source_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def test_nullable_warning_under_python_error_filter():
+    got = subprocess.run([sys.executable, "-W", "error", "-m", "pfsm.cli",
+                          "match", "-e", "a*", "--text", "aa"], env=source_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stderr == nullable_warning("<arg>:1", "a*")
+    assert got.stdout == "a*\t0\t0\ta\na*\t0\t1\taa\na*\t1\t1\ta\n"
+
+
 def test_compile_dfa_ceiling_error(runner, monkeypatch):
     import pfsm.compile as compile_mod
     monkeypatch.setattr(compile_mod, "DEFAULT_STATE_CEILING", 2)
@@ -380,10 +432,7 @@ def test_every_export_resolves():
 
 
 def test_scan_does_not_import_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src), *filter(None, [env.get("PYTHONPATH")])])
+    env = source_env()
     code = ("import sys, pfsm, pfsm.cli\n"
             "p = pfsm.build_pfsm([('ab', pfsm.compile_pattern('ab'))])\n"
             "assert len(pfsm.find_matches(p, b'xab')) == 1\n"

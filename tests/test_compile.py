@@ -174,6 +174,11 @@ def test_nullable_pattern_warns():
             compile_pattern(pattern)
 
 
+def test_unknown_form_is_refused():
+    with pytest.raises(ValueError, match="unknown form 'bogus'"):
+        compile_pattern("ab", "bogus")
+
+
 def test_read_pattern_file():
     lines = [
         "# comment",

@@ -40,6 +40,10 @@ def test_malformed_plans_rejected():
         run_regex_partitioned(p, b"a", PartitionPlan("regex", groups=()))
     with pytest.raises(PlanError, match="expected 'regex'"):
         run_regex_partitioned(p, b"a", data_plan("lazy", 1, 1))
+    with pytest.raises(PlanError, match="expected 'lazy'"):
+        run_lazy_partitioned(p, b"a", data_plan("chained", 1, 1))
+    with pytest.raises(PlanError, match="expected 'chained'"):
+        run_chained_partitioned(p, b"a", regex_plan(p, 1))
     # Assigned ids that are not live labels: one never issued, one removed.
     every = tuple(p.live_labels())
     with pytest.raises(PlanError, match="not in the machine: 7$"):

@@ -34,6 +34,25 @@ def test_alternation_and_quantifiers():
     ))
 
 
+@pytest.mark.parametrize("pattern, tree", [
+    ("a*+?", Opt(Plus(Star(Literal(97))))),
+    ("a?*", Star(Opt(Literal(97)))),
+    ("(ab)+*", Star(Plus(Concat((Literal(97), Literal(98)))))),
+])
+def test_stacked_quantifiers_wrap_inside_out(pattern, tree):
+    assert parse_regex(pattern) == tree
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ByteClass(frozenset()), "byte-class must be non-empty"),
+    (lambda: Concat((Literal(97),)), "concat needs at least 2 children"),
+    (lambda: Alt((Literal(97),)), "alternation needs at least 2 children"),
+], ids=["empty-byte-class", "one-part-concat", "one-choice-alt"])
+def test_node_invariants_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_empty_pattern():
     assert parse_regex("") == Empty()
 

@@ -250,3 +250,65 @@ def test_empty_machine_roundtrips():
     assert find_matches(loaded, b"xx") == []
     with pytest.raises(AutomatonFormatError, match="is the empty union"):
         load_pfsm(text + "state 1\ntrans 0 0x61 1\n")
+
+
+def random_dump(rng: random.Random) -> str:
+    """A small dump of 1-6 states with random final, trans and eps lines
+    over the bytes a and b. About half have `pattern` lines; their initial
+    state has just the epsilon edges to the entries, which the labels
+    often share, so that some of them load as well as plain dumps."""
+    n = rng.randint(1, 6)
+    initial = rng.randrange(n)
+    labels = ["x", "y", "z"][:rng.randint(1, 3)]
+    lines = [f"state {s} initial" if s == initial else f"state {s}"
+             for s in range(n)]
+    others = [s for s in range(n) if s != initial]
+    if others and rng.random() < 0.5:
+        shared = rng.choice(others)
+        entries = {label: shared if rng.random() < 0.5 else rng.choice(others)
+                   for label in labels}
+        lines += (f"pattern {label} {entry}" for label, entry in entries.items())
+        lines += (f"eps {initial} {entry}" for entry in set(entries.values()))
+        sources, targets = others, others
+    else:
+        sources, targets = range(n), range(n)
+    for s in sources:
+        lines += {f"final {s} {rng.choice(labels)}"
+                  for _ in range(rng.choice((0, 0, 1, 2)))}
+        lines += (f"trans {s} 0x{byte:02X} {rng.choice(targets)}"
+                  for byte in (0x61, 0x62) for _ in range(rng.choice((0, 1, 1, 2))))
+        lines += (f"eps {s} {rng.choice(targets)}"
+                  for _ in range(rng.choice((0, 0, 0, 1))))
+    rng.shuffle(lines)
+    return "\n".join(["PFSM-AUT v2", *lines]) + "\n"
+
+
+def test_loader_refuses_or_loads_a_sound_union():
+    # Whatever a small random dump holds, the loader either refuses it with
+    # an AutomatonFormatError or returns a valid union that dumps back byte
+    # for byte, scans as its reload does, and stays valid, losing no other
+    # label's match, as each label is removed and a pattern added.
+    rng = random.Random(28)
+    loads = {False: 0, True: 0}             # with pattern lines -> loads
+    for _ in range(2000):
+        text = random_dump(rng)
+        try:
+            p = load_pfsm(text)
+        except AutomatonFormatError:
+            continue
+        loads["pattern" in text] += 1
+        assert validate_pfsm(p) == [], text
+        dumped = dump_pfsm(p)
+        reload = load_pfsm(dumped)
+        assert dump_pfsm(reload) == dumped, text
+        data = bytes(rng.choice(b"ab") for _ in range(8))
+        found = find_matches(p, data)
+        assert find_matches(reload, data) == found, text
+        for label, lid in sorted(p.label_ids.items()):
+            p = remove_pattern(p, label)
+            assert validate_pfsm(p) == [], (text, label)
+            found = [m for m in found if m.label != lid]
+            assert find_matches(p, data) == found, (text, label)
+            grown = add_pattern(p, "ab", compile_pattern("ab"))
+            assert validate_pfsm(grown) == [], (text, label)
+    assert min(loads.values()) > 100, loads
