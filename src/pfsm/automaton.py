@@ -22,8 +22,8 @@ class Automaton:
     # state -> byte -> successor set; the builders freeze every set and
     # share one object among the bytes of a row that have equal successors
     byte_transitions: dict[int, dict[int, frozenset[int]]]
-    # state -> successor set, mutable
-    epsilon_transitions: dict[int, set[int]]
+    # state -> epsilon successor set; the builders freeze every set
+    epsilon_transitions: dict[int, frozenset[int]]
     # final state -> the non-empty set of label ids it accepts; the only
     # record of which states are final
     final_labels: dict[int, frozenset[int]]
@@ -97,12 +97,15 @@ def validate(a: Automaton) -> list[str]:
     return problems
 
 
+def _target_sets(a: Automaton, s: int) -> tuple:
+    """s's successor sets: its epsilon set, then its row's, one per byte."""
+    return (a.epsilon_transitions.get(s, ()),
+            *a.byte_transitions.get(s, {}).values())
+
+
 def successors(a: Automaton, s: int) -> set[int]:
     """Targets of every byte and epsilon edge leaving s."""
-    succ = set(a.epsilon_transitions.get(s, ()))
-    for targets in a.byte_transitions.get(s, {}).values():
-        succ |= targets
-    return succ
+    return set().union(*_target_sets(a, s))
 
 
 def reachable(a: Automaton, start: int) -> set[int]:
@@ -116,22 +119,15 @@ def predecessors(a: Automaton,
     """The byte and epsilon edges between `states`, as each target's list
     of sources, and the states with an edge leaving `states`; each row is
     read once."""
-    trans, eps = a.byte_transitions, a.epsilon_transitions
     preds: dict[int, list[int]] = {}
     exits: set[int] = set()
     for s in states:
-        if s in trans:
-            for succ in trans[s].values():
-                for t in succ:
-                    if t in states:
-                        preds.setdefault(t, []).append(s)
-                    else:
-                        exits.add(s)
-        for t in eps.get(s, ()):
-            if t in states:
-                preds.setdefault(t, []).append(s)
-            else:
-                exits.add(s)
+        for succ in _target_sets(a, s):
+            for t in succ:
+                if t in states:
+                    preds.setdefault(t, []).append(s)
+                else:
+                    exits.add(s)
     return preds, exits
 
 

@@ -166,17 +166,15 @@ def compile_pattern(pattern: str | bytes, form: str = "nfa") -> Automaton:
     matches the empty string, which is when the Glushkov machine's initial
     state is final, gives a NullablePatternWarning.
     """
+    if form not in ("nfa", "dfa"):
+        raise ValueError(f"unknown form {form!r}")
     nfa = compile_nfa(parse_regex(pattern))
     if 0 in nfa.final_labels:
         warnings.warn(
             f"pattern {pattern!r} matches the empty string; "
             "zero-length matches are never reported",
             NullablePatternWarning, stacklevel=2)
-    if form == "nfa":
-        return nfa
-    if form == "dfa":
-        return nfa_to_dfa(nfa)
-    raise ValueError(f"unknown form {form!r}")
+    return nfa if form == "nfa" else nfa_to_dfa(nfa)
 
 
 def read_pattern_file(lines) -> list[tuple[str, str]]:

@@ -37,14 +37,12 @@ def accepts(ast: Node, s: bytes) -> bool:
             out = match_seq(node.parts, 0, i, j)
         elif isinstance(node, Alt):
             out = any(match(c, i, j) for c in node.choices)
-        elif isinstance(node, Star):
-            # empty, or a non-empty child word followed by more repetitions
-            out = i == j or any(match(node.child, i, k) and match(node, k, j)
-                                for k in range(i + 1, j + 1))
-        elif isinstance(node, Plus):
+        elif isinstance(node, (Star, Plus)):
+            # a non-empty child word, then more repetitions; the empty span
+            # is x*'s, and x+'s only when the child matches it
             out = any(match(node.child, i, k) and (k == j or match(node, k, j))
                       for k in range(i + 1, j + 1)) or \
-                  (match(node.child, i, i) and i == j)
+                  (i == j and (isinstance(node, Star) or match(node.child, i, i)))
         elif isinstance(node, Opt):
             out = i == j or match(node.child, i, j)
         else:

@@ -20,17 +20,17 @@ and abort).
 
 Generations share structure. Once grafted, a state's byte table and
 epsilon set are never mutated, trie tables included: an update copies the
-top-level containers (state set, final labels, the two transition dicts)
-and the ancillary state's epsilon set, and then only the tables it edits:
-that of the trie node a word branches from, or those with edges into the
-states a remove drops. Old generations therefore stay valid, and an
-update costs O(states) pointer copies rather than a copy of every edge. A
-final's label set is a frozenset, replaced rather than edited, and so is
-every byte successor set: the type enforces the rule for them. Within a
-row, the bytes with equal successors share one frozenset, so a `[^x]`
-row holds one or two sets rather than 255. A graft remaps each source
-set once, a removal cuts each set of a row once, and `assemble` freezes
-the rows of a loaded machine.
+top-level containers (state set, final labels, the two transition dicts),
+and then replaces only the tables and sets it changes: the table of the
+trie node a word branches from, the ancillary state's epsilon set, and
+those with edges into the states a remove drops. Old generations
+therefore stay valid, and an update costs O(states) pointer copies rather
+than a copy of every edge. A final's label set is a frozenset, replaced
+rather than edited, and so is every successor set, byte or epsilon: the
+type enforces the rule for them. Within a row, the bytes with equal
+successors share one frozenset, so a `[^x]` row holds one or two sets
+rather than 255. A graft remaps each source set once, a removal cuts each
+set once, and `assemble` freezes the sets of a loaded machine.
 
 One rule removes a label from any machine, trie or not, reading only the
 label's own states: the label leaves its finals (a final left with no
@@ -122,7 +122,8 @@ def _graft(dst: Automaton, src: Automaton, states, base: int,
     base, base+1, ... in sorted order. `labels` maps each state of src to
     be final in dst to its labels there; no other state is final. An edge
     leaving `states` is dropped when `clip` is set and raises KeyError
-    otherwise. Each successor set object of src, frozen or not, is
+    otherwise. Every successor set of src, byte or epsilon, frozen or not,
+    is remapped by one `image` into a frozenset; each byte set object is
     remapped once, into a frozenset that every equal image shares.
     Returns the renumbering."""
     remap = {s: base + i for i, s in enumerate(sorted(states))}
@@ -139,10 +140,8 @@ def _graft(dst: Automaton, src: Automaton, states, base: int,
             if row:
                 dst.byte_transitions[t] = row
         succ = src.epsilon_transitions.get(s)
-        if succ and clip:
-            succ = succ & keys
-        if succ:
-            dst.epsilon_transitions[t] = {remap[u] for u in succ}
+        if succ and (succ := image(succ)):
+            dst.epsilon_transitions[t] = succ
         if s in labels:
             dst.final_labels[t] = labels[s]
     return remap
@@ -205,8 +204,8 @@ def _join_trie(a: Automaton, machine: Automaton, trie: int | None,
 def _append(union: Automaton, directory: dict[int, PatternEntry],
             label_ids: dict[str, int], base: int, lid: int, label: str,
             machine: Automaton, trie: int | None) -> tuple[int, int | None]:
-    """Put machine into union as label id lid, behind a q0 edge to its
-    entry: a literal joins the trie at `trie` (the first literal starts
+    """Put machine into union as label id lid, for `_enter` to put behind a
+    q0 edge: a literal joins the trie at `trie` (the first literal starts
     it), anything else is grafted at state id base. A machine with no
     final could never match and is refused. Returns the next free state id
     and the trie's entry."""
@@ -227,19 +226,24 @@ def _append(union: Automaton, directory: dict[int, PatternEntry],
             raise ValueError(f"pattern {label!r}: state {exc.args[0]} is used "
                              f"but not in the machine's state set") from None
         owned, base = remap.values(), base + len(remap)
-    union.epsilon_transitions.setdefault(union.initial, set()).add(entry)
     directory[lid] = PatternEntry(label, entry, frozenset(owned))
     label_ids[label] = lid
     return base, trie
 
 
+def _enter(a: Automaton, entries: list[int]) -> None:
+    """Give q0 an epsilon edge to each of `entries`, replacing its set only
+    if one is new; a build enters all its machines at once, in one copy."""
+    heads = a.epsilon_transitions.get(a.initial, frozenset())
+    if not heads.issuperset(entries):
+        a.epsilon_transitions[a.initial] = heads.union(entries)
+
+
 def _next_generation(a: Automaton) -> Automaton:
-    """Copy of the top-level containers, sharing every per-state table
-    except the ancillary epsilon set, which an update edits."""
-    eps = dict(a.epsilon_transitions)
-    eps[a.initial] = set(eps.get(a.initial, ()))
-    return Automaton(set(a.states), a.initial, dict(a.byte_transitions), eps,
-                     dict(a.final_labels))
+    """Copy of the top-level containers, sharing every per-state table and
+    successor set."""
+    return Automaton(set(a.states), a.initial, dict(a.byte_transitions),
+                     dict(a.epsilon_transitions), dict(a.final_labels))
 
 
 def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
@@ -251,6 +255,7 @@ def build_pfsm(patterns: list[tuple[str, Automaton]]) -> Pfsm:
     for lid, (label, machine) in enumerate(patterns):
         next_id, trie = _append(union, directory, label_ids, next_id, lid,
                                 label, machine, trie)
+    _enter(union, [e.entry for e in directory.values()])
     return Pfsm(union, directory, label_ids, 0, next_id, len(patterns), trie)
 
 
@@ -260,14 +265,15 @@ def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
     directory, label_ids = dict(p.directory), dict(p.label_ids)
     next_id, trie = _append(union, directory, label_ids, p.next_state_id,
                             p.next_label_id, label, machine, p.trie)
+    _enter(union, [directory[p.next_label_id].entry])
     return Pfsm(union, directory, label_ids, p.generation + 1, next_id,
                 p.next_label_id + 1, trie)
 
 
 def _cut(a: Automaton, doomed, sources) -> None:
     """Delete the `doomed` states from `a` with their own edges, and the
-    edges into them from `sources`, cutting each successor set object of
-    a row once."""
+    edges into them from `sources`, cutting each byte successor set object
+    of a row once and each epsilon set by the same `cut`."""
     def cut(succ: frozenset[int]) -> frozenset[int]:
         return succ if doomed.isdisjoint(succ) else succ - doomed
 
@@ -285,8 +291,8 @@ def _cut(a: Automaton, doomed, sources) -> None:
             else:
                 del a.byte_transitions[s]
         succ = a.epsilon_transitions.get(s)
-        if succ and not doomed.isdisjoint(succ):
-            a.epsilon_transitions[s] = succ - doomed
+        if succ:
+            a.epsilon_transitions[s] = cut(succ)
 
 
 def _drop(a: Automaton, gone: PatternEntry, lid: int, shared: bool) -> None:
@@ -297,8 +303,7 @@ def _drop(a: Automaton, gone: PatternEntry, lid: int, shared: bool) -> None:
     machine and its q0 edge go."""
     finals, owned = a.final_labels, gone.owned
     if not shared:
-        _cut(a, owned, ())
-        a.epsilon_transitions[a.initial].discard(gone.entry)
+        _cut(a, owned, (a.initial,))
         return
     preds, seeds = predecessors(a, owned)   # seeds: the exits of `gone`
     for s in owned & finals.keys():
@@ -416,9 +421,11 @@ def assemble(a: Automaton, patterns: list[tuple[str, int]]) -> Pfsm:
     entry share the machine of the states on a path from that entry to a
     final, and the entry. Every other state but the initial one is
     dropped from `a`, with the edges into it, so no state leads nowhere.
-    Each row of `a` is frozen first, its equal successor sets shared."""
+    Each set of `a` is frozen first, a row's equal byte sets shared."""
     for s, table in a.byte_transitions.items():
         a.byte_transitions[s] = _share_row(table, frozenset)
+    for s, succ in a.epsilon_transitions.items():
+        a.epsilon_transitions[s] = frozenset(succ)
     machines: dict[int, list[tuple[int, str]]] = {}
     for lid, (label, entry) in enumerate(patterns):
         machines.setdefault(entry, []).append((lid, label))
@@ -442,7 +449,7 @@ def wrap_machine(machine: Automaton) -> tuple[Automaton, int]:
     remap = _graft(union, machine, reachable(machine, machine.initial), 1,
                    machine.final_labels)
     entry = remap[machine.initial]
-    union.epsilon_transitions[0] = {entry}
+    _enter(union, [entry])
     return union, entry
 
 

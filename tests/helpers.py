@@ -175,12 +175,14 @@ def joined_dfa(asts: list[Node]) -> Automaton:
 
 
 def assert_rows_frozen_and_shared(a: Automaton) -> None:
-    """Every byte successor set of `a` is a frozenset, and in each row the
-    bytes with equal successors share one object."""
+    """Every successor set of `a`, byte or epsilon, is a frozenset, and in
+    each row the bytes with equal successors share one object."""
     for s, row in a.byte_transitions.items():
         assert all(type(succ) is frozenset for succ in row.values()), s
         assert len({id(succ) for succ in row.values()}) \
             == len(set(row.values())), s
+    for s, succ in a.epsilon_transitions.items():
+        assert type(succ) is frozenset, s
 
 
 def nfa_accepts(a: Automaton, s: bytes) -> bool:

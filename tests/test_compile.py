@@ -175,8 +175,14 @@ def test_nullable_pattern_warns():
 
 
 def test_unknown_form_is_refused():
-    with pytest.raises(ValueError, match="unknown form 'bogus'"):
-        compile_pattern("ab", "bogus")
+    # The form is checked first: a nullable pattern gives no warning and a
+    # malformed one no syntax error.
+    for pattern in ("ab", "a*", "("):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="unknown form 'bogus'"):
+                compile_pattern(pattern, "bogus")
+        assert caught == [], pattern
 
 
 def test_read_pattern_file():

@@ -232,10 +232,23 @@ def test_remove_unknown_label():
 def test_updates_leave_earlier_generations_intact():
     p = build_fig1("dfa")
     text, matches = dump_pfsm(p), find_matches(p, FIG1_INPUT)
+    heads = p.automaton.epsilon_transitions[p.initial]
+    members = set(heads)
     machine = compile_pattern("(a|c)b", "nfa")
     q = add_pattern(p, "extra", machine)
+    assert p.automaton.epsilon_transitions[p.initial] is heads
+    assert heads == members
     r = remove_pattern(q, "ac")
     s = remove_pattern(r, "extra")
+    # Each update replaces q0's epsilon set; the ones it left behind keep
+    # their members.
+    assert p.automaton.epsilon_transitions[p.initial] is heads
+    assert heads == members
+    assert q.automaton.epsilon_transitions[q.initial] == members | {
+        q.directory[q.label_ids["extra"]].entry}
+    # A literal that joins the trie adds no q0 edge, so the set stays.
+    t = add_pattern(p, "cab", compile_pattern("cab"))
+    assert t.automaton.epsilon_transitions[t.initial] is heads
     assert dump_pfsm(p) == text
     assert find_matches(p, FIG1_INPUT) == matches
     assert validate_pfsm(q) == validate_pfsm(r) == validate_pfsm(s) == []
