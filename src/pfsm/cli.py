@@ -122,9 +122,9 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
     scan_stats = run(pfsm, data, lambda m: click.echo(formatter(m, pfsm, data)))
     if stats:
         m_max = max((e.n_states for e in pfsm.directory.values()), default=0)
-        peak = max(scan_stats.per_cycle_pairs, default=0)
-        click.echo(f"# stats: n={scan_stats.n} r={len(pfsm.directory)} "
-                   f"m_max={m_max} s=256 peak_active_pairs={peak} "
+        click.echo(f"# stats: n={scan_stats.cycles} r={len(pfsm.directory)} "
+                   f"m_max={m_max} s=256 "
+                   f"peak_active_pairs={scan_stats.peak_pairs} "
                    f"matches={scan_stats.matches_emitted}")
 
 

@@ -18,7 +18,7 @@ them.
 `Engine` runs those four steps literally, with a `set` of tags per state;
 it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
-cycle with five changes:
+cycle with six changes:
 
 - Seed rows. Steps 1-3 for the start region depend only on the byte, so
   each scan first builds every byte's seed row, the epsilon-closed byte
@@ -46,6 +46,11 @@ cycle with five changes:
   label's tags come out in order, so only several labels ending on one
   byte are sorted. `run` asks for no carried set, so the last byte's
   masks are never turned into tag sets that nobody reads.
+- Counters, not a list. The scan keeps the peak and the running sum of
+  the cycles' pair counts in two locals and takes the cycle count from
+  the last position, so its memory is bounded by the live (state, tag)
+  pairs, not by the input's length. Only `Engine` also keeps each
+  cycle's count.
 """
 
 from __future__ import annotations
@@ -90,18 +95,24 @@ class ActiveSet:
 
 @dataclass
 class EngineStats:
-    """What a scan measured: active (state, tag) pairs per cycle, matches.
+    """What a scan measured: cycles run, the peak and the sum over cycles
+    of active (state, tag) pairs, and matches.
 
-    `per_cycle_pairs` counts the reference `Engine`'s pairs, so it
-    includes the seeds that the fast scan drops because they cannot step
-    on the next byte."""
-    per_cycle_pairs: list[int] = field(default_factory=list)
+    The pairs are the reference `Engine`'s, so they include the seeds that
+    the fast scan drops because they cannot step on the next byte. The
+    fast scan keeps only these counters, so its memory does not grow with
+    the input; `per_cycle_pairs`, one count per cycle, is filled only by
+    `Engine`."""
+    cycles: int = 0
+    peak_pairs: int = 0
+    sum_pairs: int = 0
     matches_emitted: int = 0
+    per_cycle_pairs: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         """Cycles run."""
-        return len(self.per_cycle_pairs)
+        return self.cycles
 
 
 def _close_tagged(a: Automaton, active: dict[int, set[int]]):
@@ -177,8 +188,12 @@ class Engine:
                 self.sink(m)
         self.stats.matches_emitted += len(emitted)
         self.active = nxt
-        self.stats.per_cycle_pairs.append(
-            max(pairs_after_init, sum(len(t) for t in nxt.values())))
+        stats = self.stats
+        pairs = max(pairs_after_init, sum(len(t) for t in nxt.values()))
+        stats.per_cycle_pairs.append(pairs)
+        stats.cycles += 1
+        stats.peak_pairs = max(stats.peak_pairs, pairs)
+        stats.sum_pairs += pairs
 
     def snapshot(self) -> ActiveSet:
         return ActiveSet(self.pfsm.generation,
@@ -236,9 +251,11 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
                 ) -> tuple[EngineStats, ActiveSet | None]:
     """Scan `data` reinitializing only at positions inside `window`.
 
-    Positions are absolute: data[0] sits at position `base`, and window
-    bounds and carried tags use the same coordinate system, so every
-    carried tag must be a start position before the input: in [0, base).
+    `data` may be any bytes-like object, such as a `memoryview` slice of
+    a larger input, so a segment need not be copied. Positions are
+    absolute: data[0] sits at position `base`, and window bounds and
+    carried tags use the same coordinate system, so every carried tag
+    must be a start position before the input: in [0, base).
     Processing stops early once the window is exhausted and no states
     remain active (nothing further can be activated). Returns the stats and
     the carried active set at the stop point, or None in its place when
@@ -369,8 +386,9 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
     seeded = range(window[0], window[1] + 1) if window is not None else ()
     rows = _seed_rows(a, start, closing) if seeded else {}
     last = window[1] if window is not None else base
-    per_cycle = stats.per_cycle_pairs
     pairs = sum(map(_count, active.values()))
+    peak = total = 0
+    pos = base - 1          # an empty input runs no cycle
     # `ahead` is the byte after `pos`; past the input's end nothing reads it.
     for pos, byte, ahead in zip(count(base), data,
                                 chain(islice(data, 1, None), (0,))):
@@ -434,11 +452,18 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
                         for label, tagged in by_label.items()
                         for start_tag in _tags(tagged)):
                     sink(Match(label, start_tag, pos))
-        per_cycle.append(pairs if pairs > now else now)
+        if now > pairs:
+            pairs = now
+        total += pairs
+        if pairs > peak:
+            peak = pairs
         pairs = now
         active = nxt
         if not active and pos >= last:
             break
+    stats.cycles = pos + 1 - base
+    stats.peak_pairs = peak
+    stats.sum_pairs = total
     return active
 
 

@@ -115,9 +115,10 @@ def run_lazy_partitioned(p: Pfsm, data: bytes,
     if not data:
         return []
     out: list[Match] = []
-    for lo, hi in segments(plan, len(data)):
-        run_segment(p, data[lo:], (lo, hi), None, out.append, base=lo,
-                    carry_out=False)
+    with memoryview(data) as view:
+        for lo, hi in segments(plan, len(data)):
+            run_segment(p, view[lo:], (lo, hi), None, out.append, base=lo,
+                        carry_out=False)
     return _merge([out])
 
 
@@ -134,9 +135,10 @@ def run_chained_partitioned(p: Pfsm, data: bytes,
     # separately and uniting their outputs.
     out: list[Match] = []
     carry: ActiveSet | None = None
-    for lo, hi in segments(plan, len(data)):
-        _, carry = run_segment(p, data[lo:hi + 1], (lo, hi), carry,
-                               out.append, base=lo)
+    with memoryview(data) as view:
+        for lo, hi in segments(plan, len(data)):
+            _, carry = run_segment(p, view[lo:hi + 1], (lo, hi), carry,
+                                   out.append, base=lo)
     return _merge([out])
 
 

@@ -7,6 +7,7 @@ import math
 import random
 import statistics
 import time
+import tracemalloc
 
 from pfsm import Engine, build_pfsm, epsilon_closure, run, step
 from pfsm.automaton import Automaton
@@ -367,6 +368,31 @@ def engine_matches(p, data: bytes):
     """Every match of a whole-input scan by the reference `Engine`."""
     window = (0, len(data) - 1) if data else None
     return engine_segment(p, data, window, None)[0]
+
+
+def fast_cycle_pairs(p, data: bytes) -> list[int]:
+    """The pair count of each cycle of `run(p, data)`, read from the fast
+    scan's own counters: cycle k's count is the rise in `sum_pairs` from
+    the scan of data[:k] to the scan of data[:k + 1]. A cycle's count does
+    not depend on the bytes after it."""
+    sums = [run(p, data[:k]).sum_pairs for k in range(len(data) + 1)]
+    return [b - a for a, b in zip(sums, sums[1:])]
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_text(seed, alphabet: bytes, n: int) -> bytes:
+    """`n` seeded random bytes drawn from `alphabet`."""
+    rng = random.Random(seed)
+    return bytes(rng.choice(alphabet) for _ in range(n))
 
 
 def best_scan_seconds(p, data: bytes, repeats: int = 3) -> float:

@@ -5,14 +5,14 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_PATTERNS,
-                     PLAIN_SHARED_FINAL_DUMP, PLAIN_TWO_LABEL_DUMP)
+                     PLAIN_SHARED_FINAL_DUMP, PLAIN_TWO_LABEL_DUMP,
+                     traced_peak)
 
 from pfsm import build_pfsm, compile_pattern, validate_pfsm
 from pfsm.cli import main
@@ -109,13 +109,8 @@ def test_match_memory_does_not_grow_with_match_count():
     # set, under 2x when n doubles; held in a list, they grow it about 4x.
     def peak(n):
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-            tracemalloc.start()
-            try:
-                main(["match", "-e", "a+", "--text", "a" * n],
-                     standalone_mode=False)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: main(["match", "-e", "a+", "--text",
+                                             "a" * n], standalone_mode=False))
 
     peak(150)                               # first-use imports and caches
     small, large = peak(150), peak(300)

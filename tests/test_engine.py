@@ -9,8 +9,9 @@ from dataclasses import replace
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
                      build_fig1_mixed, engine_matches, engine_segment,
-                     gen_instance, gen_literal_instance, loglog_slope,
-                     match_texts, peel_tags, with_epsilon)
+                     fast_cycle_pairs, gen_instance, gen_literal_instance,
+                     loglog_slope, match_texts, peel_tags, random_text,
+                     traced_peak, with_epsilon)
 
 import pfsm.engine
 from pfsm import build_pfsm, compile_pattern, epsilon_closure, step
@@ -126,12 +127,26 @@ def test_tag_budget():
     rng = random.Random(13)
     for _ in range(60):
         p, _, data, form = gen_instance(rng, max_input=48, forms=("dfa", "nfa"))
-        stats = run(p, data)
+        counts = fast_cycle_pairs(p, data)
+        assert len(counts) == len(data) == run(p, data).cycles
         r = len(p.directory)
         total_m = sum(e.n_states for e in p.directory.values())
         per_tag = r if form == "dfa" else total_m
-        for i, pairs in enumerate(stats.per_cycle_pairs):
-            assert pairs <= per_tag * (i + 1) + 1, (form, i, pairs)
+        for i, pairs in enumerate(counts):
+            assert 0 < pairs <= per_tag * (i + 1) + 1, (form, i, pairs)
+
+
+def test_scan_memory_does_not_grow_with_the_input():
+    # The scan keeps its pair counts as counters, not one per byte: over
+    # random `abcx` text, whose peak pair count is 28 at both sizes, its
+    # memory peak stays flat from 4 to 32 KiB. A count per byte grew it
+    # about 8x.
+    p = build_pfsm([(x, compile_pattern(x)) for x in ("a[^x]*b", "abc")])
+    small, large = (random_text(f"abcx/{kib}", b"abcx", kib * 1024)
+                    for kib in (4, 32))
+    traced_peak(lambda: run(p, small))      # first-use allocations
+    peaks = [traced_peak(lambda: run(p, data)) for data in (small, large)]
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_run_segment_degenerate_window_equals_run():
@@ -192,9 +207,11 @@ def _random_carry(rng, p, carry, base):
                                   "literal"])
 def test_fast_path_equals_engine(form):
     # Two-segment run_segment against the reference Engine: the same
-    # matches in the same order, the same per-cycle pair counts and
-    # match count, and the same carried set, on random windows and on
-    # carries the first segment left, sometimes with random extra tags.
+    # matches in the same order, the same cycle count, peak and summed
+    # pair counts and match count, and the same carried set, on random
+    # windows and on carries the first segment left, sometimes with
+    # random extra tags. Engine's counters agree with its per-cycle list,
+    # which the fast path leaves empty.
     # The literal sets share one prefix trie; only the eps forms put
     # epsilon edges behind the initial state, eps2 in chains of two.
     rng = random.Random(f"fast-vs-engine/{form}")
@@ -212,10 +229,19 @@ def test_fast_path_equals_engine(form):
             stats, snap = run_segment(p, seg, window, carry, got.append,
                                       base=base)
             assert got == want, (trial, base)
-            assert stats.per_cycle_pairs == want_stats.per_cycle_pairs
+            assert _counters(stats) == _counters(want_stats), (trial, base)
             assert stats.matches_emitted == want_stats.matches_emitted
+            assert stats.per_cycle_pairs == []
+            assert _counters(want_stats) == (
+                len(want_stats.per_cycle_pairs),
+                max(want_stats.per_cycle_pairs, default=0),
+                sum(want_stats.per_cycle_pairs))
             assert snap == want_snap, (trial, base)
             carry = snap
+
+
+def _counters(stats):
+    return stats.cycles, stats.peak_pairs, stats.sum_pairs
 
 
 def _random_pfsm(rng, form):
@@ -302,7 +328,7 @@ def test_seed_that_cannot_step_on_the_next_byte_is_never_stored(form):
     _scan(replace(a, byte_transitions=rows), data, window, {}, None, 0, stats)
     assert rows.reads[a_state] <= 1
     want = engine_segment(p, data, window, None)[1]
-    assert stats.per_cycle_pairs == want.per_cycle_pairs
+    assert _counters(stats) == _counters(want)
 
 
 def _ab(form):

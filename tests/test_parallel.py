@@ -6,7 +6,7 @@ import random
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, PLAIN_TWO_LABEL_DUMP,
                      build_fig1, gen_instance, gen_literal_instance,
-                     match_texts)
+                     match_texts, random_text, traced_peak)
 
 from pfsm import build_pfsm, find_matches, remove_pattern
 from pfsm.compile import compile_pattern
@@ -201,3 +201,20 @@ def test_literal_sets_equal_oracle_under_every_strategy():
                          data_plan("chained", len(data), workers)):
                 assert run_partitioned(p, data, plan) == single, \
                     (trial, plan.strategy, workers)
+
+
+@pytest.mark.parametrize("strategy", ["lazy", "chained"])
+def test_segments_are_not_copied(strategy):
+    # Workers scan slices of one view of the input, not copies: over
+    # `acx` text, which matches nothing, a 2-worker run's peak stays flat
+    # from 4 to 32 KiB. Copied segments grew it about 7x.
+    p = build_pfsm([(x, compile_pattern(x)) for x in ("a[^x]*b", "abc")])
+    small, large = (random_text(f"acx/{kib}", b"acx", kib * 1024)
+                    for kib in (4, 32))
+
+    def scan(data):
+        assert run_partitioned(p, data, data_plan(strategy, len(data), 2)) == []
+
+    traced_peak(lambda: scan(small))        # first-use allocations
+    peaks = [traced_peak(lambda: scan(data)) for data in (small, large)]
+    assert peaks[1] < 2 * peaks[0], peaks
