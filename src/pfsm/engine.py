@@ -18,7 +18,7 @@ them.
 `Engine` runs those four steps literally, with a `set` of tags per state;
 it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
-cycle with six changes:
+cycle with seven changes:
 
 - Seed rows. Steps 1-3 for the start region depend only on the byte, so
   each scan first builds every byte's seed row, the epsilon-closed byte
@@ -30,6 +30,12 @@ cycle with six changes:
   membership test in its table. The last seeded position stores its
   whole row, so the stop point and the carried set are the reference's,
   and the pair counts count every target, stored or not.
+- Phases, not a per-byte window test. Where seeding starts and ends is
+  fixed before the first byte, so one cycle body runs in up to four
+  phases over absolute positions: before the window, the window but its
+  last position, that position, and after the window. Each phase sets its
+  seed rows, its seed count and whether an empty active set stops the
+  scan once, so no cycle tests its position against the window.
 - Counted anchored masks. A live state holds `(lo, mask, count)`: bit i
   of `mask` is the tag `lo + i`, `lo` is the state's oldest tag and
   `count` is the number of set bits. A value is passed on by reference;
@@ -340,16 +346,21 @@ def _seed_rows(a: Automaton, start, closing
 
     Each entry is `(state, table)`: the state's own `byte_transitions`
     row, or `_ANY_BYTE` for a final, so the scan can ask whether a seed
-    steps on the next byte with one membership check."""
-    rows: dict[int, set[int]] = {}
+    steps on the next byte with one membership check. Each byte's target
+    set is dropped as its row is made, so the sets and the rows are never
+    all held at once."""
+    targets: dict[int, set[int]] = {}
     trans = a.byte_transitions
     for s in start:
         for byte, succ in trans.get(s, {}).items():
-            rows.setdefault(byte, set()).update(succ)
+            targets.setdefault(byte, set()).update(succ)
     finals = a.final_labels
-    return {byte: tuple((t, _ANY_BYTE if t in finals else trans.get(t, ()))
-                        for t in (epsilon_closure(a, row) if closing else row))
-            for byte, row in rows.items()}
+    rows = {}
+    while targets:
+        byte, row = targets.popitem()
+        rows[byte] = tuple((t, _ANY_BYTE if t in finals else trans.get(t, ()))
+                           for t in (epsilon_closure(a, row) if closing else row))
+    return rows
 
 
 def _close_masked(a: Automaton, active: dict[int, tuple[int, int, int]],
@@ -373,8 +384,16 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
           stats) -> dict[int, tuple[int, int, int]]:
     """Run `Engine.feed`'s cycle over `data` on counted anchored masks,
     starting from the epsilon closure of `active`; returns the active set
-    at the stop point. Below the window's last position a seed is stored
-    only if it is final or steps on the next byte; the pair counts are the
+    at the stop point.
+
+    The window fixes, before the first byte, where seeding starts and
+    ends, so the scan runs one cycle body in up to four phases instead of
+    testing each position against the window: [base, first) seeds
+    nothing; [first, last) stores a seed only if it is final or steps on
+    the next byte; `last` stores its whole row, so the stop point and the
+    carried set are the reference's; past `last` nothing is seeded. The
+    scan stops on the first cycle that leaves the active set empty from
+    `last` on, or from `base` on with no window. The pair counts are the
     reference's all the same."""
     closing = _closing(a)
     _close_masked(a, active, [s for s in active if s in closing])
@@ -383,83 +402,89 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
     final_states = finals.keys()
     start = epsilon_closure(a, {a.initial})
     n_start = len(start)
-    seeded = range(window[0], window[1] + 1) if window is not None else ()
-    rows = _seed_rows(a, start, closing) if seeded else {}
-    last = window[1] if window is not None else base
+    end = base + len(data)
+    # Each phase: (its end, its seed rows, pairs its seeding adds, whether
+    # an empty active set stops the scan).
+    if window is None:
+        phases = [(end, {}, 0, True)]
+    else:
+        first, last = window
+        rows = _seed_rows(a, start, closing)
+        b = data[last - base]
+        whole = {b: tuple((t, _ANY_BYTE) for t, _ in rows.get(b, ()))}
+        phases = [(first, {}, 0, False), (last, rows, n_start, False),
+                  (last + 1, whole, n_start, True), (end, {}, 0, True)]
     pairs = sum(map(_count, active.values()))
     peak = total = 0
     pos = base - 1          # an empty input runs no cycle
     # `ahead` is the byte after `pos`; past the input's end nothing reads it.
-    for pos, byte, ahead in zip(count(base), data,
-                                chain(islice(data, 1, None), (0,))):
-        # `now` is the pair total of `nxt`, kept as values land in it.
-        nxt: dict[int, tuple[int, int, int]] = {}
-        now = 0
-        for s, tagged in active.items():
-            table = trans.get(s)
-            if table:
-                for t in table.get(byte, ()):
-                    cur = nxt.get(t)
-                    if cur is None:
-                        nxt[t] = tagged
-                        now += tagged[2]
-                    else:
-                        merged = nxt[t] = _merge(cur, tagged)
-                        now += merged[2] - cur[2]
-        if closing:
-            _close_masked(a, nxt, [t for t in nxt if t in closing])
-            now = sum(map(_count, nxt.values()))
-        if pos in seeded:
-            # The start region, tagged pos, joins the active set (steps
-            # 1+2) and steps on the byte (3+4): its closed targets are the
-            # byte's seed row. Every other tag is older than pos, so each
-            # seeded target gains one pair, counted whether it is stored
-            # or not. Only a target that is final or steps on the next
-            # byte is stored: any other dies on that byte unread. The last
-            # seeded position stores its whole row, so the stop point and
-            # the carried set are the reference's.
-            pairs += n_start
-            row = rows.get(byte, ())
+    cycles = zip(count(base), data, chain(islice(data, 1, None), (0,)))
+    for stop, seeds, n_seed, may_stop in phases:
+        for pos, byte, ahead in islice(cycles, stop - 1 - pos):
+            # `now` is the pair total of `nxt`, kept as values land in it.
+            nxt: dict[int, tuple[int, int, int]] = {}
+            now = 0
+            for s, tagged in active.items():
+                table = trans.get(s)
+                if table:
+                    for t in table.get(byte, ()):
+                        cur = nxt.get(t)
+                        if cur is None:
+                            nxt[t] = tagged
+                            now += tagged[2]
+                        else:
+                            merged = nxt[t] = _merge(cur, tagged)
+                            now += merged[2] - cur[2]
+            if closing:
+                _close_masked(a, nxt, [t for t in nxt if t in closing])
+                now = sum(map(_count, nxt.values()))
+            # In a seeding phase the start region, tagged pos, joins the
+            # active set (steps 1+2) and steps on the byte (3+4): its closed
+            # targets are the byte's seed row. Every other tag is older
+            # than pos, so each seeded target gains one pair, counted
+            # whether it is stored or not. A target is stored only if its
+            # table holds the next byte: any other dies on that byte unread.
+            pairs += n_seed
+            row = seeds.get(byte, ())
             now += len(row)
-            if pos == last:
-                row = [(t, _ANY_BYTE) for t, _ in row]
-            fresh = (pos, 1, 1)
             for t, table in row:
                 if ahead not in table:
                     continue
                 cur = nxt.get(t)
                 if cur is None:
-                    nxt[t] = fresh
+                    nxt[t] = (pos, 1, 1)
                 else:
                     lo, m, c = cur
                     nxt[t] = lo, m | 1 << (pos - lo), c + 1
 
-        if not final_states.isdisjoint(nxt):
-            by_label: dict[int, tuple[int, int, int]] = {}
-            for t in final_states & nxt.keys():
-                for label in finals[t]:
-                    cur = by_label.get(label)
-                    by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
-            stats.matches_emitted += sum(map(_count, by_label.values()))
-            if sink is not None and len(by_label) == 1:
-                # One label's tags come out ascending: no sort.
-                [(label, tagged)] = by_label.items()
-                for start_tag in _tags(tagged):
-                    sink(Match(label, start_tag, pos))
-            elif sink is not None:
-                for start_tag, label in sorted(
-                        (start_tag, label)
-                        for label, tagged in by_label.items()
-                        for start_tag in _tags(tagged)):
-                    sink(Match(label, start_tag, pos))
-        if now > pairs:
+            if not final_states.isdisjoint(nxt):
+                by_label: dict[int, tuple[int, int, int]] = {}
+                for t in final_states & nxt.keys():
+                    for label in finals[t]:
+                        cur = by_label.get(label)
+                        by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
+                stats.matches_emitted += sum(map(_count, by_label.values()))
+                if sink is not None and len(by_label) == 1:
+                    # One label's tags come out ascending: no sort.
+                    [(label, tagged)] = by_label.items()
+                    for start_tag in _tags(tagged):
+                        sink(Match(label, start_tag, pos))
+                elif sink is not None:
+                    for start_tag, label in sorted(
+                            (start_tag, label)
+                            for label, tagged in by_label.items()
+                            for start_tag in _tags(tagged)):
+                        sink(Match(label, start_tag, pos))
+            if now > pairs:
+                pairs = now
+            total += pairs
+            if pairs > peak:
+                peak = pairs
             pairs = now
-        total += pairs
-        if pairs > peak:
-            peak = pairs
-        pairs = now
-        active = nxt
-        if not active and pos >= last:
+            active = nxt
+            if may_stop and not active:
+                break
+        if may_stop and not active:
             break
     stats.cycles = pos + 1 - base
     stats.peak_pairs = peak

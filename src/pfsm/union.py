@@ -474,7 +474,7 @@ def validate_pfsm(p: Pfsm) -> list[str]:
                             f"different machines share state {s}")
         seen |= owner
         for s in sorted(owner):
-            outside = successors(a, s) - owner.keys()
+            outside = successors(a, s).difference(owner)
             if outside:
                 problems.append(f"pattern {owner[s]!r} state {s} has edges "
                                 f"leaving the pattern, to {sorted(outside)}")

@@ -331,13 +331,13 @@ def test_seed_that_cannot_step_on_the_next_byte_is_never_stored(form):
     assert _counters(stats) == _counters(want)
 
 
-def _ab(form):
-    """`ab` alone, in one form; "eps" puts every state but the initial one
-    behind an epsilon edge."""
-    m = compile_pattern("ab", "nfa" if form == "eps" else form)
+def _alone(form, pattern="ab"):
+    """`pattern` alone, in one form; "eps" puts every state but the initial
+    one behind an epsilon edge."""
+    m = compile_pattern(pattern, "nfa" if form == "eps" else form)
     if form == "eps":
         m = with_epsilon(m, m.states - {m.initial})
-    return build_pfsm([("ab", m)])
+    return build_pfsm([(pattern, m)])
 
 
 # The last seeded position stores its whole row, next byte or not: a window
@@ -347,14 +347,14 @@ edge_forms = pytest.mark.parametrize("form", ["nfa", "dfa", "eps"])
 
 @edge_forms
 def test_lazy_window_ending_on_a_reports_the_match(form):
-    p = _ab(form)
+    p = _alone(form)
     assert run_partitioned(p, b"xab", PartitionPlan("lazy", cuts=(2,))) \
         == find_matches(p, b"xab") == [(0, 1, 2)]
 
 
 @edge_forms
 def test_chained_cut_between_a_and_b_equals_single(form):
-    p = _ab(form)
+    p = _alone(form)
     data = b"xabab"
     assert run_partitioned(p, data, PartitionPlan("chained", cuts=(2, 4))) \
         == find_matches(p, data) == [(0, 1, 2), (0, 3, 4)]
@@ -362,13 +362,42 @@ def test_chained_cut_between_a_and_b_equals_single(form):
 
 @edge_forms
 def test_segment_ending_on_a_carries_the_a_state(form):
-    p = _ab(form)
+    p = _alone(form)
     a = p.automaton
     seeded = epsilon_closure(a, step(a, epsilon_closure(a, {a.initial}),
                                      ord("a")))
     _, carry = run_segment(p, b"xa", (0, 1), None)
     assert carry.tags == {s: {1} for s in seeded}
     assert carry == engine_segment(p, b"xa", (0, 1), None)[2]
+
+
+@edge_forms
+@pytest.mark.parametrize("data, base, window, cycles, matches", [
+    # No window and nothing active: one cycle, then stop.
+    (b"cacb", 0, None, 1, []),
+    # Seeding starts after base: the empty active set does not stop the
+    # scan before the window, and the 'a' before it seeds nothing.
+    (b"abcab", 10, (12, 14), 5, [(0, 13, 14)]),
+    # The last seeded position empties the active set: stop on it.
+    (b"xaxab", 0, (0, 2), 3, []),
+    # A match live at the last seeded position runs past it: stop on the
+    # first cycle after it that leaves nothing active.
+    (b"cacccbxc", 0, (0, 1), 7, [(0, 1, 5)]),
+])
+def test_scan_stops_where_the_reference_does(form, data, base, window,
+                                             cycles, matches):
+    # The stop point at each edge of the scan's seeding phases, pinned and
+    # against the reference Engine: a scan that stops one cycle late or
+    # early can report the same matches, so the counters are checked too.
+    p = _alone(form, "a[^x]*b")
+    want, want_stats, want_snap = engine_segment(p, data, window, None, base)
+    got = []
+    stats, snap = run_segment(p, data, window, None, got.append, base=base)
+    assert got == want == matches
+    assert stats.cycles == cycles
+    assert _counters(stats) == _counters(want_stats)
+    assert stats.matches_emitted == want_stats.matches_emitted
+    assert snap == want_snap
 
 
 @pytest.mark.parametrize("form", ["nfa", "dfa"])

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import time
 
 import pytest
 from helpers import (BAD_PFSM_DUMPS, BAD_PFSM_DUMP_IDS, FIG1_INPUT,
@@ -548,6 +549,30 @@ def test_trie_edits_leave_earlier_generations_intact():
         assert validate_pfsm(p) == [], k
     assert dump_pfsm(first) == text
     assert find_matches(first, data) == matches
+
+
+def _seeded_trie(words: int):
+    """A literal trie of `words` seeded random lowercase words."""
+    rng = random.Random(f"trie/{words}")
+    return _literal_pfsm([(f"w{k}", bytes(rng.choice(b"abcdefghijklmnop")
+                                          for _ in range(rng.randint(3, 10))))
+                          for k in range(words)])
+
+
+def test_validate_pfsm_is_linear_in_trie_size():
+    # Every load validates its machine, so a check that walks the owner
+    # map once per state makes a large trie load in quadratic time. Four
+    # times the words cost about 12x the time when it was quadratic and
+    # about 4.5x when linear (best of five, the two sizes interleaved).
+    tries = _seeded_trie(400), _seeded_trie(1600)
+    best = [float("inf")] * 2
+    for _ in range(5):
+        for k, p in enumerate(tries):
+            t0 = time.perf_counter()
+            assert validate_pfsm(p) == []
+            best[k] = min(best[k], time.perf_counter() - t0)
+    small, large = best
+    assert large < 7 * small, (small, large)
 
 
 def test_trie_dump_roundtrip_and_add_after_load():
