@@ -9,7 +9,9 @@ place for all three commands. Giving neither option is a usage error; a
 pattern file with no pattern line (only blank or `#` lines) is the empty
 set, so `match` and `oracle` print nothing and `compile` writes the empty
 union. A nullable pattern is named on one stderr line,
-`<arg>:k: warning: ...` or `file:line: warning: ...`.
+`<arg>:k: warning: ...` or `file:line: warning: ...`. A -e pattern or
+--text that is not valid UTF-8 (an invalid byte on the command line) is
+one error line; raw bytes come from --input.
 
 Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 """
@@ -24,7 +26,7 @@ import click
 from .compile import (StateCeilingExceeded, compile_pattern, read_pattern_file)
 from .engine import format_match_jsonl, format_match_tsv, run
 from .oracle import all_matches
-from .syntax import RegexSyntaxError, parse_regex
+from .syntax import RegexSyntaxError, parse_regex, pattern_bytes
 from .union import Pfsm, build_pfsm
 from .wire import AutomatonFormatError, dump_pfsm, load_pfsm
 
@@ -93,7 +95,11 @@ def _read_input(text, input_file) -> bytes:
             raise MatchError(f"cannot read {input_file}: {exc}") from exc
     if text is None:
         raise click.UsageError("no input given (--text or --input)")
-    return text.encode("utf-8")
+    try:
+        return pattern_bytes(text)      # UTF-8, as a pattern's text is read
+    except RegexSyntaxError as exc:
+        raise MatchError(f"--text is not valid UTF-8 at byte {exc.offset}; "
+                         "give raw bytes with --input") from None
 
 
 @click.group()

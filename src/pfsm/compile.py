@@ -1,10 +1,12 @@
-"""Compile syntax trees into automata.
+"""Compile patterns into automata.
 
 compile_nfa is the Glushkov (position) construction: one pass over the
 tree gives a machine without epsilon edges whose state 0 is initial, with
 no edge entering it, and whose state i > 0 is the i-th byte position (a
 Literal or ByteClass leaf), every edge into it reading one of that leaf's
-bytes. A literal's machine is a one-path chain.
+bytes. A literal's machine is a one-path chain, so compile_pattern builds
+a literal pattern, one whose bytes hold no metacharacter, as that chain
+straight from its bytes, with no parse and no Glushkov pass.
 
 nfa_to_dfa is epsilon-closure subset construction under the fixed state
 ceiling DEFAULT_STATE_CEILING (10,000 states); overflow raises
@@ -21,8 +23,8 @@ from __future__ import annotations
 import warnings
 
 from .automaton import Automaton, epsilon_closure
-from .syntax import (Alt, ByteClass, Concat, Empty, Literal, Node, Opt, Plus,
-                     Star, parse_regex)
+from .syntax import (METACHARS, Alt, ByteClass, Concat, Empty, Literal, Node,
+                     Opt, Plus, Star, parse_regex, pattern_bytes)
 
 DEFAULT_STATE_CEILING = 10_000
 _EMPTY: frozenset[int] = frozenset()
@@ -158,22 +160,39 @@ def nfa_to_dfa(nfa: Automaton) -> Automaton:
                      final_labels)
 
 
+def _chain(data: bytes) -> Automaton:
+    """The Glushkov machine of the literal `data`: state i reads data[i]
+    into state i + 1, and the last state is final."""
+    n = len(data)
+    return Automaton(set(range(n + 1)), 0,
+                     {i: {byte: frozenset((i + 1,))}
+                      for i, byte in enumerate(data)},
+                     {}, {n: frozenset((0,))})
+
+
 def compile_pattern(pattern: str | bytes, form: str = "nfa") -> Automaton:
-    """Parse and compile one pattern.
+    """Compile one pattern, text (as its UTF-8 bytes) or bytes-like.
 
     form: "nfa", the Glushkov machine, or "dfa", its subset construction
-    (over the state ceiling raises StateCeilingExceeded). A pattern that
-    matches the empty string, which is when the Glushkov machine's initial
-    state is final, gives a NullablePatternWarning.
+    (over the state ceiling raises StateCeilingExceeded). A non-empty
+    pattern with no metacharacter is a literal, and its Glushkov machine,
+    a chain, is built from its bytes; every other pattern goes through
+    parse_regex and compile_nfa. A pattern that matches the empty string,
+    which is when the Glushkov machine's initial state is final, gives a
+    NullablePatternWarning.
     """
     if form not in ("nfa", "dfa"):
         raise ValueError(f"unknown form {form!r}")
-    nfa = compile_nfa(parse_regex(pattern))
-    if 0 in nfa.final_labels:
-        warnings.warn(
-            f"pattern {pattern!r} matches the empty string; "
-            "zero-length matches are never reported",
-            NullablePatternWarning, stacklevel=2)
+    data = pattern_bytes(pattern)
+    if data and METACHARS.isdisjoint(data):
+        nfa = _chain(data)
+    else:
+        nfa = compile_nfa(parse_regex(data))
+        if 0 in nfa.final_labels:
+            warnings.warn(
+                f"pattern {pattern!r} matches the empty string; "
+                "zero-length matches are never reported",
+                NullablePatternWarning, stacklevel=2)
     return nfa if form == "nfa" else nfa_to_dfa(nfa)
 
 

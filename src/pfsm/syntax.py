@@ -210,10 +210,31 @@ class _Parser:
         return ByteClass(frozenset(members))
 
 
+def pattern_bytes(pattern: str | bytes) -> bytes:
+    """The bytes a pattern stands for: text as its UTF-8 encoding, a
+    bytes-like object as its bytes. Text with no UTF-8 encoding, such as a
+    lone surrogate, raises RegexSyntaxError at the byte offset where it
+    would start; anything else, an int or a list included, raises
+    TypeError."""
+    if isinstance(pattern, bytes):
+        return pattern
+    if isinstance(pattern, str):
+        try:
+            return pattern.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise RegexSyntaxError(
+                f"not valid UTF-8: {pattern[exc.start]!r} has no encoding",
+                len(pattern[:exc.start].encode("utf-8"))) from None
+    try:
+        return bytes(memoryview(pattern))
+    except TypeError:
+        raise TypeError("pattern must be text or bytes-like, not "
+                        f"{type(pattern).__name__}") from None
+
+
 def parse_regex(pattern: str | bytes) -> Node:
     """Parse a pattern into its syntax tree.
 
     Raises RegexSyntaxError with the byte offset of the first fault.
     """
-    data = pattern.encode("utf-8") if isinstance(pattern, str) else bytes(pattern)
-    return _Parser(data).parse()
+    return _Parser(pattern_bytes(pattern)).parse()

@@ -205,6 +205,27 @@ def test_non_utf8_file_cannot_be_read(runner, tmp_path, option):
     assert f"cannot read {path}: " in result.output
 
 
+@pytest.mark.parametrize("args, line", [
+    (["match", "-e", "a\udcffb", "--text", "x"],
+     "<arg>:1: pattern 'a\\udcffb': at byte 1: not valid UTF-8"),
+    (["compile", "-e", "\udcff"],
+     "<arg>:1: pattern '\\udcff': at byte 0: not valid UTF-8"),
+    (["oracle", "-e", "a\udcff", "--text", "a"],
+     "<arg>:1: pattern 'a\\udcff': at byte 1: not valid UTF-8"),
+    (["match", "-e", "ab", "--text", "a\udcffb"],
+     "--text is not valid UTF-8 at byte 1; give raw bytes with --input"),
+], ids=["match-pattern", "compile-pattern", "oracle-pattern", "match-text"])
+def test_argument_that_is_not_utf8_is_one_error_line(runner, args, line):
+    # An invalid byte on the command line reaches the program as a lone
+    # surrogate; it is one stderr line and exit 1, not a traceback.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert line in result.stderr
+
+
 def test_compile_output_write_error_exits_1(runner, tmp_path):
     target = tmp_path / "missing" / "x.aut"
     result = runner.invoke(main, ["compile", *fig1_args(), "-o", str(target)])

@@ -6,19 +6,29 @@ import warnings
 
 import pytest
 from helpers import (all_strings, assert_rows_frozen_and_shared, gen_ast,
-                     nfa_accepts, plain_dump, random_hops)
+                     gen_literal_set, nfa_accepts, plain_dump, random_hops)
 
-from pfsm import find_matches
+from pfsm import build_pfsm, find_matches
 from pfsm.automaton import Automaton
-from pfsm.compile import (NullablePatternWarning, StateCeilingExceeded,
-                          compile_nfa, compile_pattern, nfa_to_dfa,
-                          read_pattern_file)
+from pfsm.compile import (DEFAULT_STATE_CEILING, NullablePatternWarning,
+                          StateCeilingExceeded, compile_nfa, compile_pattern,
+                          nfa_to_dfa, read_pattern_file)
 from pfsm.oracle import accepts
-from pfsm.syntax import parse_regex
-from pfsm.wire import load_pfsm
+from pfsm.syntax import METACHARS, parse_regex
+from pfsm.wire import dump_pfsm, load_pfsm
 
 AB = [ord("a"), ord("b")]
 AC = [ord("a"), ord("c")]
+# Every byte a literal may hold: NUL, the high half, `-`, `^`, `{` and
+# space included.
+LITERAL_BYTES = [b for b in range(256) if b not in METACHARS]
+
+
+def parsed(pattern, form):
+    """The machine the parser path gives: parse, Glushkov, and for the dfa
+    form the subset construction."""
+    nfa = compile_nfa(parse_regex(pattern))
+    return nfa if form == "nfa" else nfa_to_dfa(nfa)
 
 
 def test_minimal_literal_nfa():
@@ -183,6 +193,63 @@ def test_unknown_form_is_refused():
             with pytest.raises(ValueError, match="unknown form 'bogus'"):
                 compile_pattern(pattern, "bogus")
         assert caught == [], pattern
+
+
+def random_literal(rng: random.Random):
+    """A literal of 1-12 bytes outside METACHARS, or multi-byte UTF-8 text."""
+    if rng.random() < 0.25:
+        return "".join(rng.choice("aé€𝄞-^{ ") for _ in range(rng.randint(1, 4)))
+    return bytes(rng.choice(LITERAL_BYTES) for _ in range(rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
+def test_literal_machine_equals_the_parsed_one(form):
+    # A literal is built as its chain with no parse; it must be the
+    # machine the parser path gives, in both forms.
+    rng = random.Random(f"literal-chain/{form}")
+    fixed = [b"\x00", b"\x80\xff", b"-^{ ", b"a", "\u00e9t\u00e9"]
+    for pattern in fixed + [random_literal(rng) for _ in range(300)]:
+        got = compile_pattern(pattern, form)
+        assert got == parsed(pattern, form), pattern
+        assert_rows_frozen_and_shared(got)
+
+
+@pytest.mark.parametrize("form", ["nfa", "dfa"])
+def test_literal_set_builds_the_parsed_union(form):
+    # Shared prefixes, a word that is a prefix of another and one word
+    # under two labels: the union and its dump are the parser path's.
+    rng = random.Random(f"literal-union/{form}")
+    for trial in range(60):
+        alphabet = rng.sample(LITERAL_BYTES, rng.randint(1, 4))
+        pairs = gen_literal_set(rng, alphabet)
+        got = build_pfsm([(label, compile_pattern(w, form)) for label, w in pairs])
+        want = build_pfsm([(label, parsed(w, form)) for label, w in pairs])
+        assert got == want, trial
+        assert dump_pfsm(got) == dump_pfsm(want), trial
+
+
+def test_only_literals_skip_the_parser(monkeypatch):
+    # With the parser and the Glushkov pass refusing every call, literals
+    # still compile; a pattern with a metacharacter, an escape or nothing
+    # in it still reaches the parser.
+    def refuse(*args):
+        raise AssertionError("parser path")
+
+    for name in ("parse_regex", "compile_nfa"):
+        monkeypatch.setattr(f"pfsm.compile.{name}", refuse)
+    for form in ("nfa", "dfa"):
+        for pattern, n in (("ab", 2), (b"\x00-^{ ", 5), ("caf\u00e9", 5)):
+            assert compile_pattern(pattern, form).finals == {n}
+        for pattern in ("a.b", "a]b", "a\\.b", ""):
+            with pytest.raises(AssertionError, match="parser path"):
+                compile_pattern(pattern, form)
+    # The dfa form of a literal still passes the subset construction and
+    # its state ceiling.
+    with pytest.raises(StateCeilingExceeded):
+        compile_pattern("a" * (DEFAULT_STATE_CEILING + 1), "dfa")
+    monkeypatch.undo()
+    with pytest.warns(NullablePatternWarning):
+        compile_pattern("")
 
 
 def test_read_pattern_file():

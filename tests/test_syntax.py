@@ -2,10 +2,10 @@
 
 import pytest
 
-from pfsm.compile import compile_nfa
+from pfsm.compile import compile_nfa, compile_pattern
 from pfsm.oracle import accepts
 from pfsm.syntax import (Alt, ByteClass, Concat, Empty, Literal, Opt, Plus,
-                         RegexSyntaxError, Star, parse_regex)
+                         RegexSyntaxError, Star, parse_regex, pattern_bytes)
 
 
 def test_single_literal():
@@ -122,3 +122,32 @@ def test_nullable():
 
 def test_pattern_as_bytes():
     assert parse_regex(b"ab") == Concat((Literal(ord("a")), Literal(ord("b"))))
+
+
+def test_pattern_bytes_takes_text_and_bytes_like():
+    for pattern in ("ab", b"ab", bytearray(b"ab"), memoryview(b"xaby")[1:3]):
+        assert pattern_bytes(pattern) == b"ab"
+    assert pattern_bytes("\u00e9") == b"\xc3\xa9"
+
+
+@pytest.mark.parametrize("pattern", [3, [97, 98], None, 2.0],
+                         ids=["int", "list", "none", "float"])
+def test_pattern_that_is_not_text_or_bytes_is_refused(pattern):
+    # bytes(3) would be three NULs and bytes([97, 98]) would be `ab`.
+    for call in (pattern_bytes, parse_regex, compile_pattern):
+        with pytest.raises(TypeError, match="text or bytes-like"):
+            call(pattern)
+
+
+@pytest.mark.parametrize("pattern, offset", [
+    ("\udcff", 0), ("a\udcffb", 1), ("\u00e9\ud800", 2), ("ab\udc80", 2),
+], ids=["alone", "inside", "after-two-byte-char", "at-end"])
+def test_text_with_no_utf8_encoding_is_a_syntax_error(pattern, offset):
+    # A lone surrogate, as an invalid byte on a command line arrives, is
+    # refused at the byte offset where it would start, by the parser and
+    # by the literal path alike.
+    for call in (parse_regex, compile_pattern):
+        with pytest.raises(RegexSyntaxError) as exc:
+            call(pattern)
+        assert exc.value.offset == offset
+        assert "not valid UTF-8" in exc.value.reason
