@@ -205,23 +205,24 @@ class Engine:
         return ActiveSet(self.pfsm.generation,
                          {s: set(t) for s, t in self.active.items()})
 
-    def restore(self, carried: ActiveSet):
-        """Seed the scanner from a carried active set (epsilon-closing it)."""
-        active = {s: set(tags)
-                  for s, tags in _check_carry(self.pfsm, carried).items()}
+    def restore(self, carried: ActiveSet, base: int):
+        """Seed the scanner from a carried active set (epsilon-closing it)
+        whose next `feed` reads position `base`."""
+        active = {s: set(tags) for s, tags
+                  in _check_carry(self.pfsm, carried, base).items()}
         _close_tagged(self.pfsm.automaton, active)
         self.active = active
 
 
 def _check_carry(pfsm: Pfsm, carried: ActiveSet,
-                 base: int | None = None) -> dict[int, set[int]]:
+                 base: int) -> dict[int, set[int]]:
     """Validate a carried active set against `pfsm`; returns its tags.
 
     The set must be of this generation and name only states of the
     machine other than the ancillary initial state (no edge enters q0, so
     a scan never leaves it active), each with at least one tag. A carried
-    tag is the start of a partial match begun before the input, so with
-    `base` given every tag must lie in [0, base).
+    tag is the start of a partial match begun before the input, which
+    starts at position `base`, so every tag must lie in [0, base).
     """
     if carried.generation != pfsm.generation:
         raise GenerationMismatchError(
@@ -236,11 +237,10 @@ def _check_carry(pfsm: Pfsm, carried: ActiveSet,
                              f"initial state")
         if not tags:
             raise ValueError(f"active state {s} carries no tags")
-        if base is not None:
-            for t in (min(tags), max(tags)):
-                if not 0 <= t < base:
-                    raise ValueError(f"active state {s} carries tag {t} "
-                                     f"outside [0, {base})")
+        for t in (min(tags), max(tags)):
+            if not 0 <= t < base:
+                raise ValueError(f"active state {s} carries tag {t} "
+                                 f"outside [0, {base})")
     return carried.tags
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 
-from .automaton import Automaton, validate
+from .automaton import Automaton, reachable, validate
 from .engine import ActiveSet
 from .union import Pfsm, assemble, validate_pfsm, wrap_machine
 
@@ -92,12 +92,22 @@ def _read(text: str, header: str, error: type[ValueError], directive) -> None:
 def dump_pfsm(p: Pfsm) -> str:
     """The machine's dump, states and edges in sorted order. Raises
     ValueError for what the loader would not read back unchanged: a label
-    (lines are split on whitespace runs) or an edge byte outside 0-255."""
-    for entry in p.directory.values():
+    (lines are split on whitespace runs), an edge byte outside 0-255 or a
+    label whose entry reaches none of its finals."""
+    machines: dict[int, list[int]] = {}   # entry state -> its label ids
+    for lid, entry in p.directory.items():
         if not entry.label or " ".join(entry.label.split()) != entry.label:
             raise ValueError(f"label {entry.label!r} cannot be dumped: it is "
                              f"empty or has irregular whitespace")
+        machines.setdefault(entry.entry, []).append(lid)
     a = p.automaton
+    for start, lids in machines.items():
+        accepted = set().union(*(a.final_labels.get(s, ())
+                                 for s in reachable(a, start)))
+        for lid in lids:
+            if lid not in accepted:
+                raise ValueError(f"pattern {p.label_text(lid)!r} reaches "
+                                 f"none of its finals")
     lines = [AUTOMATON_HEADER]
     lines += (f"state {s} initial" if s == a.initial else f"state {s}"
               for s in sorted(a.states))

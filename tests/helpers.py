@@ -356,7 +356,7 @@ def engine_segment(p, data: bytes, window, carry_in, base: int = 0):
     out = []
     eng = Engine(p, out.append)
     if carry_in is not None:
-        eng.restore(carry_in)
+        eng.restore(carry_in, base)
     for pos, byte in enumerate(data, base):
         eng.feed(byte, pos, window is not None and window[0] <= pos <= window[1])
         if not eng.active and (window is None or pos >= window[1]):

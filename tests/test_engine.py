@@ -348,7 +348,7 @@ edge_forms = pytest.mark.parametrize("form", ["nfa", "dfa", "eps"])
 @edge_forms
 def test_lazy_window_ending_on_a_reports_the_match(form):
     p = _alone(form)
-    assert run_partitioned(p, b"xab", PartitionPlan("lazy", cuts=(2,))) \
+    assert run_partitioned(p, b"xab", PartitionPlan("lazy", 3)) \
         == find_matches(p, b"xab") == [(0, 1, 2)]
 
 
@@ -356,7 +356,7 @@ def test_lazy_window_ending_on_a_reports_the_match(form):
 def test_chained_cut_between_a_and_b_equals_single(form):
     p = _alone(form)
     data = b"xabab"
-    assert run_partitioned(p, data, PartitionPlan("chained", cuts=(2, 4))) \
+    assert run_partitioned(p, data, PartitionPlan("chained", 5)) \
         == find_matches(p, data) == [(0, 1, 2), (0, 3, 4)]
 
 
@@ -484,6 +484,8 @@ def test_run_segment_rejects_carried_tag_outside_prefix(tag, base):
     carry = ActiveSet(p.generation, {state: {tag}})
     with pytest.raises(ValueError, match=f"state {state} carries tag {tag} "):
         run_segment(p, b"b", (base, base), carry, base=base)
+    with pytest.raises(ValueError, match=f"state {state} carries tag {tag} "):
+        Engine(p).restore(carry, base)
 
 
 def test_run_segment_rejects_carried_ancillary_state():
@@ -525,7 +527,7 @@ def test_snapshot_restore_roundtrip():
         eng.feed(byte, i)
     snap = eng.snapshot()
     other = Engine(p)
-    other.restore(snap)
+    other.restore(snap, 4)
     assert other.snapshot() == snap
 
 
@@ -552,7 +554,7 @@ def test_snapshot_restore_mid_run_preserves_output():
         eng.feed(byte, i)
     snap = eng.snapshot()
     resumed = Engine(p, matches.append)
-    resumed.restore(snap)
+    resumed.restore(snap, 4)
     for i in range(4, len(FIG1_INPUT)):
         resumed.feed(FIG1_INPUT[i], i)
     assert match_texts(matches, p) == FIG2_MATCHES
@@ -566,7 +568,7 @@ def test_restore_rejects_other_generation():
     snap = eng.snapshot()
     shrunk = remove_pattern(p, "ac")
     with pytest.raises(GenerationMismatchError):
-        Engine(shrunk).restore(snap)
+        Engine(shrunk).restore(snap, 4)
     with pytest.raises(GenerationMismatchError):
         run_segment(shrunk, b"ab", None, snap)
 

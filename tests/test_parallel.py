@@ -8,27 +8,28 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, PLAIN_TWO_LABEL_DUMP,
                      build_fig1, gen_instance, gen_literal_instance,
                      match_texts, random_text, traced_peak)
 
-from pfsm import build_pfsm, find_matches, remove_pattern
+from pfsm import build_pfsm, find_matches
 from pfsm.compile import compile_pattern
 from pfsm.oracle import all_matches
-from pfsm.parallel import (PartitionPlan, PlanError, data_plan, regex_plan,
-                           run_chained_partitioned, run_lazy_partitioned,
-                           run_partitioned, run_regex_partitioned, segments)
+from pfsm.parallel import (PartitionPlan, PlanError, data_plan, groups,
+                           regex_plan, run_chained_partitioned,
+                           run_lazy_partitioned, run_partitioned,
+                           run_regex_partitioned, segments)
 from pfsm.wire import load_pfsm
 
-def test_data_plan_segments_cover_and_partition():
-    plan = data_plan("chained", 10, 3)
-    segs = segments(plan, 10)
-    assert segs[0][0] == 0 and segs[-1][1] == 9
-    for (_, hi), (lo, _) in zip(segs, segs[1:]):
-        assert lo == hi + 1
+
+def test_segments_cover_and_partition():
+    for n in range(12):
+        for workers in range(1, 6):
+            segs = segments(n, workers)
+            assert len(segs) == min(n, workers), (n, workers)
+            assert [pos for lo, hi in segs for pos in range(lo, hi + 1)] \
+                == list(range(n)), (n, workers)
+            sizes = [hi - lo + 1 for lo, hi in segs]
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 def test_malformed_plans_rejected():
-    with pytest.raises(PlanError):
-        segments(PartitionPlan("chained", cuts=(5, 2)), 10)
-    with pytest.raises(PlanError):
-        segments(PartitionPlan("lazy", cuts=(12,)), 10)
     with pytest.raises(PlanError):
         data_plan("regex", 10, 2)
     p = build_fig1("dfa")
@@ -36,53 +37,42 @@ def test_malformed_plans_rejected():
         data_plan("chained", 10, 0)
     with pytest.raises(PlanError, match="at least one worker"):
         regex_plan(p, 0)
-    with pytest.raises(PlanError, match="unassigned"):
-        run_regex_partitioned(p, b"a", PartitionPlan("regex", groups=()))
-    with pytest.raises(PlanError, match="expected 'regex'"):
-        run_regex_partitioned(p, b"a", data_plan("lazy", 1, 1))
-    with pytest.raises(PlanError, match="expected 'lazy'"):
-        run_lazy_partitioned(p, b"a", data_plan("chained", 1, 1))
-    with pytest.raises(PlanError, match="expected 'chained'"):
-        run_chained_partitioned(p, b"a", regex_plan(p, 1))
-    # Assigned ids that are not live labels: one never issued, one removed.
-    every = tuple(p.live_labels())
-    with pytest.raises(PlanError, match="not in the machine: 7$"):
-        run_regex_partitioned(p, b"a", PartitionPlan(
-            "regex", groups=(every + (7,),)))
-    q = remove_pattern(p, "ac")
-    with pytest.raises(PlanError, match=f"not in the machine: {p.label_ids['ac']}$"):
-        run_regex_partitioned(q, b"a", PartitionPlan("regex", groups=(every,)))
-    # A label listed in two groups would be scanned, and reported, twice.
-    with pytest.raises(PlanError, match="more than once: 0$"):
-        run_regex_partitioned(p, b"a", PartitionPlan(
-            "regex", groups=((0, 1), (0, 2))))
-    # A plan holds only the fields its strategy reads.
     with pytest.raises(PlanError, match="unknown strategy 'bogus'"):
-        PartitionPlan("bogus")
-    with pytest.raises(PlanError, match="regex plan takes no cuts"):
-        PartitionPlan("regex", groups=(every,), cuts=(4,))
-    for strategy in ("lazy", "chained"):
-        with pytest.raises(PlanError, match=f"{strategy} plan takes no groups"):
-            PartitionPlan(strategy, groups=((0,),), cuts=(4,))
+        PartitionPlan("bogus", 1)
+    # A runner given no worker refuses rather than scan nothing.
+    for runner in (run_regex_partitioned, run_lazy_partitioned,
+                   run_chained_partitioned):
+        with pytest.raises(PlanError, match="at least one worker, got 0"):
+            runner(p, b"a", 0)
+
+
+@pytest.mark.parametrize("strategy", ["lazy", "chained"])
+def test_a_plan_fits_any_input_length(strategy):
+    # The split is made from the input the run is given, so a plan made
+    # for 7 bytes also runs a longer and a shorter input.
+    p = build_fig1("dfa")
+    plan = data_plan(strategy, 7, 3)
+    for data in (b"aacacab" * 3, b"aaca"):
+        assert run_partitioned(p, data, plan) == find_matches(p, data), data
 
 
 def test_fig2_regex_partitioned_one_pattern_per_worker():
     p = build_fig1("dfa")
-    got = run_regex_partitioned(p, FIG1_INPUT, regex_plan(p, 3))
+    got = run_regex_partitioned(p, FIG1_INPUT, 3)
     assert match_texts(got, p) == FIG2_MATCHES
 
 
 def test_regex_partitioned_single_worker_is_identity():
     p = build_fig1("dfa")
-    assert run_regex_partitioned(p, FIG1_INPUT, regex_plan(p, 1)) \
+    assert run_regex_partitioned(p, FIG1_INPUT, 1) \
         == find_matches(p, FIG1_INPUT)
 
 
 def test_fig2_lazy_partitioned():
     p = build_fig1("dfa")
-    plan = PartitionPlan("lazy", cuts=(4,))  # segments [0,3] and [4,6]
-    got = run_lazy_partitioned(p, FIG1_INPUT, plan)
-    assert match_texts(got, p) == FIG2_MATCHES
+    for workers in range(2, 8):   # 2 workers: segments [0,2] and [3,6]
+        got = run_lazy_partitioned(p, FIG1_INPUT, workers)
+        assert match_texts(got, p) == FIG2_MATCHES, workers
 
 
 def test_lazy_worker_scope():
@@ -102,32 +92,29 @@ def test_lazy_worker_scope():
 
 def test_lazy_single_segment_is_identity():
     p = build_fig1("dfa")
-    got = run_lazy_partitioned(p, FIG1_INPUT, PartitionPlan("lazy"))
+    got = run_lazy_partitioned(p, FIG1_INPUT, 1)
     assert got == find_matches(p, FIG1_INPUT)
 
 
 def test_fig2_chained_partitioned():
     p = build_fig1("dfa")
-    for cuts in [(4,), (2, 5)]:
-        plan = PartitionPlan("chained", cuts=cuts)
-        got = run_chained_partitioned(p, FIG1_INPUT, plan)
-        assert match_texts(got, p) == FIG2_MATCHES
+    for workers in range(2, 8):
+        got = run_chained_partitioned(p, FIG1_INPUT, workers)
+        assert match_texts(got, p) == FIG2_MATCHES, workers
 
 
 def test_chained_frontier_hops_across_every_segment():
     # A match spanning all four single-byte segments must ride a 3-hop
     # frontier chain into the last worker.
     p = build_pfsm([("aaaa", compile_pattern("aaaa", "dfa"))])
-    plan = PartitionPlan("chained", cuts=(1, 2, 3))
-    got = run_chained_partitioned(p, b"aaaa", plan)
+    got = run_chained_partitioned(p, b"aaaa", 4)
     assert match_texts(got, p) == {("aaaa", 0, 3)}
     assert got == find_matches(p, b"aaaa")
 
 
 def test_chained_single_segment_is_identity():
     p = build_fig1("dfa")
-    got = run_chained_partitioned(p, FIG1_INPUT,
-                                  PartitionPlan("chained"))
+    got = run_chained_partitioned(p, FIG1_INPUT, 1)
     assert got == find_matches(p, FIG1_INPUT)
 
 
@@ -160,18 +147,19 @@ def test_labels_sharing_a_machine_equal_single_run(strategy):
 
 
 def test_regex_plan_deals_labels_round_robin():
-    # One group per worker, never an empty one: the plan's length is the
-    # number of workers that actually run.
+    # One group per worker, never an empty one, and a regex plan asks for
+    # no more workers than there are labels.
     p = build_fig1("dfa")
-    assert regex_plan(p, 2).groups == ((0, 2), (1,))
-    assert regex_plan(p, 9).groups == ((0,), (1,), (2,))
+    assert groups(p, 2) == [(0, 2), (1,)]
+    assert groups(p, 9) == [(0,), (1,), (2,)]
+    assert regex_plan(p, 9).workers == 3
 
 
 def test_regex_partitioning_shrinks_resident_machine():
     p = build_fig1("dfa")
     total = sum(e.n_states for e in p.directory.values())
     per_worker = [sum(p.directory[lid].n_states for lid in group)
-                  for group in regex_plan(p, 3).groups]
+                  for group in groups(p, 3)]
     assert max(per_worker) < total
 
 

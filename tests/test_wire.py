@@ -214,6 +214,16 @@ def test_loader_drops_a_state_on_no_path_to_a_final():
     assert dump_pfsm(load_pfsm(dump_pfsm(q))) == dump_pfsm(q)
 
 
+def test_dump_refuses_a_label_that_reaches_none_of_its_finals():
+    # Only the unreachable state 2 is final, so the loader would refuse the
+    # dump; dump_pfsm refuses it first, in the loader's words.
+    m = Automaton({0, 1, 2}, 0, {0: {0x61: {1}}}, {}, {2: frozenset({0})})
+    p = build_pfsm([("x", m)])
+    with pytest.raises(ValueError, match="^pattern 'x' reaches none of its "
+                                         "finals$"):
+        dump_pfsm(p)
+
+
 def complete_dfa_dump(word: bytes) -> str:
     """A plain dump of the complete DFA of `word`: every state has an
     edge on every byte, and a sink state takes each byte that leaves it."""
