@@ -6,12 +6,28 @@ Every strategy produces exactly the match set of a single-worker run.
 Workers share only the immutable machine generation (and, for data
 partitioning, the read-only input); the only inter-worker traffic is
 carried active sets (chained mode) and match batches to the collector.
-Workers run one after another, in worker order, so the output is
-deterministic.
+
+`regex` workers run one after another in the caller. `lazy` and `chained`
+segments run on a pool of forked worker processes: the caller scans
+segment 0 itself, and up to min(workers, CPUs) - 1 children take the other
+segments in turn. A child receives each segment's bounds and the bytes it
+reads over a pipe and replies with plain (label, start, end) tuples, plus
+the tags it carries out of the segment for `chained`. The pool is forked
+once per machine generation and kept until another generation runs,
+`close_workers()` is called or the interpreter exits. With one CPU,
+where `os.fork` is missing, or while other threads run, the caller scans
+every segment through the same code. Output is sorted, so it does not depend on who scanned what.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import pickle
+import signal
+import threading
+import tracemalloc
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -21,6 +37,11 @@ from .union import Pfsm, build_pfsm, extract_pattern
 
 class PlanError(ValueError):
     pass
+
+
+class WorkerError(RuntimeError):
+    """A worker process died or failed. Its pool is closed, so the next
+    partitioned run forks a fresh one."""
 
 
 @dataclass(frozen=True)
@@ -86,12 +107,8 @@ def run_regex_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
 def run_lazy_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
     """Each worker starts matches only inside its segment but keeps
     consuming input until the end or until nothing is active."""
-    out: list[Match] = []
-    with memoryview(data) as view:
-        for lo, hi in segments(len(data), workers):
-            run_segment(p, view[lo:], (lo, hi), None, out.append, base=lo,
-                        carry_out=False)
-    return _merge([out])
+    passes = _passes(p, data, "lazy", segments(len(data), workers))
+    return _merge([matches for matches, _ in passes])
 
 
 def run_chained_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
@@ -99,13 +116,23 @@ def run_chained_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
     boundary are carried to the next worker until the chain drains."""
     # Seeding a segment pass with the carried set is equivalent to running
     # the reinitialization pass and the carried continuation passes
-    # separately and uniting their outputs.
-    out: list[Match] = []
-    carry: ActiveSet | None = None
+    # separately and uniting their outputs. So every segment's
+    # reinitialization pass runs at once, with no carry in; then, in
+    # segment order, the carry from the segments before k runs through k
+    # unseeded, and what it leaves joins k's own carry into k + 1.
+    segs = segments(len(data), workers)
+    passes = _passes(p, data, "chained", segs)
+    out = [m for matches, _ in passes for m in matches]
+    carry: dict[int, set[int]] = {}
     with memoryview(data) as view:
-        for lo, hi in segments(len(data), workers):
-            _, carry = run_segment(p, view[lo:hi + 1], (lo, hi), carry,
-                                   out.append, base=lo)
+        for (lo, hi), (_, own) in zip(segs, passes):
+            if carry:
+                _, through = run_segment(p, view[lo:hi + 1], None,
+                                         ActiveSet(p.generation, carry),
+                                         out.append, base=lo)
+                carry = through.tags
+            for s, tags in own.items():
+                carry.setdefault(s, set()).update(tags)
     return _merge([out])
 
 
@@ -119,6 +146,227 @@ def run_partitioned(p: Pfsm, data: bytes, plan: PartitionPlan) -> list[Match]:
 def _merge(batches: list[list[Match]]) -> list[Match]:
     """One sorted stream. Each match comes from exactly one worker: regex
     workers hold disjoint labels, lazy workers disjoint starts and chained
-    workers disjoint ends."""
+    passes disjoint (start, end) spans."""
     return sorted((m for batch in batches for m in batch),
                   key=itemgetter(2, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Segment passes and the worker pool
+
+Pass = tuple[list[Match], dict[int, set[int]] | None]
+
+
+def _pass(p: Pfsm, strategy: str, lo: int, hi: int, text) -> Pass:
+    """Segment [lo, hi]'s reinitialization pass over `text`, the input from
+    lo on: its matches and, for chained, the tags it carries out."""
+    out: list[Match] = []
+    _, carry = run_segment(p, text, (lo, hi), None, out.append, base=lo,
+                           carry_out=strategy == "chained")
+    return out, None if carry is None else carry.tags
+
+
+def _passes(p: Pfsm, data: bytes, strategy: str,
+            segs: list[tuple[int, int]]) -> list[Pass]:
+    """Every segment's pass, in segment order. With c children, the caller
+    scans segments 0, c + 1, 2(c + 1), ... and child j the segments j,
+    j + c + 1, ..., while the children scan theirs."""
+    children = _children(p, min(len(segs), _cpus()) - 1)
+    step = len(children) + 1
+    results: list[Pass] = [([], None)] * len(segs)
+    with memoryview(data) as view:
+        def text(lo, hi):
+            return view[lo:] if strategy == "lazy" else view[lo:hi + 1]
+
+        try:
+            for j, child in enumerate(children, 1):
+                child.request(strategy, [(lo, hi, text(lo, hi))
+                                         for lo, hi in segs[j::step]])
+            for k in range(0, len(segs), step):
+                results[k] = _pass(p, strategy, *segs[k], text(*segs[k]))
+            for j, child in enumerate(children, 1):
+                results[j::step] = child.reply()
+        except BaseException:
+            # Replies left unread would answer the next run's requests.
+            _close(kill=True)
+            raise
+    return results
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Child:
+    """The caller's end of one forked worker: its pid and two pipes."""
+
+    def __init__(self, pid: int, requests: int, replies: int):
+        self.pid = pid
+        self.requests = requests
+        self.replies = replies
+
+    def request(self, strategy: str, jobs):
+        """Send (lo, hi, text) jobs: the bounds pickled, then each text as
+        raw bytes, so no segment is copied on this side."""
+        try:
+            _send(self.requests,
+                  (strategy, [(lo, hi, len(text)) for lo, hi, text in jobs]))
+            for _, _, text in jobs:
+                _write(self.requests, text)
+        except OSError as exc:
+            raise WorkerError(f"worker {self.pid} is gone: {exc}") from exc
+
+    def reply(self) -> list[Pass]:
+        try:
+            status, got = _recv(self.replies)
+        except (OSError, EOFError) as exc:
+            raise WorkerError(f"worker {self.pid} died before it replied"
+                              ) from exc
+        if status != "ok":
+            raise WorkerError(f"worker {self.pid} failed: {got}")
+        return [(list(map(Match._make, matches)), tags)
+                for matches, tags in got]
+
+
+class _Pool:
+    """Children forked from one machine generation, which the pool holds
+    by weak reference so that it never keeps a machine alive."""
+
+    def __init__(self, p: Pfsm):
+        self.machine = weakref.ref(p)
+        self.generation = p.generation
+        self.owner = os.getpid()
+        self.children: list[_Child] = []
+
+    def serves(self, p: Pfsm) -> bool:
+        # A process forked by the owner must not talk to its children.
+        return (self.machine() is p and self.generation == p.generation
+                and self.owner == os.getpid())
+
+    def fork(self, p: Pfsm):
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _serve(p, requests_r, replies_w,
+                   [requests_w, replies_r] +
+                   [fd for c in self.children for fd in (c.requests, c.replies)])
+        os.close(requests_r)
+        os.close(replies_w)
+        self.children.append(_Child(pid, requests_w, replies_r))
+
+    def close(self, kill: bool):
+        """Close the pipes, so an idle child reads EOF and exits, and reap
+        the children; `kill` also stops a child in the middle of a job."""
+        mine = self.owner == os.getpid()
+        for c in self.children:
+            os.close(c.requests)
+            os.close(c.replies)
+            if kill and mine:
+                try:
+                    os.kill(c.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        for c in self.children if mine else ():
+            try:
+                os.waitpid(c.pid, 0)
+            except ChildProcessError:
+                pass
+        self.children = []
+
+
+_pool: _Pool | None = None
+
+
+def _children(p: Pfsm, n: int) -> list[_Child]:
+    """n children forked from `p`'s generation, or none when n < 1, when
+    this platform cannot fork, or when other threads run: a child would
+    inherit copies of locks they may hold. The pool of another generation
+    is closed first."""
+    global _pool
+    if n < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return []
+    if _pool is not None and not _pool.serves(p):
+        close_workers()
+    if _pool is None:
+        _pool = _Pool(p)
+    while len(_pool.children) < n:
+        _pool.fork(p)
+    return _pool.children[:n]
+
+
+def close_workers() -> None:
+    """Close the worker pool, if any, and reap its children."""
+    _close(kill=False)
+
+
+def _close(kill: bool) -> None:
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.close(kill)
+
+
+atexit.register(close_workers)
+
+
+def _serve(p: Pfsm, requests: int, replies: int, inherited: list[int]):
+    """A child's loop: one reply per request, until the caller closes its
+    end. An exception becomes an error reply; the child never returns into
+    the code that forked it."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        # A child forked while the caller traces would trace every
+        # allocation of every scan, many times slower, for nobody.
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+        while True:
+            try:
+                strategy, jobs = _recv(requests)
+            except EOFError:
+                code = 0
+                break
+            try:
+                texts = [_read(requests, size) for _, _, size in jobs]
+                got = [_pass(p, strategy, lo, hi, text)
+                       for (lo, hi, _), text in zip(jobs, texts)]
+                reply = ("ok", [(list(map(tuple, matches)), tags)
+                                for matches, tags in got])
+            except Exception as exc:
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            _send(replies, reply)
+    finally:
+        os._exit(code)
+
+
+def _send(fd: int, obj) -> None:
+    blob = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    _write(fd, len(blob).to_bytes(8, "little") + blob)
+
+
+def _recv(fd: int):
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _write(fd: int, buf) -> None:
+    view = memoryview(buf)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, n: int) -> bytearray:
+    """Exactly n bytes; EOFError if the other end closes first."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = os.readv(fd, [view[got:]])
+        if k == 0:
+            raise EOFError(f"pipe closed after {got} of {n} bytes")
+        got += k
+    return buf

@@ -1,7 +1,16 @@
 """Partitioned runs must reproduce the single-worker match set exactly,
-for every strategy and plan."""
+for every strategy and plan, and the worker processes behind them must
+fail loudly and never outlive their caller."""
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from helpers import (FIG1_INPUT, FIG2_MATCHES, PLAIN_TWO_LABEL_DUMP,
@@ -11,11 +20,16 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, PLAIN_TWO_LABEL_DUMP,
 from pfsm import build_pfsm, find_matches
 from pfsm.compile import compile_pattern
 from pfsm.oracle import all_matches
-from pfsm.parallel import (PartitionPlan, PlanError, data_plan, groups,
-                           regex_plan, run_chained_partitioned,
-                           run_lazy_partitioned, run_partitioned,
-                           run_regex_partitioned, segments)
+from pfsm import parallel
+from pfsm.parallel import (PartitionPlan, PlanError, WorkerError,
+                           close_workers, data_plan, groups, regex_plan,
+                           run_chained_partitioned, run_lazy_partitioned,
+                           run_partitioned, run_regex_partitioned, segments)
 from pfsm.wire import load_pfsm
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as wl  # noqa: E402  (the benchmark's seeded workloads)
 
 
 def test_segments_cover_and_partition():
@@ -206,3 +220,198 @@ def test_segments_are_not_copied(strategy):
     traced_peak(lambda: scan(small))        # first-use allocations
     peaks = [traced_peak(lambda: scan(data)) for data in (small, large)]
     assert peaks[1] < 2 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+
+
+def _carry_machine():
+    return build_pfsm([(x, compile_pattern(x)) for x in ("a[^x]*b", "ca")])
+
+
+# `a[^x]*b` matches stay open across many cuts; the x's close some of them.
+CARRY_TEXT = (b"a" + b"cc" * 20 + b"b" + b"ca" + b"c" * 30 + b"bxa" +
+              b"c" * 9 + b"b") * 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_every_split_equals_single_run_on_any_cpu_count(monkeypatch, cpus):
+    # With the CPU count patched, up to three children scan segments even
+    # on a two-core machine, and with one CPU the caller scans them all.
+    monkeypatch.setattr(parallel, "_cpus", lambda: cpus)
+    machines = [(_carry_machine(), CARRY_TEXT)]
+    for name in wl.NAMES:
+        for seed in (1, 2):
+            w = wl.build(name, seed, wl.TOY)
+            machines.append((build_pfsm([(x, compile_pattern(x))
+                                         for x in w.patterns]), w.data))
+    for p, data in machines:
+        for text in (data, data[:100], data[:9], data[:1]):
+            want = find_matches(p, text)
+            for strategy in ("lazy", "chained"):
+                for workers in range(1, 10):
+                    got = run_partitioned(p, text, PartitionPlan(strategy,
+                                                                 workers))
+                    assert got == want, (cpus, strategy, workers, len(text))
+    # Cut 9 ways, the carry text's 100-byte prefix carries (0, 74) across
+    # six cuts.
+    assert match_texts(find_matches(*machines[0]), machines[0][0]) \
+        >= {("a[^x]*b", 0, 41), ("a[^x]*b", 0, 74), ("a[^x]*b", 43, 74)}
+
+
+@pytest.mark.parametrize("strategy", ["lazy", "chained"])
+def test_a_killed_worker_fails_the_next_run_loudly(monkeypatch, strategy):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    p = _carry_machine()
+    plan = PartitionPlan(strategy, 2)
+    want = find_matches(p, CARRY_TEXT)
+    assert run_partitioned(p, CARRY_TEXT, plan) == want
+    [pid] = [child.pid for child in parallel._pool.children]
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(WorkerError, match=f"worker {pid}"):
+        run_partitioned(p, CARRY_TEXT, plan)
+    # The failed run closed the pool; the next one forks a fresh worker.
+    assert parallel._pool is None
+    assert run_partitioned(p, CARRY_TEXT, plan) == want
+    assert [child.pid for child in parallel._pool.children] != [pid]
+
+
+@pytest.mark.parametrize("error, reply", [
+    (RuntimeError("boom"), "failed: RuntimeError: boom"),
+    (SystemExit(3), "died before it replied")])
+def test_a_worker_exception_never_unwinds_into_the_caller(
+        monkeypatch, tmp_path, error, reply):
+    # A child that raises replies with the error, or, for what is not an
+    # Exception, exits. Either way it never runs on in the code that
+    # forked it: the `finally` below runs in this process only.
+    caller = os.getpid()
+    real = parallel.run_segment
+
+    def failing(*args, **kwargs):
+        if os.getpid() != caller:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_segment", failing)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    close_workers()
+    ran = tmp_path / "ran"
+    try:
+        with pytest.raises(WorkerError, match=reply):
+            run_partitioned(_carry_machine(), CARRY_TEXT,
+                            PartitionPlan("lazy", 2))
+    finally:
+        with open(ran, "a") as f:
+            f.write(f"{os.getpid()}\n")
+    assert ran.read_text().split() == [str(caller)]
+    assert parallel._pool is None
+
+
+def test_close_workers_reaps_every_child(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 4)
+    p = _carry_machine()
+    assert run_partitioned(p, CARRY_TEXT, PartitionPlan("chained", 4)) \
+        == find_matches(p, CARRY_TEXT)
+    assert len(parallel._pool.children) == 3
+    close_workers()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_new_generation_replaces_the_pool(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    p = _carry_machine()
+    run_partitioned(p, CARRY_TEXT, PartitionPlan("lazy", 2))
+    [old] = [child.pid for child in parallel._pool.children]
+    q = build_pfsm([("c+b", compile_pattern("c+b"))])
+    assert run_partitioned(q, CARRY_TEXT, PartitionPlan("lazy", 2)) \
+        == find_matches(q, CARRY_TEXT)
+    assert parallel._pool.generation == q.generation
+    assert [child.pid for child in parallel._pool.children] != [old]
+    # The old worker was reaped when its pool closed.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(old, os.WNOHANG)
+
+
+def test_without_fork_the_caller_scans_every_segment(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    close_workers()
+    p = _carry_machine()
+    for strategy in ("lazy", "chained"):
+        assert run_partitioned(p, CARRY_TEXT, PartitionPlan(strategy, 4)) \
+            == find_matches(p, CARRY_TEXT)
+    assert parallel._pool is None
+
+
+def test_a_caller_with_threads_forks_no_worker(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 4)
+    close_workers()
+    p = _carry_machine()
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(10,))
+    thread.start()
+    try:
+        assert run_partitioned(p, CARRY_TEXT, PartitionPlan("chained", 4)) \
+            == find_matches(p, CARRY_TEXT)
+        assert parallel._pool is None
+    finally:
+        done.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_a_worker_forked_under_tracemalloc_does_not_trace(monkeypatch,
+                                                          tmp_path):
+    # A tracing child would scan many times slower; each pass logs its
+    # process and whether that process traces.
+    log = tmp_path / "tracing"
+    real = parallel.run_segment
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {tracemalloc.is_tracing()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_segment", logged)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    close_workers()
+    p = _carry_machine()
+    tracemalloc.start()
+    try:
+        got = run_partitioned(p, CARRY_TEXT, PartitionPlan("lazy", 2))
+    finally:
+        tracemalloc.stop()
+    close_workers()
+    assert got == find_matches(p, CARRY_TEXT)
+    passes = {(pid == str(os.getpid()), tracing)
+              for pid, tracing in map(str.split, log.read_text().splitlines())}
+    assert passes == {(True, "True"), (False, "False")}
+
+
+WORKER_PIDS = """
+from pfsm import parallel, build_pfsm, compile_pattern
+parallel._cpus = lambda: 3
+p = build_pfsm([("a[^x]*b", compile_pattern("a[^x]*b"))])
+parallel.run_partitioned(p, b"acb" * 100, parallel.PartitionPlan("lazy", 3))
+print(*(child.pid for child in parallel._pool.children))
+"""
+
+
+def test_workers_do_not_outlive_their_process():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    got = subprocess.run([sys.executable, "-c", WORKER_PIDS], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 0, got.stderr
+    pids = [int(pid) for pid in got.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 2
+    for pid in pids:
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"worker {pid} outlived it"
+            time.sleep(0.01)
