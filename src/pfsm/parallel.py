@@ -28,6 +28,7 @@ import signal
 import threading
 import tracemalloc
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -107,8 +108,8 @@ def run_regex_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
 def run_lazy_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
     """Each worker starts matches only inside its segment but keeps
     consuming input until the end or until nothing is active."""
-    passes = _passes(p, data, "lazy", segments(len(data), workers))
-    return _merge([matches for matches, _ in passes])
+    segs = segments(len(data), workers)
+    return _merge([matches for matches, _ in _passes(p, data, "lazy", segs)])
 
 
 def run_chained_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
@@ -119,20 +120,23 @@ def run_chained_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
     # separately and uniting their outputs. So every segment's
     # reinitialization pass runs at once, with no carry in; then, in
     # segment order, the carry from the segments before k runs through k
-    # unseeded, and what it leaves joins k's own carry into k + 1.
+    # unseeded, and what it leaves joins k's own carry into k + 1. The
+    # carry runs through k before k's own pass is collected, so the caller
+    # does it while a child may still be scanning k.
     segs = segments(len(data), workers)
-    passes = _passes(p, data, "chained", segs)
-    out = [m for matches, _ in passes for m in matches]
+    out: list[Match] = []
     carry: dict[int, set[int]] = {}
     with memoryview(data) as view:
-        for (lo, hi), (_, own) in zip(segs, passes):
-            if carry:
+        for k, (matches, own) in enumerate(_passes(p, data, "chained", segs)):
+            out += matches
+            for s, tags in own.items():
+                carry.setdefault(s, set()).update(tags)
+            if carry and k + 1 < len(segs):
+                lo, hi = segs[k + 1]
                 _, through = run_segment(p, view[lo:hi + 1], None,
                                          ActiveSet(p.generation, carry),
                                          out.append, base=lo)
                 carry = through.tags
-            for s, tags in own.items():
-                carry.setdefault(s, set()).update(tags)
     return _merge([out])
 
 
@@ -167,30 +171,36 @@ def _pass(p: Pfsm, strategy: str, lo: int, hi: int, text) -> Pass:
 
 
 def _passes(p: Pfsm, data: bytes, strategy: str,
-            segs: list[tuple[int, int]]) -> list[Pass]:
+            segs: list[tuple[int, int]]) -> Iterator[Pass]:
     """Every segment's pass, in segment order. With c children, the caller
     scans segments 0, c + 1, 2(c + 1), ... and child j the segments j,
-    j + c + 1, ..., while the children scan theirs."""
+    j + c + 1, ..., while the children scan theirs. A child's reply is read
+    only when the first of its segments is due, and each pass is dropped
+    once yielded."""
     children = _children(p, min(len(segs), _cpus()) - 1)
     step = len(children) + 1
-    results: list[Pass] = [([], None)] * len(segs)
+    results: list[Pass | None] = [None] * len(segs)
     with memoryview(data) as view:
         def text(lo, hi):
             return view[lo:] if strategy == "lazy" else view[lo:hi + 1]
 
+        unread = len(children)
         try:
             for j, child in enumerate(children, 1):
                 child.request(strategy, [(lo, hi, text(lo, hi))
                                          for lo, hi in segs[j::step]])
             for k in range(0, len(segs), step):
                 results[k] = _pass(p, strategy, *segs[k], text(*segs[k]))
-            for j, child in enumerate(children, 1):
-                results[j::step] = child.reply()
-        except BaseException:
-            # Replies left unread would answer the next run's requests.
-            _close(kill=True)
-            raise
-    return results
+            for k in range(len(segs)):
+                if results[k] is None:
+                    results[k::step] = children[k - 1].reply()
+                    unread -= 1
+                yield results[k]
+                results[k] = None
+        finally:
+            if unread:
+                # Replies left unread would answer the next run's requests.
+                _close(kill=True)
 
 
 def _cpus() -> int:

@@ -277,6 +277,33 @@ def test_a_killed_worker_fails_the_next_run_loudly(monkeypatch, strategy):
     assert [child.pid for child in parallel._pool.children] != [pid]
 
 
+def test_the_caller_carries_into_a_segment_before_reading_its_reply(
+        monkeypatch):
+    # The carry from segment 0 runs through segment 1 while the child may
+    # still scan it; the child's matches are read only after that.
+    caller = os.getpid()
+    events = []
+    real_segment, real_reply = parallel.run_segment, parallel._Child.reply
+
+    def logged_segment(p, text, window, *args, **kwargs):
+        if os.getpid() == caller:
+            events.append("own" if window is not None else "carry")
+        return real_segment(p, text, window, *args, **kwargs)
+
+    def logged_reply(child):
+        events.append("reply")
+        return real_reply(child)
+
+    monkeypatch.setattr(parallel, "run_segment", logged_segment)
+    monkeypatch.setattr(parallel._Child, "reply", logged_reply)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+    close_workers()
+    p = _carry_machine()
+    assert run_partitioned(p, CARRY_TEXT, PartitionPlan("chained", 2)) \
+        == find_matches(p, CARRY_TEXT)
+    assert events == ["own", "carry", "reply"]
+
+
 @pytest.mark.parametrize("error, reply", [
     (RuntimeError("boom"), "failed: RuntimeError: boom"),
     (SystemExit(3), "died before it replied")])
