@@ -20,11 +20,15 @@ it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
 cycle with seven changes:
 
-- Seed rows. Steps 1-3 for the start region depend only on the byte, so
-  each scan first builds every byte's seed row, the epsilon-closed byte
-  targets of the start region, in one pass over the start region's byte
-  tables. Only starts that survive their first byte are seeded, and each
-  target comes with the byte table the next cycle would read it by.
+- Seed rows kept on the generation. Steps 1-3 for the start region
+  depend only on the byte, so every byte's seed row, the epsilon-closed
+  byte targets of the start region, is built in one pass over the start
+  region's byte tables, with the closing set and the start region's size.
+  A generation's first windowed scan builds these tables, or patches its
+  parent's through the one or few edits `add_pattern` and
+  `remove_pattern` recorded, and keeps them for every later scan. Only
+  starts that survive their first byte are seeded, and each target comes
+  with the byte table the next cycle would read it by.
 - Next-byte seeding. A seeded target that is not final and has no edge
   on the next byte would die on it unread, so it is not stored: one
   membership test in its table. The last seeded position stores its
@@ -277,7 +281,7 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
         active = {s: _anchor(tags) for s, tags
                   in _check_carry(pfsm, carry_in, base).items()}
     stats = EngineStats()
-    active = _scan(pfsm.automaton, data, window, active, sink, base, stats)
+    active = _scan(pfsm, data, window, active, sink, base, stats)
     if not carry_out:
         return stats, None
     return stats, ActiveSet(pfsm.generation,
@@ -338,17 +342,26 @@ def _closing(a: Automaton) -> set[int]:
 _ANY_BYTE = range(256)
 
 
-def _seed_rows(a: Automaton, start, closing
-               ) -> dict[int, tuple[tuple[int, Container[int]], ...]]:
-    """Every byte's seed row, the byte targets of the start region, built
-    in one pass over the start region's byte tables and epsilon-closed
-    when the union has closing states. A byte with no row seeds nothing.
+class SeedTables(NamedTuple):
+    """What a scan of one machine generation seeds from.
 
-    Each entry is `(state, table)`: the state's own `byte_transitions`
-    row, or `_ANY_BYTE` for a final, so the scan can ask whether a seed
-    steps on the next byte with one membership check. Each byte's target
-    set is dropped as its row is made, so the sets and the rows are never
-    all held at once."""
+    `rows` maps each byte to its seed row, the byte targets of the start
+    region, epsilon-closed when the union has `closing` states; a byte
+    with no row seeds nothing. Each entry is `(state, table)`: the
+    state's own `byte_transitions` row, or `_ANY_BYTE` for a final, so
+    the scan can ask whether a seed steps on the next byte with one
+    membership check."""
+    closing: set[int]
+    n_start: int
+    rows: dict[int, tuple[tuple[int, Container[int]], ...]]
+
+
+def _build_seed_tables(a: Automaton) -> SeedTables:
+    """`a`'s seed tables from scratch, the rows built in one pass over the
+    start region's byte tables. Each byte's target set is dropped as its
+    row is made, so the sets and the rows are never all held at once."""
+    closing = _closing(a)
+    start = epsilon_closure(a, {a.initial})
     targets: dict[int, set[int]] = {}
     trans = a.byte_transitions
     for s in start:
@@ -360,7 +373,54 @@ def _seed_rows(a: Automaton, start, closing
         byte, row = targets.popitem()
         rows[byte] = tuple((t, _ANY_BYTE if t in finals else trans.get(t, ()))
                            for t in (epsilon_closure(a, row) if closing else row))
-    return rows
+    return SeedTables(closing, len(start), rows)
+
+
+def _patched(a: Automaton, record: tuple) -> SeedTables | None:
+    """The seed tables of `a`, made by replaying a `union._pending` record's
+    edits, oldest first, on the tables of the generation it leads back to,
+    or None when they cannot be: when either union has closing states,
+    whose rows are closed.
+
+    With nothing to close, the start region is q0 and the entries, and a
+    machine appears in the rows only through its entry's row. An edit
+    touches only the rows of its entry's bytes: a removal drops its
+    states from them, an addition appends its entry's targets. A state
+    that a later edit removes is dropped by that edit, so an id given out
+    again is never stale, and each entry reads its table from `a`: a
+    grafted machine's tables never change while it lives."""
+    edits = []
+    while type(record) is tuple:
+        record, entry_row, gone, _ = record
+        edits.append((entry_row or {}, gone))
+    if record.closing or _closing(a):
+        return None
+    trans, finals = a.byte_transitions, a.final_labels
+    rows = dict(record.rows)
+    for entry_row, gone in reversed(edits):
+        for byte, succ in entry_row.items():
+            row = rows.get(byte, ())
+            if gone is None:
+                rows[byte] = row + tuple(
+                    (t, _ANY_BYTE if t in finals else trans.get(t, ()))
+                    for t in succ)
+            elif kept := tuple(e for e in row if e[0] not in gone):
+                rows[byte] = kept
+            else:
+                del rows[byte]
+    return SeedTables(set(), 1 + len(a.epsilon_transitions.get(a.initial, ())),
+                      rows)
+
+
+def seed_tables(p: Pfsm) -> SeedTables:
+    """`p`'s seed tables: those it holds, else its parent's patched through
+    the edits since, else built from scratch; then held by `p`."""
+    held = p._seed
+    if type(held) is SeedTables:
+        return held
+    tables = None if held is None else _patched(p.automaton, held)
+    p._seed = tables = tables or _build_seed_tables(p.automaton)
+    return tables
 
 
 def _close_masked(a: Automaton, active: dict[int, tuple[int, int, int]],
@@ -380,7 +440,7 @@ def _close_masked(a: Automaton, active: dict[int, tuple[int, int, int]],
                     work.append(t)
 
 
-def _scan(a: Automaton, data: bytes, window, active, sink, base,
+def _scan(p: Pfsm, data: bytes, window, active, sink, base,
           stats) -> dict[int, tuple[int, int, int]]:
     """Run `Engine.feed`'s cycle over `data` on counted anchored masks,
     starting from the epsilon closure of `active`; returns the active set
@@ -394,26 +454,28 @@ def _scan(a: Automaton, data: bytes, window, active, sink, base,
     carried set are the reference's; past `last` nothing is seeded. The
     scan stops on the first cycle that leaves the active set empty from
     `last` on, or from `base` on with no window. The pair counts are the
-    reference's all the same."""
-    closing = _closing(a)
-    _close_masked(a, active, [s for s in active if s in closing])
-    trans = a.byte_transitions
-    finals = a.final_labels
-    final_states = finals.keys()
-    start = epsilon_closure(a, {a.initial})
-    n_start = len(start)
+    reference's all the same. A scan with no window seeds nothing, so it
+    neither builds nor patches `p`'s seed tables; it reads their closing
+    set only if they are built."""
+    a = p.automaton
     end = base + len(data)
     # Each phase: (its end, its seed rows, pairs its seeding adds, whether
     # an empty active set stops the scan).
     if window is None:
+        held = p._seed
+        closing = held.closing if type(held) is SeedTables else _closing(a)
         phases = [(end, {}, 0, True)]
     else:
         first, last = window
-        rows = _seed_rows(a, start, closing)
+        closing, n_start, rows = seed_tables(p)
         b = data[last - base]
         whole = {b: tuple((t, _ANY_BYTE) for t, _ in rows.get(b, ()))}
         phases = [(first, {}, 0, False), (last, rows, n_start, False),
                   (last + 1, whole, n_start, True), (end, {}, 0, True)]
+    _close_masked(a, active, [s for s in active if s in closing])
+    trans = a.byte_transitions
+    finals = a.final_labels
+    final_states = finals.keys()
     pairs = sum(map(_count, active.values()))
     peak = total = 0
     pos = base - 1          # an empty input runs no cycle

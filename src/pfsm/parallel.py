@@ -32,7 +32,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .engine import ActiveSet, Match, find_matches, run_segment
+from .engine import (ActiveSet, Match, find_matches, run_segment,
+                     seed_tables)
 from .union import Pfsm, build_pfsm, extract_pattern
 
 
@@ -176,7 +177,9 @@ def _passes(p: Pfsm, data: bytes, strategy: str,
     scans segments 0, c + 1, 2(c + 1), ... and child j the segments j,
     j + c + 1, ..., while the children scan theirs. A child's reply is read
     only when the first of its segments is due, and each pass is dropped
-    once yielded."""
+    once yielded. `p`'s seed tables are made before a child is forked, so
+    every child inherits them."""
+    seed_tables(p)
     children = _children(p, min(len(segs), _cpus()) - 1)
     step = len(children) + 1
     results: list[Pass | None] = [None] * len(segs)

@@ -32,6 +32,17 @@ successors share one frozenset, so a `[^x]` row holds one or two sets
 rather than 255. A graft remaps each source set once, a removal cuts each
 set once, and `assemble` freezes the sets of a loaded machine.
 
+Generations also share the scan's seed tables (`engine.SeedTables`), which
+a generation builds on its first windowed scan and keeps. An update does
+no table work: it gives its child an O(1) record of its one edit, the
+entry row it grafted or the states of the machine it removed, linked to
+the tables its parent holds or to the parent's own record, so that the
+child's first scan patches only the rows those edits touch. A trie or
+other shared-machine edit replaces tables that seed rows point at, so it
+records nothing and the child builds its tables from scratch, as it does
+after more than `_MAX_PENDING` edits that no scan applied. A record holds
+rows and state sets, never an automaton or a `Pfsm`.
+
 One rule removes a label from any machine, trie or not, reading only the
 label's own states: the label leaves its finals (a final left with no
 label stops being final), and of its states only those still final or
@@ -49,7 +60,7 @@ reused; a label removed and added again gets a new one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .automaton import (Automaton, predecessors, reachable, successors,
                         useful, validate, walk_back)
@@ -83,6 +94,9 @@ class Pfsm:
     next_state_id: int
     next_label_id: int
     trie: int | None = None               # entry of the literal trie
+    # The scan's seed tables, or a `_pending` record to patch them from.
+    _seed: object = field(default=None, init=False, compare=False,
+                          repr=False)
 
     @property
     def initial(self) -> int:
@@ -93,6 +107,21 @@ class Pfsm:
 
     def live_labels(self) -> list[int]:
         return sorted(self.directory)
+
+
+_MAX_PENDING = 8
+
+
+def _pending(seed, row, gone) -> tuple | None:
+    """The seed record of the child, by one edit, of a generation whose
+    `_seed` is `seed`: `(seed, row, gone, depth)`. The edit is `row`, the
+    byte row of the entry of the machine it added, with `gone` None, or of
+    the machine it removed, with that machine's states as `gone`; `depth`
+    counts the edits back to the tables. None, so the child builds its
+    tables from scratch, past `_MAX_PENDING` edits that no scan applied.
+    A plain tuple, since an update builds one on every edit."""
+    depth = seed[3] + 1 if type(seed) is tuple else 1
+    return (seed, row, gone, depth) if depth <= _MAX_PENDING else None
 
 
 def _share_row(table: dict, image, memo=None) -> dict[int, frozenset[int]]:
@@ -265,9 +294,14 @@ def add_pattern(p: Pfsm, label: str, machine: Automaton) -> Pfsm:
     directory, label_ids = dict(p.directory), dict(p.label_ids)
     next_id, trie = _append(union, directory, label_ids, p.next_state_id,
                             p.next_label_id, label, machine, p.trie)
-    _enter(union, [directory[p.next_label_id].entry])
-    return Pfsm(union, directory, label_ids, p.generation + 1, next_id,
-                p.next_label_id + 1, trie)
+    entry = directory[p.next_label_id].entry
+    _enter(union, [entry])
+    q = Pfsm(union, directory, label_ids, p.generation + 1, next_id,
+             p.next_label_id + 1, trie)
+    # A literal that joins or starts the trie edits a shared machine.
+    if p._seed is not None and entry != trie:
+        q._seed = _pending(p._seed, union.byte_transitions.get(entry), None)
+    return q
 
 
 def _cut(a: Automaton, doomed, sources) -> None:
@@ -341,8 +375,12 @@ def remove_pattern(p: Pfsm, label: str) -> Pfsm:
     next_id = p.next_state_id
     if next_id - 1 not in union.states:
         next_id = max(union.states) + 1
-    return Pfsm(union, directory, label_ids, p.generation + 1, next_id,
-                p.next_label_id, trie)
+    q = Pfsm(union, directory, label_ids, p.generation + 1, next_id,
+             p.next_label_id, trie)
+    if p._seed is not None and not shared:
+        q._seed = _pending(p._seed, p.automaton.byte_transitions.get(entry),
+                           gone.owned)
+    return q
 
 
 def extract_pattern(p: Pfsm, label_id: int) -> Automaton:

@@ -16,8 +16,8 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
 import pfsm.engine
 from pfsm import build_pfsm, compile_pattern, epsilon_closure, step
 from pfsm.engine import (ActiveSet, Engine, EngineStats,
-                         GenerationMismatchError, Match, _anchor, _closing,
-                         _scan, _seed_rows, _tags, find_matches,
+                         GenerationMismatchError, Match, _anchor,
+                         _build_seed_tables, _scan, _tags, find_matches,
                          format_match_jsonl, format_match_tsv, run,
                          run_segment)
 from pfsm.oracle import all_matches
@@ -268,7 +268,7 @@ def test_scan_carries_each_mask_count(form):
             if base else ActiveSet(p.generation, {})
         seg = data[:rng.randint(0, len(data))]
         active = {s: _anchor(tags) for s, tags in carry.tags.items()}
-        active = _scan(p.automaton, seg, _random_window(rng, base, len(seg)),
+        active = _scan(p, seg, _random_window(rng, base, len(seg)),
                        active, None, base, EngineStats())
         for s, (lo, mask, count) in active.items():
             assert count == mask.bit_count(), (trial, s)
@@ -280,6 +280,7 @@ def test_seed_rows_are_the_closed_start_steps(form):
     # every byte, exactly the epsilon-closed byte targets of the start
     # region; a byte without a row seeds nothing. Each entry carries the
     # state's own byte table, or one that holds every byte for a final.
+    # The tables also hold the start region's size and the closing states.
     # The eps form is checked also as loaded back from its dump.
     rng = random.Random(f"seed-rows/{form}")
     for trial in range(50):
@@ -289,7 +290,10 @@ def test_seed_rows_are_the_closed_start_steps(form):
             machines.append(load_pfsm(dump_pfsm(p)).automaton)
         for a in machines:
             start = epsilon_closure(a, {a.initial})
-            rows = _seed_rows(a, start, _closing(a))
+            closing, n_start, rows = _build_seed_tables(a)
+            assert n_start == len(start)
+            assert closing == {s for s in a.states - {a.initial}
+                               if a.epsilon_transitions.get(s)}
             for byte in range(256):
                 want = epsilon_closure(a, step(a, start, byte))
                 row = rows.get(byte, ())
@@ -325,7 +329,8 @@ def test_seed_that_cannot_step_on_the_next_byte_is_never_stored(form):
     data = b"ac" * 1000
     window = (0, len(data) - 1)
     stats = EngineStats()
-    _scan(replace(a, byte_transitions=rows), data, window, {}, None, 0, stats)
+    _scan(replace(p, automaton=replace(a, byte_transitions=rows)), data,
+          window, {}, None, 0, stats)
     assert rows.reads[a_state] <= 1
     want = engine_segment(p, data, window, None)[1]
     assert _counters(stats) == _counters(want)
@@ -406,7 +411,7 @@ def test_lone_tag_never_widens(form):
     # one-bit mask, however long it lives: checked on the scan's own
     # values, not through its running time.
     p = build_pfsm([("gap", compile_pattern("a[^x]*b", form))])
-    active = _scan(p.automaton, b"a" + b"c" * 5000, (0, 0), {}, None, 0,
+    active = _scan(p, b"a" + b"c" * 5000, (0, 0), {}, None, 0,
                    EngineStats())
     assert list(active.values()) == [(0, 1, 1)]
 
