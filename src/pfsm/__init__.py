@@ -18,16 +18,16 @@ from .parallel import (PartitionPlan, data_plan, regex_plan,
 from .syntax import RegexSyntaxError, parse_regex
 from .union import (Pfsm, add_pattern, build_pfsm, extract_pattern,
                     remove_pattern, validate_pfsm)
-from .wire import dump_active_set, dump_pfsm, load_active_set, load_pfsm
+from .wire import dump_pfsm, load_pfsm
 
 __all__ = [
     "ActiveSet", "Automaton", "Engine", "EngineStats", "GenerationMismatchError",
     "Match", "PartitionPlan", "Pfsm", "RegexSyntaxError",
     "StateCeilingExceeded", "add_pattern", "build_pfsm", "compile_nfa",
-    "compile_pattern", "data_plan", "dump_active_set", "dump_pfsm",
-    "epsilon_closure", "extract_pattern", "find_matches", "load_active_set",
-    "load_pfsm", "nfa_to_dfa", "parse_regex", "read_pattern_file", "regex_plan",
-    "remove_pattern", "run", "run_chained_partitioned", "run_lazy_partitioned",
+    "compile_pattern", "data_plan", "dump_pfsm", "epsilon_closure",
+    "extract_pattern", "find_matches", "load_pfsm", "nfa_to_dfa",
+    "parse_regex", "read_pattern_file", "regex_plan", "remove_pattern",
+    "run", "run_chained_partitioned", "run_lazy_partitioned",
     "run_partitioned", "run_regex_partitioned", "run_segment", "step",
     "validate", "validate_pfsm",
 ]

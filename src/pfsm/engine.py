@@ -54,8 +54,8 @@ cycle with seven changes:
   the merged masks' counts and extracts tags only for a sink. A mask is
   read in one pass over `bin(mask)`, not peeled a bit at a time; one
   label's tags come out in order, so only several labels ending on one
-  byte are sorted. `run` asks for no carried set, so the last byte's
-  masks are never turned into tag sets that nobody reads.
+  byte are sorted. A carried set is the scan's own masks, so no scan
+  turns its last byte's masks into tag sets.
 - Counters, not a list. The scan keeps the peak and the running sum of
   the cycles' pair counts in two locals and takes the cycle count from
   the last position, so its memory is bounded by the live (state, tag)
@@ -96,11 +96,14 @@ _by_start_label = itemgetter(1, 0)
 
 @dataclass
 class ActiveSet:
+    """The active set carried across a cut: each live state's counted
+    anchored mask `(lo, mask, count)`, as the scan holds it, for one
+    machine generation."""
     generation: int
-    tags: dict[int, set[int]]
+    masks: dict[int, tuple[int, int, int]]
 
     def pair_count(self) -> int:
-        return sum(len(t) for t in self.tags.values())
+        return sum(map(_count, self.masks.values()))
 
 
 @dataclass
@@ -206,59 +209,67 @@ class Engine:
         stats.sum_pairs += pairs
 
     def snapshot(self) -> ActiveSet:
+        """The active set in the carried form: each state's tags as the
+        scan's counted anchored mask."""
         return ActiveSet(self.pfsm.generation,
-                         {s: set(t) for s, t in self.active.items()})
+                         {s: _anchor(t) for s, t in self.active.items()})
 
     def restore(self, carried: ActiveSet, base: int):
         """Seed the scanner from a carried active set (epsilon-closing it)
         whose next `feed` reads position `base`."""
-        active = {s: set(tags) for s, tags
+        active = {s: set(_tags(tagged)) for s, tagged
                   in _check_carry(self.pfsm, carried, base).items()}
         _close_tagged(self.pfsm.automaton, active)
         self.active = active
 
 
 def _check_carry(pfsm: Pfsm, carried: ActiveSet,
-                 base: int) -> dict[int, set[int]]:
-    """Validate a carried active set against `pfsm`; returns its tags.
+                 base: int) -> dict[int, tuple[int, int, int]]:
+    """Validate a carried active set against `pfsm`; returns its masks.
 
     The set must be of this generation and name only states of the
     machine other than the ancillary initial state (no edge enters q0, so
-    a scan never leaves it active), each with at least one tag. A carried
-    tag is the start of a partial match begun before the input, which
-    starts at position `base`, so every tag must lie in [0, base).
+    a scan never leaves it active). Each mask is one a scan leaves: a
+    positive int whose bit 0, the state's oldest tag `lo`, is set, with
+    `count` its set bits. A carried tag is the start of a partial match
+    begun before the input, which starts at position `base`, so the oldest
+    and newest tags, `lo` and `lo + mask.bit_length() - 1`, must lie in
+    [0, base). It reads no tag: each state costs a popcount and a bit
+    length, whatever the mask's width.
     """
     if carried.generation != pfsm.generation:
         raise GenerationMismatchError(
             f"active set is generation {carried.generation}, "
             f"machine is generation {pfsm.generation}")
     a = pfsm.automaton
-    for s, tags in carried.tags.items():
+    for s, (lo, mask, n) in carried.masks.items():
         if s not in a.states:
             raise GenerationMismatchError(f"active state {s} not in machine")
         if s == a.initial:
             raise ValueError(f"active state {s} is the ancillary "
                              f"initial state")
-        if not tags:
-            raise ValueError(f"active state {s} carries no tags")
-        for t in (min(tags), max(tags)):
+        if mask <= 0 or not mask & 1:
+            raise ValueError(f"active state {s} carries mask {mask:#x}, "
+                             f"not a positive mask with bit 0 set")
+        if n != mask.bit_count():
+            raise ValueError(f"active state {s} counts {n} tags, its mask "
+                             f"holds {mask.bit_count()}")
+        for t in (lo, lo + mask.bit_length() - 1):
             if not 0 <= t < base:
                 raise ValueError(f"active state {s} carries tag {t} "
                                  f"outside [0, {base})")
-    return carried.tags
+    return carried.masks
 
 
 def run(pfsm: Pfsm, data: bytes, sink=None) -> EngineStats:
     """Scan the whole input, reinitializing at every position."""
-    stats, _ = run_segment(pfsm, data, (0, len(data) - 1) if data else None,
-                           None, sink, carry_out=False)
-    return stats
+    return run_segment(pfsm, data, (0, len(data) - 1) if data else None,
+                       None, sink)[0]
 
 
 def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
-                carry_in: ActiveSet | None, sink=None, *, base: int = 0,
-                carry_out: bool = True
-                ) -> tuple[EngineStats, ActiveSet | None]:
+                carry_in: ActiveSet | None, sink=None, *, base: int = 0
+                ) -> tuple[EngineStats, ActiveSet]:
     """Scan `data` reinitializing only at positions inside `window`.
 
     `data` may be any bytes-like object, such as a `memoryview` slice of
@@ -268,8 +279,8 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
     must be a start position before the input: in [0, base).
     Processing stops early once the window is exhausted and no states
     remain active (nothing further can be activated). Returns the stats and
-    the carried active set at the stop point, or None in its place when
-    `carry_out` is false.
+    the active set at the stop point: the scan's own masks, so returning
+    it costs nothing. `carry_in` is checked and copied, never changed.
     """
     if window is not None:
         lo, hi = window
@@ -278,14 +289,10 @@ def run_segment(pfsm: Pfsm, data: bytes, window: tuple[int, int] | None,
                              f"[{base}, {base + len(data)})")
     active = {}
     if carry_in is not None:
-        active = {s: _anchor(tags) for s, tags
-                  in _check_carry(pfsm, carry_in, base).items()}
+        active = dict(_check_carry(pfsm, carry_in, base))
     stats = EngineStats()
     active = _scan(pfsm, data, window, active, sink, base, stats)
-    if not carry_out:
-        return stats, None
-    return stats, ActiveSet(pfsm.generation,
-                            {s: set(_tags(v)) for s, v in active.items()})
+    return stats, ActiveSet(pfsm.generation, active)
 
 
 _count = itemgetter(2)

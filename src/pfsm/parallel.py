@@ -11,8 +11,9 @@ carried active sets (chained mode) and match batches to the collector.
 segments run on a pool of forked worker processes: the caller scans
 segment 0 itself, and up to min(workers, CPUs) - 1 children take the other
 segments in turn. A child receives each segment's bounds and the bytes it
-reads over a pipe and replies with plain (label, start, end) tuples, plus
-the tags it carries out of the segment for `chained`. The pool is forked
+reads over a pipe and replies with plain (label, start, end) tuples, plus,
+for `chained`, the counted anchored masks it carries out of the segment:
+plain ints, which the caller joins as the scan does. The pool is forked
 once per machine generation and kept until another generation runs,
 `close_workers()` is called or the interpreter exits. With one CPU,
 where `os.fork` is missing, or while other threads run, the caller scans
@@ -32,8 +33,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .engine import (ActiveSet, Match, find_matches, run_segment,
-                     seed_tables)
+from .engine import (ActiveSet, Match, _merge as _join, find_matches,
+                     run_segment, seed_tables)
 from .union import Pfsm, build_pfsm, extract_pattern
 
 
@@ -126,18 +127,19 @@ def run_chained_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
     # does it while a child may still be scanning k.
     segs = segments(len(data), workers)
     out: list[Match] = []
-    carry: dict[int, set[int]] = {}
+    carry: dict[int, tuple[int, int, int]] = {}
     with memoryview(data) as view:
         for k, (matches, own) in enumerate(_passes(p, data, "chained", segs)):
             out += matches
-            for s, tags in own.items():
-                carry.setdefault(s, set()).update(tags)
+            for s, tagged in own.items():
+                cur = carry.get(s)
+                carry[s] = tagged if cur is None else _join(cur, tagged)
             if carry and k + 1 < len(segs):
                 lo, hi = segs[k + 1]
                 _, through = run_segment(p, view[lo:hi + 1], None,
                                          ActiveSet(p.generation, carry),
                                          out.append, base=lo)
-                carry = through.tags
+                carry = through.masks
     return _merge([out])
 
 
@@ -159,16 +161,15 @@ def _merge(batches: list[list[Match]]) -> list[Match]:
 # ---------------------------------------------------------------------------
 # Segment passes and the worker pool
 
-Pass = tuple[list[Match], dict[int, set[int]] | None]
+Pass = tuple[list[Match], dict[int, tuple[int, int, int]] | None]
 
 
 def _pass(p: Pfsm, strategy: str, lo: int, hi: int, text) -> Pass:
     """Segment [lo, hi]'s reinitialization pass over `text`, the input from
-    lo on: its matches and, for chained, the tags it carries out."""
+    lo on: its matches and, for chained, the masks it carries out."""
     out: list[Match] = []
-    _, carry = run_segment(p, text, (lo, hi), None, out.append, base=lo,
-                           carry_out=strategy == "chained")
-    return out, None if carry is None else carry.tags
+    _, carry = run_segment(p, text, (lo, hi), None, out.append, base=lo)
+    return out, carry.masks if strategy == "chained" else None
 
 
 def _passes(p: Pfsm, data: bytes, strategy: str,
@@ -240,8 +241,8 @@ class _Child:
                               ) from exc
         if status != "ok":
             raise WorkerError(f"worker {self.pid} failed: {got}")
-        return [(list(map(Match._make, matches)), tags)
-                for matches, tags in got]
+        return [(list(map(Match._make, matches)), masks)
+                for matches, masks in got]
 
 
 class _Pool:
@@ -348,8 +349,8 @@ def _serve(p: Pfsm, requests: int, replies: int, inherited: list[int]):
                 texts = [_read(requests, size) for _, _, size in jobs]
                 got = [_pass(p, strategy, lo, hi, text)
                        for (lo, hi, _), text in zip(jobs, texts)]
-                reply = ("ok", [(list(map(tuple, matches)), tags)
-                                for matches, tags in got])
+                reply = ("ok", [(list(map(tuple, matches)), masks)
+                                for matches, masks in got])
             except Exception as exc:
                 reply = ("error", f"{type(exc).__name__}: {exc}")
             _send(replies, reply)

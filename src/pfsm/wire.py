@@ -1,20 +1,19 @@
-"""The two text formats: `PFSM-AUT` machine dumps and `PFSM-ACT` carried
-active sets.
+"""The `PFSM-AUT` text format of machine dumps.
 
-Both are a header line, then one directive per line, split on whitespace;
-blank lines and lines starting with `#` are skipped:
+A dump is a header line, then one directive per line, split on
+whitespace; blank lines and lines starting with `#` are skipped:
 
-    PFSM-AUT v2                     PFSM-ACT v1
-    state <id> [initial]            gen <generation>
-    final <state> <label>           active <state> <tag>,<tag>,...
+    PFSM-AUT v2
+    state <id> [initial]
+    final <state> <label>
     trans <from> 0x<HH> <to>
     eps <from> <to>
     pattern <label> <entry state>
 
 Every integer has one spelling: ASCII decimal digits with no sign, `_` or
 leading zero; a byte is `0x` and two upper-case hex digits. A state is
-declared once, a (state, label) pair is listed once and a tag is listed
-once per state. An error about a line names it (`line N:`).
+declared once and a (state, label) pair is listed once. An error about a
+line names it (`line N:`).
 
 A `final` line makes a state accept a label, the rest of the line; a
 state accepts each label it is listed with, so one DFA state may end
@@ -40,11 +39,9 @@ from __future__ import annotations
 import re
 
 from .automaton import Automaton, reachable, validate
-from .engine import ActiveSet
 from .union import Pfsm, assemble, validate_pfsm, wrap_machine
 
 AUTOMATON_HEADER = "PFSM-AUT v2"
-ACTIVESET_HEADER = "PFSM-ACT v1"
 
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _BYTE = re.compile(r"0x[0-9A-F]{2}")
@@ -52,10 +49,6 @@ _BYTE = re.compile(r"0x[0-9A-F]{2}")
 
 class AutomatonFormatError(ValueError):
     """Malformed `PFSM-AUT` dump."""
-
-
-class ActiveSetFormatError(ValueError):
-    """Malformed `PFSM-ACT` carried set."""
 
 
 def _int(token: str, what: str, spelling: re.Pattern = _DECIMAL) -> int:
@@ -70,23 +63,24 @@ def _malformed(tokens: list[str]) -> ValueError:
     return ValueError(f"malformed {tokens[0]} line {' '.join(tokens)!r}")
 
 
-def _read(text: str, header: str, error: type[ValueError], directive) -> None:
+def _read(text: str, directive) -> None:
     """Check the header of `text`, then pass each directive line's tokens
-    to `directive`; a ValueError it raises becomes `error`, prefixed with
-    the line number."""
+    to `directive`; a ValueError it raises becomes an
+    AutomatonFormatError, prefixed with the line number."""
     lines = text.splitlines()
     if not lines:
-        raise error(f"line 1: empty file, expected header {header!r}")
-    if lines[0].strip() != header:
-        raise error(f"line 1: bad header {lines[0].strip()!r}, "
-                    f"expected {header!r}")
+        raise AutomatonFormatError(f"line 1: empty file, expected header "
+                                   f"{AUTOMATON_HEADER!r}")
+    if lines[0].strip() != AUTOMATON_HEADER:
+        raise AutomatonFormatError(f"line 1: bad header {lines[0].strip()!r}, "
+                                   f"expected {AUTOMATON_HEADER!r}")
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if tokens and not tokens[0].startswith("#"):
             try:
                 directive(tokens)
             except ValueError as exc:
-                raise error(f"line {lineno}: {exc}") from None
+                raise AutomatonFormatError(f"line {lineno}: {exc}") from None
 
 
 def dump_pfsm(p: Pfsm) -> str:
@@ -197,7 +191,7 @@ def load_pfsm(text: str) -> Pfsm:
         else:
             raise ValueError(f"unknown directive {kind!r}")
 
-    _read(text, AUTOMATON_HEADER, AutomatonFormatError, directive)
+    _read(text, directive)
     if a.initial is None:
         raise AutomatonFormatError("no initial state declared")
     labels = list(entries or dict.fromkeys(label for _, label in finals))
@@ -236,40 +230,3 @@ def _check(problems: list[str]) -> None:
     if problems:
         raise AutomatonFormatError("; ".join(problems))
 
-
-def dump_active_set(aset: ActiveSet) -> str:
-    lines = [ACTIVESET_HEADER, f"gen {aset.generation}"]
-    lines += (f"active {s} {','.join(map(str, sorted(aset.tags[s])))}"
-              for s in sorted(aset.tags))
-    return "\n".join(lines) + "\n"
-
-
-def load_active_set(text: str) -> ActiveSet:
-    """Load a carried active set; its first directive is `gen`."""
-    aset = ActiveSet(None, {})                # no generation yet
-
-    def directive(tokens: list[str]) -> None:
-        if aset.generation is None:
-            if tokens[0] != "gen" or len(tokens) != 2:
-                raise ValueError(f"malformed generation line "
-                                 f"{' '.join(tokens)!r}")
-            aset.generation = _int(tokens[1], "generation")
-            return
-        if tokens[0] != "active" or len(tokens) != 3:
-            raise ValueError(f"malformed line {' '.join(tokens)!r}")
-        state = _int(tokens[1], "active state")
-        if state in aset.tags:
-            raise ValueError(f"active state {state} listed twice")
-        tags = aset.tags[state] = set()
-        for token in tokens[2].split(","):
-            if not token:
-                raise ValueError(f"active state {state} lists an empty tag")
-            tag = _int(token, f"active state {state} carries tag")
-            if tag in tags:
-                raise ValueError(f"active state {state} lists tag {tag} twice")
-            tags.add(tag)
-
-    _read(text, ACTIVESET_HEADER, ActiveSetFormatError, directive)
-    if aset.generation is None:
-        raise ActiveSetFormatError("missing generation line")
-    return aset

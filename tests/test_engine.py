@@ -23,8 +23,7 @@ from pfsm.engine import (ActiveSet, Engine, EngineStats,
 from pfsm.oracle import all_matches
 from pfsm.parallel import PartitionPlan, run_partitioned
 from pfsm.union import remove_pattern
-from pfsm.wire import (ActiveSetFormatError, dump_active_set, dump_pfsm,
-                       load_active_set, load_pfsm)
+from pfsm.wire import dump_pfsm, load_pfsm
 
 @pytest.mark.parametrize("build", [lambda: build_fig1("dfa"),
                                    lambda: build_fig1("nfa"),
@@ -195,12 +194,13 @@ def _random_window(rng, base, n):
 
 def _random_carry(rng, p, carry, base):
     """`carry` with tags in [0, base) added on random non-initial states."""
-    tags = {s: set(t) for s, t in carry.tags.items()}
+    tags = {s: set(_tags(tagged)) for s, tagged in carry.masks.items()}
     states = sorted(p.automaton.states - {p.initial})
     for s in rng.sample(states, rng.randint(0, min(3, len(states)))):
         tags.setdefault(s, set()).update(
             rng.sample(range(base), rng.randint(1, min(4, base))))
-    return ActiveSet(carry.generation, tags)
+    return ActiveSet(carry.generation,
+                     {s: _anchor(t) for s, t in tags.items()})
 
 
 @pytest.mark.parametrize("form", ["dfa", "nfa", "mixed", "eps", "eps2",
@@ -267,9 +267,8 @@ def test_scan_carries_each_mask_count(form):
         carry = _random_carry(rng, p, ActiveSet(p.generation, {}), base) \
             if base else ActiveSet(p.generation, {})
         seg = data[:rng.randint(0, len(data))]
-        active = {s: _anchor(tags) for s, tags in carry.tags.items()}
         active = _scan(p, seg, _random_window(rng, base, len(seg)),
-                       active, None, base, EngineStats())
+                       dict(carry.masks), None, base, EngineStats())
         for s, (lo, mask, count) in active.items():
             assert count == mask.bit_count(), (trial, s)
 
@@ -372,7 +371,7 @@ def test_segment_ending_on_a_carries_the_a_state(form):
     seeded = epsilon_closure(a, step(a, epsilon_closure(a, {a.initial}),
                                      ord("a")))
     _, carry = run_segment(p, b"xa", (0, 1), None)
-    assert carry.tags == {s: {1} for s in seeded}
+    assert carry.masks == {s: (1, 1, 1) for s in seeded}
     assert carry == engine_segment(p, b"xa", (0, 1), None)[2]
 
 
@@ -466,17 +465,25 @@ def test_dense_tag_extraction_is_linear_in_width():
 
 
 def test_far_carry_keeps_its_absolute_tag():
-    # A tag carried a million positions keeps its start, and the carried
-    # set the scan returns still goes through the wire format. The DFA
-    # keeps one state live after the b, where the NFA keeps two.
+    # A tag carried a million positions keeps its start, and its one-bit
+    # mask does not widen over the hop. The DFA keeps one state live after
+    # the b, where the NFA keeps two.
     p = build_pfsm([("gap", compile_pattern("a[^x]*b", "dfa"))])
     _, carry = run_segment(p, b"a", (0, 0), None)
-    assert list(carry.tags.values()) == [{0}]
+    assert list(carry.masks.values()) == [(0, 1, 1)]
     out = []
     _, snap = run_segment(p, b"ccb", None, carry, out.append, base=10**6)
     assert out == [Match(p.label_ids["gap"], 0, 10**6 + 2)]
-    assert list(snap.tags.values()) == [{0}]
-    assert load_active_set(dump_active_set(snap)) == snap
+    assert list(snap.masks.values()) == [(0, 1, 1)]
+
+
+def _refused_by_both(p, carry, base, error, message):
+    """`carry` is refused, with `message`, by `run_segment` and by
+    `Engine.restore` at `base`."""
+    with pytest.raises(error, match=message):
+        run_segment(p, b"b", None, carry, [].append, base=base)
+    with pytest.raises(error, match=message):
+        Engine(p).restore(carry, base)
 
 
 @pytest.mark.parametrize("tag, base", [(-5, 0), (10**6, 0), (4, 4)])
@@ -486,35 +493,49 @@ def test_run_segment_rejects_carried_tag_outside_prefix(tag, base):
     # with a negative start or with start > end.
     p = build_fig1("dfa")
     state = min(e.entry for e in p.directory.values())
-    carry = ActiveSet(p.generation, {state: {tag}})
-    with pytest.raises(ValueError, match=f"state {state} carries tag {tag} "):
-        run_segment(p, b"b", (base, base), carry, base=base)
-    with pytest.raises(ValueError, match=f"state {state} carries tag {tag} "):
-        Engine(p).restore(carry, base)
+    carry = ActiveSet(p.generation, {state: _anchor({tag})})
+    _refused_by_both(p, carry, base, ValueError,
+                     f"state {state} carries tag {tag} ")
+
+
+def test_run_segment_rejects_a_mask_whose_newest_tag_is_not_before_base():
+    # Only the newest tag, lo + bit_length - 1, lies past the prefix.
+    p = build_fig1("dfa")
+    state = min(e.entry for e in p.directory.values())
+    carry = ActiveSet(p.generation, {state: _anchor({1, 5})})
+    _refused_by_both(p, carry, 5, ValueError,
+                     f"^active state {state} carries tag 5 outside \\[0, 5\\)$")
 
 
 def test_run_segment_rejects_carried_ancillary_state():
     # No edge enters q0, so a carried set naming it cannot come from a
     # scan; restoring it would report a 3-byte span for a 1-byte pattern.
     p = build_pfsm([("x", compile_pattern("x"))])
-    carry = ActiveSet(p.generation, {p.initial: {3}})
-    with pytest.raises(ValueError, match="ancillary initial state"):
-        run_segment(p, b"x", None, carry, [].append, base=5)
+    carry = ActiveSet(p.generation, {p.initial: _anchor({3})})
+    _refused_by_both(p, carry, 5, ValueError,
+                     f"active state {p.initial} is the ancillary initial state")
 
 
-@pytest.mark.parametrize("state, tags, error, message", [
-    (10**6, {0}, GenerationMismatchError, "active state 1000000 not in machine"),
-    (1, set(), ValueError, "active state 1 carries no tags"),
-], ids=["state-outside-machine", "state-without-tags"])
-def test_run_segment_rejects_carry_naming_a_bad_state(state, tags, error,
+@pytest.mark.parametrize("state, tagged, error, message", [
+    (10**6, (0, 1, 1), GenerationMismatchError,
+     "active state 1000000 not in machine"),
+    (1, (0, 0b10, 1), ValueError,
+     "active state 1 carries mask 0x2, not a positive mask with bit 0 set"),
+    (1, (0, 0, 0), ValueError,
+     "active state 1 carries mask 0x0, not a positive mask with bit 0 set"),
+    (1, (0, 0b101, 1), ValueError, "active state 1 counts 1 tags, its mask "
+                                   "holds 2"),
+], ids=["state-outside-machine", "bit-0-clear", "state-without-tags",
+        "count-not-popcount"])
+def test_run_segment_rejects_carry_naming_a_bad_state(state, tagged, error,
                                                       message):
     # A carry of this generation that no scan of this machine could leave:
-    # a state the machine lacks, or one of its states with no tag.
+    # a state the machine lacks, or a mask no scan holds: one not anchored
+    # at its oldest tag, mask 0 (a state with no tag), or one miscounted.
     p = build_fig1("dfa")
     assert 1 in p.automaton.states
-    carry = ActiveSet(p.generation, {state: tags})
-    with pytest.raises(error, match=message):
-        run_segment(p, b"b", None, carry, base=1)
+    carry = ActiveSet(p.generation, {state: tagged})
+    _refused_by_both(p, carry, 1, error, f"^{message}$")
 
 
 def test_window_bounds_checked():
@@ -546,7 +567,9 @@ def test_carried_pair_count_is_the_snapshots_tag_count():
         window = (0, cut - 1)
         _, carry = run_segment(p, FIG1_INPUT[:cut], window, None)
         snap = engine_segment(p, FIG1_INPUT[:cut], window, None)[2]
-        assert carry.pair_count() == sum(len(t) for t in snap.tags.values())
+        assert carry == snap
+        assert carry.pair_count() == sum(len(list(_tags(tagged)))
+                                         for tagged in snap.masks.values())
         counts.append(carry.pair_count())
     assert counts == [3, 4, 5, 4, 5, 5]
 
@@ -578,32 +601,6 @@ def test_restore_rejects_other_generation():
         run_segment(shrunk, b"ab", None, snap)
 
 
-def test_active_set_wire_roundtrip():
-    aset = ActiveSet(3, {5: {0, 2, 7}, 1: {4}})
-    text = dump_active_set(aset)
-    lines = text.splitlines()
-    assert lines[0] == "PFSM-ACT v1"
-    assert lines[1] == "gen 3"
-    assert lines[2] == "active 1 4"
-    assert lines[3] == "active 5 0,2,7"
-    assert load_active_set(text) == aset
-
-
-def test_active_set_wire_rejects_garbage():
-    with pytest.raises(ActiveSetFormatError):
-        load_active_set("nope\n")
-    with pytest.raises(ActiveSetFormatError, match="^missing generation line$"):
-        load_active_set("PFSM-ACT v1\n# no directive\n")
-    with pytest.raises(ActiveSetFormatError):
-        load_active_set("PFSM-ACT v1\ngen 1\nactive x 1\n")
-    with pytest.raises(ActiveSetFormatError, match="generation line"):
-        load_active_set("PFSM-ACT v1\ngen 1 junk\nactive 3 1\n")
-    with pytest.raises(ActiveSetFormatError, match="state 2 .* tag -5"):
-        load_active_set("PFSM-ACT v1\ngen 1\nactive 2 3,-5\n")
-    with pytest.raises(ActiveSetFormatError, match="state 3 listed twice"):
-        load_active_set("PFSM-ACT v1\ngen 1\nactive 3 0\nactive 3 1\n")
-
-
 def test_match_output_formats():
     p = build_fig1("dfa")
     m = Match(p.label_ids["a*c"], 0, 2)
@@ -629,10 +626,13 @@ def _no_sink_case(name):
 
 @pytest.mark.parametrize("case", ["adversarial", "literals", "fig1"])
 def test_run_without_sink_extracts_no_tags(case, monkeypatch):
-    # Without a sink the count comes from the masks, and `run` asks for
-    # no carried set, which would extract the tags of the last live states.
+    # Without a sink the count comes from the masks, and the carried set
+    # is the scan's own masks: neither `run` nor a windowed `run_segment`
+    # that returns its carry extracts the tags of the last live states.
     p, data = _no_sink_case(case)
+    window = (0, len(data) - 1)
     want = len(find_matches(p, data))
+    want_carry = engine_segment(p, data, window, None)[2]
     assert want > 0
 
     def refuse(tagged):
@@ -640,8 +640,9 @@ def test_run_without_sink_extracts_no_tags(case, monkeypatch):
 
     monkeypatch.setattr(pfsm.engine, "_tags", refuse)
     assert run(p, data).matches_emitted == want
-    with pytest.raises(AssertionError, match="tags extracted"):
-        run_segment(p, data, (0, len(data) - 1), None)
+    stats, carry = run_segment(p, data, window, None)
+    assert stats.matches_emitted == want
+    assert carry == want_carry
 
 
 @pytest.mark.parametrize("form", ["nfa", "dfa"])

@@ -1,5 +1,5 @@
-"""The PFSM-AUT and PFSM-ACT text formats: a dump loads back to the same
-bytes, and every integer has one spelling."""
+"""The PFSM-AUT text format: a dump loads back to the same bytes, and
+every integer has one spelling."""
 
 import random
 import re
@@ -14,21 +14,13 @@ from pfsm import (add_pattern, build_pfsm, compile_pattern, find_matches,
                   remove_pattern, validate_pfsm)
 from pfsm.automaton import Automaton
 from pfsm.compile import compile_nfa
-from pfsm.engine import ActiveSet, run
+from pfsm.engine import run
 from pfsm.oracle import all_matches
 from pfsm.syntax import parse_regex
-from pfsm.wire import (ActiveSetFormatError, AutomatonFormatError,
-                       dump_active_set, dump_pfsm, load_active_set, load_pfsm)
+from pfsm.wire import AutomatonFormatError, dump_pfsm, load_pfsm
 
 AUT = ("PFSM-AUT v2\nstate 0 initial\nstate 1\nstate 2\nfinal 2 x\n"
        "trans 1 0x61 2\neps 0 1\npattern x 1\n")
-ACT = "PFSM-ACT v1\ngen 1\nactive 3 1\n"
-
-active_sets = st.builds(
-    ActiveSet, st.integers(0, 10**9),
-    st.dictionaries(st.integers(0, 10**6),
-                    st.sets(st.integers(0, 10**12), min_size=1, max_size=4),
-                    max_size=5))
 
 
 def machines(seed: int):
@@ -55,14 +47,8 @@ def integer_spans(line: str) -> list[tuple[int, int, bool]]:
     if kind == "trans":
         return [(t.start(), t.end(), k == 2) for k, t in enumerate(tokens)
                 if k > 0]
-    picks = {"state": [1], "final": [1], "eps": [1, 2], "pattern": [-1],
-             "gen": [1], "active": [1]}[kind]
-    spans = [(tokens[k].start(), tokens[k].end(), False) for k in picks]
-    if kind == "active":
-        tags = tokens[2]
-        spans += [(tags.start() + m.start(), tags.start() + m.end(), False)
-                  for m in re.finditer(r"[^,]+", tags.group())]
-    return spans
+    picks = {"state": [1], "final": [1], "eps": [1, 2], "pattern": [-1]}[kind]
+    return [(tokens[k].start(), tokens[k].end(), False) for k in picks]
 
 
 def respell(token: str, how: str) -> str:
@@ -101,27 +87,11 @@ def test_pfsm_dump_load_dump_is_byte_identical(seed):
         assert dump_pfsm(load_pfsm(text)) == text
 
 
-@given(active_sets)
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_active_set_dump_load_dump_is_byte_identical(aset):
-    text = dump_active_set(aset)
-    loaded = load_active_set(text)
-    assert loaded == aset
-    assert dump_active_set(loaded) == text
-
-
 @given(st.integers(0, 10**6), st.data())
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_pfsm_respelled_integer_is_refused(seed, data):
     text = dump_pfsm(machines(seed)[1])
     assert_respellings_refused(text, load_pfsm, AutomatonFormatError, data)
-
-
-@given(active_sets, st.data())
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_active_set_respelled_integer_is_refused(aset, data):
-    assert_respellings_refused(dump_active_set(aset), load_active_set,
-                               ActiveSetFormatError, data)
 
 
 DECIMAL = "does not match 0|[1-9][0-9]*"
@@ -143,12 +113,6 @@ BYTE = "does not match 0x[0-9A-F]{2}"
      f"byte 0x6a {BYTE}"),
     (load_pfsm, AutomatonFormatError, AUT, "pattern x 1", "pattern x ١",
      f"malformed pattern line 'pattern x ١': entry state ١ {DECIMAL}"),
-    (load_active_set, ActiveSetFormatError, ACT, "gen 1", "gen 1_0",
-     f"generation 1_0 {DECIMAL}"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active +3 1",
-     f"active state +3 {DECIMAL}"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 1,1",
-     "active state 3 lists tag 1 twice"),
     (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61",
      "malformed trans line 'trans 1 0x61'"),
     (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 2 2",
@@ -159,18 +123,10 @@ BYTE = "does not match 0x[0-9A-F]{2}"
      "malformed eps line 'eps 0 1 1'"),
     (load_pfsm, AutomatonFormatError, AUT, "state 1", "state",
      "malformed state line 'state'"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 1,",
-     "active state 3 lists an empty tag"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "active 3 ,",
-     "active state 3 lists an empty tag"),
-    (load_active_set, ActiveSetFormatError, ACT, "active 3 1", "gen 2",
-     "malformed line 'gen 2'"),
 ], ids=["underscore", "plus", "byte-without-0x", "byte-underscore",
-        "leading-zero", "lower-case-hex", "arabic-indic",
-        "gen-underscore", "active-plus", "tag-twice", "trans-field-missing",
+        "leading-zero", "lower-case-hex", "arabic-indic", "trans-field-missing",
         "trans-field-extra", "eps-field-missing", "eps-field-extra",
-        "state-without-id", "tag-empty-last", "tag-empty-only",
-        "not-an-active-line"])
+        "state-without-id"])
 def test_one_line_respelled_is_refused(load, error, text, line, bad, message):
     # Each bad line, put in place of a good one, is the only fault, and the
     # error names its line.
