@@ -7,7 +7,7 @@ rebuilding the machine, and scans can be partitioned by pattern or by
 input segment with output identical to a single scan.
 """
 
-from .automaton import Automaton, epsilon_closure, step, validate
+from .automaton import Automaton, epsilon_closure, validate
 from .compile import (StateCeilingExceeded, compile_nfa, compile_pattern,
                       nfa_to_dfa, read_pattern_file)
 from .engine import (ActiveSet, Engine, EngineStats, Match,
@@ -28,8 +28,8 @@ __all__ = [
     "extract_pattern", "find_matches", "load_pfsm", "nfa_to_dfa",
     "parse_regex", "read_pattern_file", "regex_plan", "remove_pattern",
     "run", "run_chained_partitioned", "run_lazy_partitioned",
-    "run_partitioned", "run_regex_partitioned", "run_segment", "step",
-    "validate", "validate_pfsm",
+    "run_partitioned", "run_regex_partitioned", "run_segment", "validate",
+    "validate_pfsm",
 ]
 
 __version__ = "0.1.0"

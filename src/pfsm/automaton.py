@@ -1,7 +1,6 @@
 """Shared finite-state-machine representation and its primitive algorithms.
 
-One Automaton type covers NFAs, DFAs, and the multi-pattern union machine;
-the derived `deterministic` property tells which discipline an instance obeys.
+One Automaton type covers NFAs, DFAs, and the multi-pattern union machine.
 State ids are small ints, dense for freshly built machines; the union
 machine may develop holes after live pattern removal (ids of surviving
 states never change).
@@ -33,17 +32,6 @@ class Automaton:
         """The final states: a read-only view of final_labels' keys."""
         return self.final_labels.keys()
 
-    @property
-    def deterministic(self) -> bool:
-        """True iff no epsilon edges and at most one successor per (state, byte)."""
-        if any(self.epsilon_transitions.get(s) for s in self.states):
-            return False
-        for s in self.states:
-            for succ in self.byte_transitions.get(s, {}).values():
-                if len(succ) > 1:
-                    return False
-        return True
-
 
 def _search(seeds, step) -> set[int]:
     """The seeds and every state reached from one by repeated `step`, a
@@ -61,14 +49,6 @@ def _search(seeds, step) -> set[int]:
 def epsilon_closure(a: Automaton, seeds: set[int]) -> set[int]:
     """Least set containing the seeds and closed under epsilon edges."""
     return _search(seeds, lambda s: a.epsilon_transitions.get(s, ()))
-
-
-def step(a: Automaton, sources: set[int], byte: int) -> set[int]:
-    """Union of byte successors over the sources. No closure is applied."""
-    out: set[int] = set()
-    for s in sources:
-        out |= a.byte_transitions.get(s, {}).get(byte, set())
-    return out
 
 
 def validate(a: Automaton) -> list[str]:

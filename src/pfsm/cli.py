@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 match-phase or compile error, 2 usage error.
 
 from __future__ import annotations
 
+import json
 import sys
 import warnings
 
@@ -117,7 +118,8 @@ def main():
 @click.option("--input", "input_file", type=click.Path(), default=None,
               help="Input file (raw bytes).")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "jsonl"]), default="tsv")
-@click.option("--stats", is_flag=True, help="Append a scan-statistics summary.")
+@click.option("--stats", is_flag=True,
+              help="Append a scan-statistics line (a JSON object with jsonl).")
 def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
               fmt, stats):
     """Scan input and print each match as it ends: by end, then start,
@@ -128,10 +130,13 @@ def cmd_match(expressions, patterns_file, automaton_file, text, input_file,
     scan_stats = run(pfsm, data, lambda m: click.echo(formatter(m, pfsm, data)))
     if stats:
         m_max = max((e.n_states for e in pfsm.directory.values()), default=0)
-        click.echo(f"# stats: n={scan_stats.cycles} r={len(pfsm.directory)} "
-                   f"m_max={m_max} s=256 "
-                   f"peak_active_pairs={scan_stats.peak_pairs} "
-                   f"matches={scan_stats.matches_emitted}")
+        fields = {"n": scan_stats.cycles, "r": len(pfsm.directory),
+                  "m_max": m_max, "s": 256,
+                  "peak_active_pairs": scan_stats.peak_pairs,
+                  "matches": scan_stats.matches_emitted}
+        # A jsonl stream stays one JSON object per line.
+        click.echo("# stats: " + " ".join(f"{k}={v}" for k, v in fields.items())
+                   if fmt == "tsv" else json.dumps({"stats": fields}))
 
 
 @main.command("compile")

@@ -11,9 +11,9 @@ carried active sets (chained mode) and match batches to the collector.
 segments run on a pool of forked worker processes: the caller scans
 segment 0 itself, and up to min(workers, CPUs) - 1 children take the other
 segments in turn. A child receives each segment's bounds and the bytes it
-reads over a pipe and replies with plain (label, start, end) tuples, plus,
-for `chained`, the counted anchored masks it carries out of the segment:
-plain ints, which the caller joins as the scan does. The pool is forked
+reads over one socket and replies with plain (label, start, end) tuples and
+the counted anchored masks it carries out of the segment: plain ints, which
+`chained` joins as the scan does and `lazy` drops. The pool is forked
 once per machine generation and kept until another generation runs,
 `close_workers()` is called or the interpreter exits. With one CPU,
 where `os.fork` is missing, or while other threads run, the caller scans
@@ -26,6 +26,7 @@ import atexit
 import os
 import pickle
 import signal
+import socket
 import threading
 import tracemalloc
 import weakref
@@ -161,15 +162,15 @@ def _merge(batches: list[list[Match]]) -> list[Match]:
 # ---------------------------------------------------------------------------
 # Segment passes and the worker pool
 
-Pass = tuple[list[Match], dict[int, tuple[int, int, int]] | None]
+Pass = tuple[list[Match], dict[int, tuple[int, int, int]]]
 
 
-def _pass(p: Pfsm, strategy: str, lo: int, hi: int, text) -> Pass:
+def _pass(p: Pfsm, lo: int, hi: int, text) -> Pass:
     """Segment [lo, hi]'s reinitialization pass over `text`, the input from
-    lo on: its matches and, for chained, the masks it carries out."""
+    lo on: its matches and the masks it carries out."""
     out: list[Match] = []
     _, carry = run_segment(p, text, (lo, hi), None, out.append, base=lo)
-    return out, carry.masks if strategy == "chained" else None
+    return out, carry.masks
 
 
 def _passes(p: Pfsm, data: bytes, strategy: str,
@@ -191,10 +192,10 @@ def _passes(p: Pfsm, data: bytes, strategy: str,
         unread = len(children)
         try:
             for j, child in enumerate(children, 1):
-                child.request(strategy, [(lo, hi, text(lo, hi))
-                                         for lo, hi in segs[j::step]])
+                child.request([(lo, hi, text(lo, hi))
+                               for lo, hi in segs[j::step]])
             for k in range(0, len(segs), step):
-                results[k] = _pass(p, strategy, *segs[k], text(*segs[k]))
+                results[k] = _pass(p, *segs[k], text(*segs[k]))
             for k in range(len(segs)):
                 if results[k] is None:
                     results[k::step] = children[k - 1].reply()
@@ -215,27 +216,25 @@ def _cpus() -> int:
 
 
 class _Child:
-    """The caller's end of one forked worker: its pid and two pipes."""
+    """The caller's end of one forked worker: its pid and its socket."""
 
-    def __init__(self, pid: int, requests: int, replies: int):
+    def __init__(self, pid: int, sock: socket.socket):
         self.pid = pid
-        self.requests = requests
-        self.replies = replies
+        self.sock = sock
 
-    def request(self, strategy: str, jobs):
-        """Send (lo, hi, text) jobs: the bounds pickled, then each text as
-        raw bytes, so no segment is copied on this side."""
+    def request(self, jobs):
+        """Send (lo, hi, text) jobs: (lo, hi, size) pickled, then each text
+        as raw bytes, so no segment is copied on this side."""
         try:
-            _send(self.requests,
-                  (strategy, [(lo, hi, len(text)) for lo, hi, text in jobs]))
+            _send(self.sock, [(lo, hi, len(text)) for lo, hi, text in jobs])
             for _, _, text in jobs:
-                _write(self.requests, text)
+                self.sock.sendall(text)
         except OSError as exc:
             raise WorkerError(f"worker {self.pid} is gone: {exc}") from exc
 
     def reply(self) -> list[Pass]:
         try:
-            status, got = _recv(self.replies)
+            status, got = _recv(self.sock)
         except (OSError, EOFError) as exc:
             raise WorkerError(f"worker {self.pid} died before it replied"
                               ) from exc
@@ -251,34 +250,27 @@ class _Pool:
 
     def __init__(self, p: Pfsm):
         self.machine = weakref.ref(p)
-        self.generation = p.generation
         self.owner = os.getpid()
         self.children: list[_Child] = []
 
     def serves(self, p: Pfsm) -> bool:
         # A process forked by the owner must not talk to its children.
-        return (self.machine() is p and self.generation == p.generation
-                and self.owner == os.getpid())
+        return self.machine() is p and self.owner == os.getpid()
 
     def fork(self, p: Pfsm):
-        requests_r, requests_w = os.pipe()
-        replies_r, replies_w = os.pipe()
+        ours, theirs = socket.socketpair()
         pid = os.fork()
         if pid == 0:
-            _serve(p, requests_r, replies_w,
-                   [requests_w, replies_r] +
-                   [fd for c in self.children for fd in (c.requests, c.replies)])
-        os.close(requests_r)
-        os.close(replies_w)
-        self.children.append(_Child(pid, requests_w, replies_r))
+            _serve(p, theirs, [ours] + [c.sock for c in self.children])
+        theirs.close()
+        self.children.append(_Child(pid, ours))
 
     def close(self, kill: bool):
-        """Close the pipes, so an idle child reads EOF and exits, and reap
+        """Close the sockets, so an idle child reads EOF and exits, and reap
         the children; `kill` also stops a child in the middle of a job."""
         mine = self.owner == os.getpid()
         for c in self.children:
-            os.close(c.requests)
-            os.close(c.replies)
+            c.sock.close()
             if kill and mine:
                 try:
                     os.kill(c.pid, signal.SIGKILL)
@@ -327,60 +319,54 @@ def _close(kill: bool) -> None:
 atexit.register(close_workers)
 
 
-def _serve(p: Pfsm, requests: int, replies: int, inherited: list[int]):
+def _serve(p: Pfsm, sock: socket.socket, inherited: list[socket.socket]):
     """A child's loop: one reply per request, until the caller closes its
     end. An exception becomes an error reply; the child never returns into
     the code that forked it."""
     code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
+        for other in inherited:
+            other.close()
         # A child forked while the caller traces would trace every
         # allocation of every scan, many times slower, for nobody.
         if tracemalloc.is_tracing():
             tracemalloc.stop()
         while True:
             try:
-                strategy, jobs = _recv(requests)
+                jobs = _recv(sock)
             except EOFError:
                 code = 0
                 break
             try:
-                texts = [_read(requests, size) for _, _, size in jobs]
-                got = [_pass(p, strategy, lo, hi, text)
+                texts = [_read(sock, size) for _, _, size in jobs]
+                got = [_pass(p, lo, hi, text)
                        for (lo, hi, _), text in zip(jobs, texts)]
                 reply = ("ok", [(list(map(tuple, matches)), masks)
                                 for matches, masks in got])
             except Exception as exc:
                 reply = ("error", f"{type(exc).__name__}: {exc}")
-            _send(replies, reply)
+            _send(sock, reply)
     finally:
         os._exit(code)
 
 
-def _send(fd: int, obj) -> None:
+def _send(sock: socket.socket, obj) -> None:
     blob = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    _write(fd, len(blob).to_bytes(8, "little") + blob)
+    sock.sendall(len(blob).to_bytes(8, "little") + blob)
 
 
-def _recv(fd: int):
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+def _recv(sock: socket.socket):
+    return pickle.loads(_read(sock, int.from_bytes(_read(sock, 8), "little")))
 
 
-def _write(fd: int, buf) -> None:
-    view = memoryview(buf)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd: int, n: int) -> bytearray:
+def _read(sock: socket.socket, n: int) -> bytearray:
     """Exactly n bytes; EOFError if the other end closes first."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
-        k = os.readv(fd, [view[got:]])
+        k = sock.recv_into(view[got:])
         if k == 0:
-            raise EOFError(f"pipe closed after {got} of {n} bytes")
+            raise EOFError(f"socket closed after {got} of {n} bytes")
         got += k
     return buf

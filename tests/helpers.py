@@ -9,7 +9,7 @@ import statistics
 import time
 import tracemalloc
 
-from pfsm import Engine, build_pfsm, epsilon_closure, run, step
+from pfsm import Engine, build_pfsm, epsilon_closure, run
 from pfsm.automaton import Automaton
 from pfsm.compile import compile_nfa, compile_pattern, nfa_to_dfa
 from pfsm.syntax import (ByteClass, Literal, Node, Opt, Plus, Star,
@@ -186,11 +186,17 @@ def assert_rows_frozen_and_shared(a: Automaton) -> None:
         assert type(succ) is frozenset, s
 
 
+def stepped(a: Automaton, sources, byte: int) -> set[int]:
+    """The targets of the sources' edges on `byte`, with no closure."""
+    return set().union(*(a.byte_transitions.get(s, {}).get(byte, ())
+                         for s in sources))
+
+
 def nfa_accepts(a: Automaton, s: bytes) -> bool:
     """Membership by direct closure/step simulation of the automaton."""
     current = epsilon_closure(a, {a.initial})
     for byte in s:
-        current = epsilon_closure(a, step(a, current, byte))
+        current = epsilon_closure(a, stepped(a, current, byte))
         if not current:
             return False
     return bool(current & a.finals)

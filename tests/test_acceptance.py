@@ -9,7 +9,7 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, adversarial_scan_seconds,
                      fast_cycle_pairs, gen_alphabet, gen_ast, gen_instance,
                      loglog_slope, match_texts, nfa_accepts)
 
-from pfsm import build_pfsm, add_pattern, remove_pattern, extract_pattern, step
+from pfsm import build_pfsm, add_pattern, remove_pattern, extract_pattern
 from pfsm.compile import compile_nfa, nfa_to_dfa
 from pfsm.engine import Engine, find_matches, run
 from pfsm.oracle import accepts, all_matches
@@ -58,7 +58,7 @@ def test_criterion_2_fig3_trace():
     p = build_fig1("dfa")
     a = p.automaton
     entry = {e.label: e.entry for e in p.directory.values()}
-    succ = lambda s, byte: next(iter(step(a, {s}, ord(byte))))
+    succ = lambda s, byte: next(iter(a.byte_transitions[s][ord(byte)]))
 
     matches = []
     eng = Engine(p, matches.append)

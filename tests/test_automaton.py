@@ -1,4 +1,4 @@
-"""Primitive automaton operations: closure, step, validation, interchange
+"""Primitive automaton operations: closure, validation, interchange
 format. Properties are checked with hypothesis against graph oracles."""
 
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfsm.automaton import Automaton, epsilon_closure, step, validate
+from pfsm.automaton import Automaton, epsilon_closure, validate
 from pfsm.compile import compile_pattern
 from pfsm.union import build_pfsm
 from pfsm.wire import AutomatonFormatError, dump_pfsm, load_pfsm
@@ -76,31 +76,6 @@ def test_closure_monotone_idempotent_extensive(seed, seeds, more):
     assert closure <= epsilon_closure(a, seeds | more)
 
 
-def test_step_empty_sources():
-    a = small_automaton(random.Random(1))
-    assert step(a, set(), ord("a")) == set()
-
-
-@given(st.integers(0, 10_000), st.sets(st.integers(0, 5)),
-       st.sets(st.integers(0, 5)), st.sampled_from([ord("a"), ord("b")]))
-@settings(max_examples=200)
-def test_step_is_per_source_union(seed, xs, ys, byte):
-    a = small_automaton(random.Random(seed))
-    naive = set()
-    for s in xs | ys:
-        naive |= a.byte_transitions.get(s, {}).get(byte, set())
-    assert step(a, xs | ys, byte) == naive
-    assert step(a, xs | ys, byte) == step(a, xs, byte) | step(a, ys, byte)
-
-
-def test_deterministic_step_is_singleton():
-    dfa = compile_pattern("(a|b)*abb", "dfa")
-    assert dfa.deterministic
-    for s in dfa.states:
-        for byte in (ord("a"), ord("b")):
-            assert len(step(dfa, {s}, byte)) <= 1
-
-
 def test_validate_fresh_machine():
     assert validate(compile_pattern("a*c", "nfa")) == []
 
@@ -123,17 +98,6 @@ def test_validate_dangling_endpoint():
 def test_validate_names_each_fault(a, fragment):
     problems = validate(a)
     assert len(problems) == 1 and fragment in problems[0], problems
-
-
-def test_determinism_is_derived_not_stored():
-    a = Automaton(set(range(2)), 0, {0: {ord("a"): {1}}}, {}, {})
-    assert a.deterministic
-    a.epsilon_transitions[0] = {1}
-    assert not a.deterministic
-    # Two targets on one byte, no epsilon edge.
-    assert not Automaton({0, 1}, 0, {0: {ord("a"): {0, 1}}}, {}, {}).deterministic
-    with pytest.raises(AttributeError):
-        a.deterministic = True
 
 
 def test_dump_parse_roundtrip():

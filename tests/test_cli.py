@@ -80,6 +80,20 @@ def test_match_stats_flag(runner):
         "# stats: n=7 r=3 m_max=5 s=256 peak_active_pairs=9 matches=10")
 
 
+def test_match_jsonl_stats_is_a_json_line(runner):
+    # The stats line in a jsonl stream is one more JSON object, so every
+    # line of the output parses.
+    args = ["match", "--text", "aacacab", "--format", "jsonl", "--stats"]
+    for pat in FIG1_PATTERNS:
+        args += ["-e", pat]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert len(rows) == 11
+    assert rows[-1] == {"stats": {"n": 7, "r": 3, "m_max": 5, "s": 256,
+                                  "peak_active_pairs": 9, "matches": 10}}
+
+
 def test_match_prints_each_match_before_the_scan_returns(runner, monkeypatch):
     # Each match is formatted from the scan's sink in the cycle where it
     # ends, not from a list read after the scan.

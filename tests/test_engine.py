@@ -11,10 +11,10 @@ from helpers import (FIG1_INPUT, FIG2_MATCHES, best_scan_seconds, build_fig1,
                      build_fig1_mixed, engine_matches, engine_segment,
                      fast_cycle_pairs, gen_instance, gen_literal_instance,
                      loglog_slope, match_texts, peel_tags, random_text,
-                     traced_peak, with_epsilon)
+                     stepped, traced_peak, with_epsilon)
 
 import pfsm.engine
-from pfsm import build_pfsm, compile_pattern, epsilon_closure, step
+from pfsm import build_pfsm, compile_pattern, epsilon_closure
 from pfsm.engine import (ActiveSet, Engine, EngineStats,
                          GenerationMismatchError, Match, _anchor,
                          _build_seed_tables, _scan, _tags, find_matches,
@@ -53,7 +53,7 @@ def test_two_cycle_trace_on_ac():
     eng = Engine(p, matches.append)
 
     entry = {e.label: e.entry for e in p.directory.values()}
-    succ = lambda s, byte: next(iter(step(a, {s}, ord(byte))))
+    succ = lambda s, byte: next(iter(a.byte_transitions[s][ord(byte)]))
 
     eng.feed(ord("a"), 0)
     expected_after_a = {succ(entry[lab], "a"): {0}
@@ -294,7 +294,7 @@ def test_seed_rows_are_the_closed_start_steps(form):
             assert closing == {s for s in a.states - {a.initial}
                                if a.epsilon_transitions.get(s)}
             for byte in range(256):
-                want = epsilon_closure(a, step(a, start, byte))
+                want = epsilon_closure(a, stepped(a, start, byte))
                 row = rows.get(byte, ())
                 assert {t for t, _ in row} == want, (trial, byte)
                 for t, table in row:
@@ -323,7 +323,7 @@ def test_seed_that_cannot_step_on_the_next_byte_is_never_stored(form):
     # once, by the seed rows. The pair counts still count it.
     p = build_pfsm([("ab", compile_pattern("ab", form))])
     a = p.automaton
-    (a_state,) = step(a, epsilon_closure(a, {a.initial}), ord("a"))
+    (a_state,) = stepped(a, epsilon_closure(a, {a.initial}), ord("a"))
     rows = _CountingRows(a.byte_transitions)
     data = b"ac" * 1000
     window = (0, len(data) - 1)
@@ -368,8 +368,8 @@ def test_chained_cut_between_a_and_b_equals_single(form):
 def test_segment_ending_on_a_carries_the_a_state(form):
     p = _alone(form)
     a = p.automaton
-    seeded = epsilon_closure(a, step(a, epsilon_closure(a, {a.initial}),
-                                     ord("a")))
+    seeded = epsilon_closure(a, stepped(a, epsilon_closure(a, {a.initial}),
+                                        ord("a")))
     _, carry = run_segment(p, b"xa", (0, 1), None)
     assert carry.masks == {s: (1, 1, 1) for s in seeded}
     assert carry == engine_segment(p, b"xa", (0, 1), None)[2]

@@ -346,6 +346,20 @@ def test_close_workers_reaps_every_child(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_close_workers_releases_every_descriptor(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 4)
+    close_workers()
+    before = sorted(os.listdir("/proc/self/fd"))
+    p = _carry_machine()
+    assert run_partitioned(p, CARRY_TEXT, PartitionPlan("chained", 4)) \
+        == find_matches(p, CARRY_TEXT)
+    assert len(parallel._pool.children) == 3
+    close_workers()
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 def test_a_new_generation_replaces_the_pool(monkeypatch):
     monkeypatch.setattr(parallel, "_cpus", lambda: 2)
     p = _carry_machine()
@@ -354,7 +368,7 @@ def test_a_new_generation_replaces_the_pool(monkeypatch):
     q = build_pfsm([("c+b", compile_pattern("c+b"))])
     assert run_partitioned(q, CARRY_TEXT, PartitionPlan("lazy", 2)) \
         == find_matches(q, CARRY_TEXT)
-    assert parallel._pool.generation == q.generation
+    assert parallel._pool.machine() is q
     assert [child.pid for child in parallel._pool.children] != [old]
     # The old worker was reaped when its pool closed.
     with pytest.raises(ChildProcessError):

@@ -65,9 +65,9 @@ def respell(token: str, how: str) -> str:
     return token[2:]                       # "no-0x": the bare hex digits
 
 
-def assert_respellings_refused(text: str, load, error, data) -> None:
-    """Respell one integer token of a valid text; loading it must raise
-    `error` naming that token's line."""
+def assert_respellings_refused(text: str, data) -> None:
+    """Respell one integer token of a valid dump; loading it must raise
+    AutomatonFormatError naming that token's line."""
     lines = text.splitlines()
     spots = [(i, span) for i, line in enumerate(lines) if i > 0
              for span in integer_spans(line)]
@@ -75,8 +75,8 @@ def assert_respellings_refused(text: str, load, error, data) -> None:
     hows = ["plus", "underscore", "arabic-indic"] + ["no-0x"] * is_byte
     how = data.draw(st.sampled_from(hows))
     lines[i] = lines[i][:lo] + respell(lines[i][lo:hi], how) + lines[i][hi:]
-    with pytest.raises(error, match=f"^line {i + 1}: "):
-        load("\n".join(lines) + "\n")
+    with pytest.raises(AutomatonFormatError, match=f"^line {i + 1}: "):
+        load_pfsm("\n".join(lines) + "\n")
 
 
 @given(st.integers(0, 10**6))
@@ -91,49 +91,40 @@ def test_pfsm_dump_load_dump_is_byte_identical(seed):
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_pfsm_respelled_integer_is_refused(seed, data):
     text = dump_pfsm(machines(seed)[1])
-    assert_respellings_refused(text, load_pfsm, AutomatonFormatError, data)
+    assert_respellings_refused(text, data)
 
 
 DECIMAL = "does not match 0|[1-9][0-9]*"
 BYTE = "does not match 0x[0-9A-F]{2}"
 
 
-@pytest.mark.parametrize("load, error, text, line, bad, message", [
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 0_2",
-     f"transition target 0_2 {DECIMAL}"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans +1 0x61 2",
-     f"transition source +1 {DECIMAL}"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 61 2",
-     f"byte 61 {BYTE}"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6_1 2",
-     f"byte 0x6_1 {BYTE}"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 02",
-     f"transition target 02 {DECIMAL}"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x6a 2",
-     f"byte 0x6a {BYTE}"),
-    (load_pfsm, AutomatonFormatError, AUT, "pattern x 1", "pattern x ١",
+@pytest.mark.parametrize("line, bad, message", [
+    ("trans 1 0x61 2", "trans 1 0x61 0_2", f"transition target 0_2 {DECIMAL}"),
+    ("trans 1 0x61 2", "trans +1 0x61 2", f"transition source +1 {DECIMAL}"),
+    ("trans 1 0x61 2", "trans 1 61 2", f"byte 61 {BYTE}"),
+    ("trans 1 0x61 2", "trans 1 0x6_1 2", f"byte 0x6_1 {BYTE}"),
+    ("trans 1 0x61 2", "trans 1 0x61 02", f"transition target 02 {DECIMAL}"),
+    ("trans 1 0x61 2", "trans 1 0x6a 2", f"byte 0x6a {BYTE}"),
+    ("pattern x 1", "pattern x ١",
      f"malformed pattern line 'pattern x ١': entry state ١ {DECIMAL}"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61",
-     "malformed trans line 'trans 1 0x61'"),
-    (load_pfsm, AutomatonFormatError, AUT, "trans 1 0x61 2", "trans 1 0x61 2 2",
+    ("trans 1 0x61 2", "trans 1 0x61", "malformed trans line 'trans 1 0x61'"),
+    ("trans 1 0x61 2", "trans 1 0x61 2 2",
      "malformed trans line 'trans 1 0x61 2 2'"),
-    (load_pfsm, AutomatonFormatError, AUT, "eps 0 1", "eps 0",
-     "malformed eps line 'eps 0'"),
-    (load_pfsm, AutomatonFormatError, AUT, "eps 0 1", "eps 0 1 1",
-     "malformed eps line 'eps 0 1 1'"),
-    (load_pfsm, AutomatonFormatError, AUT, "state 1", "state",
-     "malformed state line 'state'"),
+    ("eps 0 1", "eps 0", "malformed eps line 'eps 0'"),
+    ("eps 0 1", "eps 0 1 1", "malformed eps line 'eps 0 1 1'"),
+    ("state 1", "state", "malformed state line 'state'"),
 ], ids=["underscore", "plus", "byte-without-0x", "byte-underscore",
         "leading-zero", "lower-case-hex", "arabic-indic", "trans-field-missing",
         "trans-field-extra", "eps-field-missing", "eps-field-extra",
         "state-without-id"])
-def test_one_line_respelled_is_refused(load, error, text, line, bad, message):
+def test_one_line_respelled_is_refused(line, bad, message):
     # Each bad line, put in place of a good one, is the only fault, and the
     # error names its line.
-    assert load(text) is not None
-    lineno = text.splitlines().index(line) + 1
-    with pytest.raises(error, match=f"^line {lineno}: {re.escape(message)}$"):
-        load(text.replace(line, bad))
+    assert load_pfsm(AUT) is not None
+    lineno = AUT.splitlines().index(line) + 1
+    with pytest.raises(AutomatonFormatError,
+                       match=f"^line {lineno}: {re.escape(message)}$"):
+        load_pfsm(AUT.replace(line, bad))
 
 
 def test_state_declared_twice_is_refused():
