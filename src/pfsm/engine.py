@@ -18,7 +18,7 @@ them.
 `Engine` runs those four steps literally, with a `set` of tags per state;
 it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
-cycle with seven changes:
+cycle with eight changes:
 
 - Seed rows kept on the generation. Steps 1-3 for the start region
   depend only on the byte, so every byte's seed row, the epsilon-closed
@@ -50,12 +50,21 @@ cycle with seven changes:
   lives.
 - Rows from the machine's own tables. A state's successors are read from
   `byte_transitions`; only targets that have epsilon edges are closed.
+- Finals found as they are stored. A cycle looks for matches only when a
+  final entered its set: a step that stores a new state asks whether it
+  is final, a seed entry marks a final by its `_ANY_BYTE` table, and only
+  a cycle that epsilon-closes tests its whole set, since closure can add
+  a final. A merge lands on a state already stored, so it adds none. No
+  cycle tests the finals against its set otherwise.
 - Output linear in the matches reported. A cycle counts its matches from
-  the merged masks' counts and extracts tags only for a sink. A mask is
-  read in one pass over `bin(mask)`, not peeled a bit at a time; one
-  label's tags come out in order, so only several labels ending on one
-  byte are sorted. A carried set is the scan's own masks, so no scan
-  turns its last byte's masks into tag sets.
+  the merged masks' counts, in a local, and extracts tags only for a
+  sink. A one-tag mask is its anchor; a wider one is read in one pass
+  over `bin(mask)`, not peeled a bit at a time, and its matches are built
+  by C-level `map`/`zip` calls and tuple's own constructor, with no
+  Python-level constructor call per match. One label's tags come out in
+  order, so only several labels ending on one byte are sorted. A carried
+  set is the scan's own masks, so no scan turns its last byte's masks
+  into tag sets.
 - Counters, not a list. The scan keeps the peak and the running sum of
   the cycles' pair counts in two locals and takes the cycle count from
   the last position, so its memory is bounded by the live (state, tag)
@@ -68,7 +77,8 @@ from __future__ import annotations
 import json
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice
+from functools import partial
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -91,6 +101,9 @@ class Match(NamedTuple):
     end: int
 
 
+# `_match((label, start, end))` is `Match(label, start, end)` built by
+# tuple's own constructor, without the namedtuple's Python-level `__new__`.
+_match = partial(tuple.__new__, Match)
 _by_start_label = itemgetter(1, 0)
 
 
@@ -322,6 +335,15 @@ def _tags(tagged: tuple[int, int, int]) -> Iterable[int]:
     return compress(range(lo, lo + len(bits)), bits)
 
 
+def _label_matches(label: int, tagged: tuple[int, int, int],
+                   pos: int) -> Iterable[Match]:
+    """One label's matches ending at `pos`, by start: a one-tag mask is
+    its anchor `lo` and needs no pass over its bits."""
+    if tagged[2] == 1:
+        return (_match((label, tagged[0], pos)),)
+    return map(_match, zip(repeat(label), _tags(tagged), repeat(pos)))
+
+
 def _merge(x: tuple[int, int, int],
            y: tuple[int, int, int]) -> tuple[int, int, int]:
     """Union of two counted anchored masks: the younger is shifted onto
@@ -345,8 +367,13 @@ def _closing(a: Automaton) -> set[int]:
 
 
 # The byte table of a final seed entry: a final is seeded whatever byte
-# follows, since it reports its match on the byte that seeds it.
+# follows, since it reports its match on the byte that seeds it. The scan
+# also reads it as the mark of a final: storing such an entry is a hit.
 _ANY_BYTE = range(256)
+# The byte table of a non-final entry of the whole row stored at a
+# window's last position: every byte, as `_ANY_BYTE`, but not the mark of
+# a final.
+_WHOLE_ROW = range(256)
 
 
 class SeedTables(NamedTuple):
@@ -461,9 +488,12 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
     carried set are the reference's; past `last` nothing is seeded. The
     scan stops on the first cycle that leaves the active set empty from
     `last` on, or from `base` on with no window. The pair counts are the
-    reference's all the same. A scan with no window seeds nothing, so it
-    neither builds nor patches `p`'s seed tables; it reads their closing
-    set only if they are built."""
+    reference's all the same. A cycle reports matches only if a final
+    entered its set: a newly stored step target, a stored seed whose table
+    is `_ANY_BYTE`, or, where closure runs, any state of the closed set;
+    the whole row at `last` keeps `_ANY_BYTE` for finals alone. A scan with
+    no window seeds nothing, so it neither builds nor patches `p`'s seed
+    tables; it reads their closing set only if they are built."""
     a = p.automaton
     end = base + len(data)
     # Each phase: (its end, its seed rows, pairs its seeding adds, whether
@@ -476,7 +506,8 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
         first, last = window
         closing, n_start, rows = seed_tables(p)
         b = data[last - base]
-        whole = {b: tuple((t, _ANY_BYTE) for t, _ in rows.get(b, ()))}
+        whole = {b: tuple((t, table if table is _ANY_BYTE else _WHOLE_ROW)
+                          for t, table in rows.get(b, ()))}
         phases = [(first, {}, 0, False), (last, rows, n_start, False),
                   (last + 1, whole, n_start, True), (end, {}, 0, True)]
     _close_masked(a, active, [s for s in active if s in closing])
@@ -484,15 +515,17 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
     finals = a.final_labels
     final_states = finals.keys()
     pairs = sum(map(_count, active.values()))
-    peak = total = 0
+    peak = total = emitted = 0
     pos = base - 1          # an empty input runs no cycle
     # `ahead` is the byte after `pos`; past the input's end nothing reads it.
     cycles = zip(count(base), data, chain(islice(data, 1, None), (0,)))
     for stop, seeds, n_seed, may_stop in phases:
         for pos, byte, ahead in islice(cycles, stop - 1 - pos):
-            # `now` is the pair total of `nxt`, kept as values land in it.
+            # `now` is the pair total of `nxt`, kept as values land in it;
+            # `hit` is set when a final lands in it.
             nxt: dict[int, tuple[int, int, int]] = {}
             now = 0
+            hit = False
             for s, tagged in active.items():
                 table = trans.get(s)
                 if table:
@@ -501,24 +534,32 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
                         if cur is None:
                             nxt[t] = tagged
                             now += tagged[2]
+                            if t in finals:
+                                hit = True
                         else:
+                            # `t` is already stored: a merge adds no final.
                             merged = nxt[t] = _merge(cur, tagged)
                             now += merged[2] - cur[2]
             if closing:
                 _close_masked(a, nxt, [t for t in nxt if t in closing])
                 now = sum(map(_count, nxt.values()))
+                # Closure can reach a final that no step stored.
+                hit = hit or not final_states.isdisjoint(nxt)
             # In a seeding phase the start region, tagged pos, joins the
             # active set (steps 1+2) and steps on the byte (3+4): its closed
             # targets are the byte's seed row. Every other tag is older
             # than pos, so each seeded target gains one pair, counted
             # whether it is stored or not. A target is stored only if its
             # table holds the next byte: any other dies on that byte unread.
+            # A final's table is `_ANY_BYTE`, so a final is always stored.
             pairs += n_seed
             row = seeds.get(byte, ())
             now += len(row)
             for t, table in row:
                 if ahead not in table:
                     continue
+                if table is _ANY_BYTE:
+                    hit = True
                 cur = nxt.get(t)
                 if cur is None:
                     nxt[t] = (pos, 1, 1)
@@ -526,24 +567,24 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
                     lo, m, c = cur
                     nxt[t] = lo, m | 1 << (pos - lo), c + 1
 
-            if not final_states.isdisjoint(nxt):
+            if hit:
                 by_label: dict[int, tuple[int, int, int]] = {}
                 for t in final_states & nxt.keys():
                     for label in finals[t]:
                         cur = by_label.get(label)
                         by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
-                stats.matches_emitted += sum(map(_count, by_label.values()))
+                emitted += sum(map(_count, by_label.values()))
                 if sink is not None and len(by_label) == 1:
                     # One label's tags come out ascending: no sort.
                     [(label, tagged)] = by_label.items()
-                    for start_tag in _tags(tagged):
-                        sink(Match(label, start_tag, pos))
+                    for m in _label_matches(label, tagged, pos):
+                        sink(m)
                 elif sink is not None:
-                    for start_tag, label in sorted(
-                            (start_tag, label)
-                            for label, tagged in by_label.items()
-                            for start_tag in _tags(tagged)):
-                        sink(Match(label, start_tag, pos))
+                    for m in sorted(chain.from_iterable(
+                            _label_matches(label, tagged, pos)
+                            for label, tagged in by_label.items()),
+                            key=_by_start_label):
+                        sink(m)
             if now > pairs:
                 pairs = now
             total += pairs
@@ -558,6 +599,7 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
     stats.cycles = pos + 1 - base
     stats.peak_pairs = peak
     stats.sum_pairs = total
+    stats.matches_emitted = emitted
     return active
 
 
@@ -568,14 +610,16 @@ def find_matches(pfsm: Pfsm, data: bytes) -> list[Match]:
 
 
 def format_match_tsv(m: Match, pfsm: Pfsm, data: bytes) -> str:
-    text = data[m.start:m.end + 1].decode("latin-1")
-    return f"{pfsm.label_text(m.label)}\t{m.start}\t{m.end}\t{text}"
+    label, start, end = m
+    text = data[start:end + 1].decode("latin-1")
+    return f"{pfsm.directory[label].label}\t{start}\t{end}\t{text}"
 
 
 def format_match_jsonl(m: Match, pfsm: Pfsm, data: bytes) -> str:
+    label, start, end = m
     return json.dumps({
-        "label": pfsm.label_text(m.label),
-        "start": m.start,
-        "end": m.end,
-        "match": data[m.start:m.end + 1].decode("latin-1"),
+        "label": pfsm.directory[label].label,
+        "start": start,
+        "end": end,
+        "match": data[start:end + 1].decode("latin-1"),
     })

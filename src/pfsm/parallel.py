@@ -34,8 +34,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .engine import (ActiveSet, Match, _merge as _join, find_matches,
-                     run_segment, seed_tables)
+from .engine import (ActiveSet, Match, _match, _merge as _join,
+                     find_matches, run_segment, seed_tables)
 from .union import Pfsm, build_pfsm, extract_pattern
 
 
@@ -102,8 +102,8 @@ def run_regex_partitioned(p: Pfsm, data: bytes, workers: int) -> list[Match]:
         sub = build_pfsm([(p.label_text(lid), extract_pattern(p, lid))
                           for lid in ids])
         # Sub-machine label k is the worker's k-th label.
-        return [Match(ids[m.label], m.start, m.end)
-                for m in find_matches(sub, data)]
+        return [_match((ids[label], start, end))
+                for label, start, end in find_matches(sub, data)]
 
     return _merge([scan(ids) for ids in groups(p, workers)])
 
@@ -240,7 +240,7 @@ class _Child:
                               ) from exc
         if status != "ok":
             raise WorkerError(f"worker {self.pid} failed: {got}")
-        return [(list(map(Match._make, matches)), masks)
+        return [(list(map(_match, matches)), masks)
                 for matches, masks in got]
 
 

@@ -335,13 +335,21 @@ def test_seed_that_cannot_step_on_the_next_byte_is_never_stored(form):
     assert _counters(stats) == _counters(want)
 
 
+def _in_form(form, patterns):
+    """`patterns`, each its own label, in one form; "eps" puts every state
+    but the initial one behind an epsilon edge."""
+    machines = []
+    for pattern in patterns:
+        m = compile_pattern(pattern, "nfa" if form == "eps" else form)
+        if form == "eps":
+            m = with_epsilon(m, m.states - {m.initial})
+        machines.append((pattern, m))
+    return build_pfsm(machines)
+
+
 def _alone(form, pattern="ab"):
-    """`pattern` alone, in one form; "eps" puts every state but the initial
-    one behind an epsilon edge."""
-    m = compile_pattern(pattern, "nfa" if form == "eps" else form)
-    if form == "eps":
-        m = with_epsilon(m, m.states - {m.initial})
-    return build_pfsm([(pattern, m)])
+    """`pattern` alone, in one form, as `_in_form` builds it."""
+    return _in_form(form, [pattern])
 
 
 # The last seeded position stores its whole row, next byte or not: a window
@@ -402,6 +410,58 @@ def test_scan_stops_where_the_reference_does(form, data, base, window,
     assert _counters(stats) == _counters(want_stats)
     assert stats.matches_emitted == want_stats.matches_emitted
     assert snap == want_snap
+
+
+def _four_counters(stats):
+    return _counters(stats) + (stats.matches_emitted,)
+
+
+# Each route by which a final enters the scan's next set: a one-byte
+# pattern's seeds are finals, found only as they are stored, and at a
+# window's last position too, where the whole row is stored; in the eps
+# form, "ab"'s final is reached only through the closure of a step; "a+"'s
+# final is reached by a step and then has the byte's seed merged into it.
+FINAL_ROUTES = ["[ab]", "ab", "a+"]
+
+
+@edge_forms
+@pytest.mark.parametrize("patterns", [[pat] for pat in FINAL_ROUTES]
+                         + [FINAL_ROUTES], ids=FINAL_ROUTES + ["all"])
+def test_every_route_into_a_final_reports_as_engine_does(form, patterns):
+    # On every window of random short inputs, and on every cut of them
+    # into two segments with the first's carry passed on, as a chained
+    # run makes it: the matches, in order, and all four counters are the
+    # reference's. A chained run through the partitioned path agrees too.
+    p = _in_form(form, patterns)
+    rng = random.Random(f"final-routes/{form}/{patterns}")
+    for trial in range(40):
+        data = bytes(rng.choice(b"abx") for _ in range(rng.randint(1, 7)))
+        n = len(data)
+        for window in [(lo, hi) for lo in range(n) for hi in range(lo, n)]:
+            want, want_stats, want_snap = engine_segment(p, data, window,
+                                                         None)
+            got = []
+            stats, snap = run_segment(p, data, window, None, got.append)
+            assert got == want, (trial, data, window)
+            assert _four_counters(stats) == _four_counters(want_stats)
+            assert snap == want_snap
+        for cut in range(1, n):
+            got, want = [], []
+            carry = want_carry = None
+            for base, seg in ((0, data[:cut]), (cut, data[cut:])):
+                window = (base, base + len(seg) - 1)
+                out, want_stats, want_carry = engine_segment(
+                    p, seg, window, want_carry, base)
+                want += out
+                stats, carry = run_segment(p, seg, window, carry,
+                                           got.append, base=base)
+                assert _four_counters(stats) == \
+                    _four_counters(want_stats), (trial, data, cut)
+                assert carry == want_carry
+            assert got == want == engine_matches(p, data), (trial, data, cut)
+    data = b"abaabxbab"
+    assert run_partitioned(p, data, PartitionPlan("chained", 4)) \
+        == find_matches(p, data) == engine_matches(p, data)
 
 
 @pytest.mark.parametrize("form", ["nfa", "dfa"])
