@@ -18,7 +18,7 @@ them.
 `Engine` runs those four steps literally, with a `set` of tags per state;
 it is the readable reference the scan routine behind `run`, `run_segment`
 and `find_matches` is tested against. That routine computes the same
-cycle with eight changes:
+cycle with nine changes:
 
 - Seed rows kept on the generation. Steps 1-3 for the start region
   depend only on the byte, so every byte's seed row, the epsilon-closed
@@ -48,6 +48,12 @@ cycle with eight changes:
   each (label, start) once. The cycle's pair total moves with each edit,
   so no cycle counts its masks. A lone tag never widens however long it
   lives.
+- Shared growth. Seeding a state that already holds a mask grows it by
+  one bit, a big-int shift, OR and popcount as wide as the mask. States
+  that held one mask object before a cycle's seeding share one grown mask
+  after it, and every new seed of a cycle is one `(pos, 1, 1)`, so states
+  seeded at the same positions, such as the loops of `a*b`, `a*c`, ...,
+  hold one object and pay that growth once per byte, not once each.
 - Rows from the machine's own tables. A state's successors are read from
   `byte_transitions`; only targets that have epsilon edges are closed.
 - Finals found as they are stored. A cycle looks for matches only when a
@@ -55,7 +61,9 @@ cycle with eight changes:
   is final, a seed entry marks a final by its `_ANY_BYTE` table, and only
   a cycle that epsilon-closes tests its whole set, since closure can add
   a final. A merge lands on a state already stored, so it adds none. No
-  cycle tests the finals against its set otherwise.
+  cycle tests the finals against its set otherwise. The cycle keeps the
+  final it stored, so one final of one label reports its own mask, with
+  no per-label merge and no search of the set for finals.
 - Output linear in the matches reported. A cycle counts its matches from
   the merged masks' counts, in a local, and extracts tags only for a
   sink. A one-tag mask is its anchor; a wider one is read in one pass
@@ -374,6 +382,8 @@ _ANY_BYTE = range(256)
 # window's last position: every byte, as `_ANY_BYTE`, but not the mark of
 # a final.
 _WHOLE_ROW = range(256)
+# A cycle's `hit` when more than one final may be in its set.
+_MANY = object()
 
 
 class SeedTables(NamedTuple):
@@ -491,9 +501,13 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
     reference's all the same. A cycle reports matches only if a final
     entered its set: a newly stored step target, a stored seed whose table
     is `_ANY_BYTE`, or, where closure runs, any state of the closed set;
-    the whole row at `last` keeps `_ANY_BYTE` for finals alone. A scan with
-    no window seeds nothing, so it neither builds nor patches `p`'s seed
-    tables; it reads their closing set only if they are built."""
+    the whole row at `last` keeps `_ANY_BYTE` for finals alone. A cycle
+    that stored one final of one label reports that final's mask as it
+    is. Seeding grows a mask once per object: states that held one mask
+    before a cycle's seeding hold one grown mask after it, and the cycle's
+    new seeds share one `(pos, 1, 1)`. A scan with no window seeds
+    nothing, so it neither builds nor patches `p`'s seed tables; it reads
+    their closing set only if they are built."""
     a = p.automaton
     end = base + len(data)
     # Each phase: (its end, its seed rows, pairs its seeding adds, whether
@@ -517,15 +531,23 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
     pairs = sum(map(_count, active.values()))
     peak = total = emitted = 0
     pos = base - 1          # an empty input runs no cycle
+    # Shared growth: the cycle at `fresh_at` stores `fresh` for every new
+    # seed, and the cycle at `grown_at` grew `src` into `grown`, so a later
+    # seed of that cycle whose mask is `src` takes `grown`. Both are checked
+    # against the position rather than reset each cycle, which would cost
+    # every cycle: a mask grown at one position is wrong at the next.
+    fresh = src = grown = None
+    fresh_at = grown_at = pos
     # `ahead` is the byte after `pos`; past the input's end nothing reads it.
     cycles = zip(count(base), data, chain(islice(data, 1, None), (0,)))
     for stop, seeds, n_seed, may_stop in phases:
         for pos, byte, ahead in islice(cycles, stop - 1 - pos):
             # `now` is the pair total of `nxt`, kept as values land in it;
-            # `hit` is set when a final lands in it.
+            # `hit` is the final that lands in it, or `_MANY` when a second
+            # one does or closure runs.
             nxt: dict[int, tuple[int, int, int]] = {}
             now = 0
-            hit = False
+            hit = None
             for s, tagged in active.items():
                 table = trans.get(s)
                 if table:
@@ -535,7 +557,7 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
                             nxt[t] = tagged
                             now += tagged[2]
                             if t in finals:
-                                hit = True
+                                hit = t if hit is None else _MANY
                         else:
                             # `t` is already stored: a merge adds no final.
                             merged = nxt[t] = _merge(cur, tagged)
@@ -544,7 +566,8 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
                 _close_masked(a, nxt, [t for t in nxt if t in closing])
                 now = sum(map(_count, nxt.values()))
                 # Closure can reach a final that no step stored.
-                hit = hit or not final_states.isdisjoint(nxt)
+                if hit is not None or not final_states.isdisjoint(nxt):
+                    hit = _MANY
             # In a seeding phase the start region, tagged pos, joins the
             # active set (steps 1+2) and steps on the byte (3+4): its closed
             # targets are the byte's seed row. Every other tag is older
@@ -559,15 +582,32 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
                 if ahead not in table:
                     continue
                 if table is _ANY_BYTE:
-                    hit = True
+                    hit = t if hit is None else _MANY
                 cur = nxt.get(t)
                 if cur is None:
-                    nxt[t] = (pos, 1, 1)
+                    if fresh_at != pos:
+                        fresh = (pos, 1, 1)
+                        fresh_at = pos
+                    nxt[t] = fresh
+                elif cur is src and grown_at == pos:
+                    nxt[t] = grown
                 else:
                     lo, m, c = cur
-                    nxt[t] = lo, m | 1 << (pos - lo), c + 1
+                    src = cur
+                    grown = nxt[t] = lo, m | 1 << (pos - lo), c + 1
+                    grown_at = pos
 
-            if hit:
+            if hit is None:
+                pass
+            elif hit is not _MANY and len(labels := finals[hit]) == 1:
+                # One final of one label: its mask is the label's.
+                tagged = nxt[hit]
+                emitted += tagged[2]
+                if sink is not None:
+                    [label] = labels
+                    for m in _label_matches(label, tagged, pos):
+                        sink(m)
+            else:
                 by_label: dict[int, tuple[int, int, int]] = {}
                 for t in final_states & nxt.keys():
                     for label in finals[t]:

@@ -428,14 +428,48 @@ FINAL_ROUTES = ["[ab]", "ab", "a+"]
 @pytest.mark.parametrize("patterns", [[pat] for pat in FINAL_ROUTES]
                          + [FINAL_ROUTES], ids=FINAL_ROUTES + ["all"])
 def test_every_route_into_a_final_reports_as_engine_does(form, patterns):
-    # On every window of random short inputs, and on every cut of them
-    # into two segments with the first's carry passed on, as a chained
-    # run makes it: the matches, in order, and all four counters are the
-    # reference's. A chained run through the partitioned path agrees too.
-    p = _in_form(form, patterns)
-    rng = random.Random(f"final-routes/{form}/{patterns}")
+    _check_windows_and_cuts(_in_form(form, patterns), b"abx",
+                            f"final-routes/{form}/{patterns}")
+
+
+# Seed rows that mix, in one cycle, fresh seeds ("ab"'s first state), loop
+# states that held one mask object and so share one grown mask ("a*b" and
+# "a*c"), and a loop state whose mask is its own ("[ab]*c", also seeded on
+# 'b'). In the second set, on "abc", both 'a' seeds share one fresh mask;
+# "a?bc" grows it on the 'b' while "(ab)?c" carries it unseeded to the 'c',
+# where its final is seeded: a grown mask reused across cycles would give
+# that final the 'b''s tag, not the 'c''s.
+SHARED_GROWTH = [["a*b", "a*c", "ab", "[ab]*c"], ["a?bc", "(ab)?c"]]
+
+
+@edge_forms
+@pytest.mark.parametrize("patterns", SHARED_GROWTH, ids=["mixed", "stale"])
+def test_shared_growth_reports_as_engine_does(form, patterns):
+    _check_windows_and_cuts(_in_form(form, patterns), b"abc",
+                            f"shared-growth/{form}/{patterns}")
+
+
+@edge_forms
+def test_loop_states_share_one_grown_mask(form):
+    # The four a* loop states are seeded at the same positions: after the
+    # first byte they hold one mask object, grown once per byte, not four
+    # equal ones.
+    p = _in_form(form, ["a*b", "a*c", "a*d", "a*e"])
+    data = b"a" * 64
+    _, carry = run_segment(p, data, (0, 63), None)
+    assert len({id(v) for v in carry.masks.values()}) == 1
+    assert carry == engine_segment(p, data, (0, 63), None)[2]
+
+
+def _check_windows_and_cuts(p, alphabet, seed):
+    """On every window of random short inputs over `alphabet`, and on every
+    cut of them into two segments with the first's carry passed on, as a
+    chained run makes it: the matches, in order, and all four counters are
+    the reference's. A chained run through the partitioned path agrees
+    too."""
+    rng = random.Random(seed)
     for trial in range(40):
-        data = bytes(rng.choice(b"abx") for _ in range(rng.randint(1, 7)))
+        data = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
         n = len(data)
         for window in [(lo, hi) for lo in range(n) for hi in range(lo, n)]:
             want, want_stats, want_snap = engine_segment(p, data, window,
@@ -459,7 +493,7 @@ def test_every_route_into_a_final_reports_as_engine_does(form, patterns):
                     _four_counters(want_stats), (trial, data, cut)
                 assert carry == want_carry
             assert got == want == engine_matches(p, data), (trial, data, cut)
-    data = b"abaabxbab"
+    data = bytes(alphabet[i] for i in (0, 1, 0, 0, 1, 2, 1, 0, 1))
     assert run_partitioned(p, data, PartitionPlan("chained", 4)) \
         == find_matches(p, data) == engine_matches(p, data)
 
