@@ -531,13 +531,6 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
     pairs = sum(map(_count, active.values()))
     peak = total = emitted = 0
     pos = base - 1          # an empty input runs no cycle
-    # Shared growth: the cycle at `fresh_at` stores `fresh` for every new
-    # seed, and the cycle at `grown_at` grew `src` into `grown`, so a later
-    # seed of that cycle whose mask is `src` takes `grown`. Both are checked
-    # against the position rather than reset each cycle, which would cost
-    # every cycle: a mask grown at one position is wrong at the next.
-    fresh = src = grown = None
-    fresh_at = grown_at = pos
     # `ahead` is the byte after `pos`; past the input's end nothing reads it.
     cycles = zip(count(base), data, chain(islice(data, 1, None), (0,)))
     for stop, seeds, n_seed, may_stop in phases:
@@ -576,8 +569,13 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
             # table holds the next byte: any other dies on that byte unread.
             # A final's table is `_ANY_BYTE`, so a final is always stored.
             pairs += n_seed
+            # Shared growth: `fresh` is the cycle's one new seed mask, and
+            # the cycle grew `src` into `grown`, so a later seed whose mask
+            # is `src` takes `grown`. A mask grown at one position is wrong
+            # at the next, so both start empty each cycle.
             row = seeds.get(byte, ())
             now += len(row)
+            fresh = src = None
             for t, table in row:
                 if ahead not in table:
                     continue
@@ -585,46 +583,45 @@ def _scan(p: Pfsm, data: bytes, window, active, sink, base,
                     hit = t if hit is None else _MANY
                 cur = nxt.get(t)
                 if cur is None:
-                    if fresh_at != pos:
+                    if fresh is None:
                         fresh = (pos, 1, 1)
-                        fresh_at = pos
                     nxt[t] = fresh
-                elif cur is src and grown_at == pos:
+                elif cur is src:
                     nxt[t] = grown
                 else:
                     lo, m, c = cur
                     src = cur
                     grown = nxt[t] = lo, m | 1 << (pos - lo), c + 1
-                    grown_at = pos
 
-            if hit is None:
-                pass
-            elif hit is not _MANY and len(labels := finals[hit]) == 1:
-                # One final of one label: its mask is the label's.
-                tagged = nxt[hit]
-                emitted += tagged[2]
-                if sink is not None:
+            if hit is not None:
+                if hit is not _MANY and len(labels := finals[hit]) == 1:
+                    # One final of one label: its mask is the label's.
+                    by_label = None
                     [label] = labels
-                    for m in _label_matches(label, tagged, pos):
-                        sink(m)
-            else:
-                by_label: dict[int, tuple[int, int, int]] = {}
-                for t in final_states & nxt.keys():
-                    for label in finals[t]:
-                        cur = by_label.get(label)
-                        by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
-                emitted += sum(map(_count, by_label.values()))
-                if sink is not None and len(by_label) == 1:
+                    tagged = nxt[hit]
+                else:
+                    by_label = {}
+                    for t in final_states & nxt.keys():
+                        for label in finals[t]:
+                            cur = by_label.get(label)
+                            by_label[label] = nxt[t] if cur is None else _merge(cur, nxt[t])
+                    if len(by_label) == 1:
+                        [(label, tagged)] = by_label.items()
+                        by_label = None
+                if by_label is None:
                     # One label's tags come out ascending: no sort.
-                    [(label, tagged)] = by_label.items()
-                    for m in _label_matches(label, tagged, pos):
-                        sink(m)
-                elif sink is not None:
-                    for m in sorted(chain.from_iterable(
-                            _label_matches(label, tagged, pos)
-                            for label, tagged in by_label.items()),
-                            key=_by_start_label):
-                        sink(m)
+                    emitted += tagged[2]
+                    if sink is not None:
+                        for m in _label_matches(label, tagged, pos):
+                            sink(m)
+                else:
+                    emitted += sum(map(_count, by_label.values()))
+                    if sink is not None:
+                        for m in sorted(chain.from_iterable(
+                                _label_matches(label, tagged, pos)
+                                for label, tagged in by_label.items()),
+                                key=_by_start_label):
+                            sink(m)
             if now > pairs:
                 pairs = now
             total += pairs
